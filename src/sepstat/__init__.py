@@ -40,6 +40,7 @@ from .separators import (
     is_separator_free,
     parse_arrowed,
     separator_count,
+    separator_masks,
     separator_report,
     split_marked,
     vertical_separators,
@@ -63,7 +64,6 @@ from .series import (
 )
 from .exhaustive import (
     DistTable,
-    VerificationReport,
     distribution,
     expectation_empirical,
     expectation_formula,
@@ -71,7 +71,6 @@ from .exhaustive import (
     max_separator_perms,
     separator_free_count,
     sweep,
-    verify_gf_vs_brute,
 )
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ from .perms import (
     maximal_runs,
     parse_permutation,
 )
-from .separators import separator_count, separator_report
+from .separators import separator_report
 from .series import (
     BiSeries,
     bond_gf,
@@ -58,7 +58,10 @@ _ARROW = {Direction.UP: "↑", Direction.DOWN: "↓", Direction.NONE: ""}
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        try:
+            Path(out).write_text(text + "\n", encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from None
     else:
         print(text)
 
@@ -217,22 +220,17 @@ def cmd_expect(args: argparse.Namespace) -> int:
 
 
 def cmd_maxsep(args: argparse.Namespace) -> int:
-    perms = exhaustive.max_separator_perms(args.k)
+    if args.k > config.MAX_MAXSEP_K:
+        raise ValueError(f"k={args.k} exceeds the cap {config.MAX_MAXSEP_K}")
     n = 4 * args.k
+    cap = config.enumeration_cap()
+    if args.verify and n > cap:
+        raise ValueError(f"exhaustive cross-check needs n={n} <= cap {cap}")
+    perms = exhaustive.max_separator_perms(args.k)
     verified = None
     if args.verify:
-        cap = config.enumeration_cap()
-        if n > cap:
-            raise ValueError(
-                f"exhaustive cross-check needs n={n} <= cap {cap}"
-            )
-        want = {p.entries for p in perms}
-        got = {
-            p.entries
-            for p in exhaustive.iterate_sn(n)
-            if separator_count(p) == n
-        }
-        verified = want == got
+        got = exhaustive.all_separating_words(n, threads=args.threads)
+        verified = {p.entries for p in perms} == got
     if args.format == "json":
         payload = {
             "k": args.k,
@@ -256,11 +254,12 @@ def cmd_maxsep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    checks = exhaustive.run_check_suite(args.n_max, threads=args.threads)
+    checks, tables = exhaustive.run_check_suite(args.n_max, threads=args.threads)
     passed = all(c.passed for c in checks)
-    report = None
-    if args.verbose:
-        report = exhaustive.verify_gf_vs_brute(args.n_max, threads=args.threads)
+    rows = {
+        kind: {n: dict(sorted(tables[n][kind].items())) for n in tables}
+        for kind in ("vertical", "bonds")
+    }
     if args.format == "json":
         payload = {
             "n_max": args.n_max,
@@ -270,25 +269,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 for c in checks
             ],
         }
-        if report is not None:
-            payload["vertical_rows"] = {
-                str(n): {str(m): c for m, c in row.items()}
-                for n, row in report.vertical_rows.items()
-            }
-            payload["bond_rows"] = {
-                str(n): {str(m): c for m, c in row.items()}
-                for n, row in report.bond_rows.items()
-            }
+        if args.verbose:
+            for kind, key in (("vertical", "vertical_rows"), ("bonds", "bond_rows")):
+                payload[key] = {
+                    str(n): {str(m): c for m, c in row.items()}
+                    for n, row in rows[kind].items()
+                }
         _emit(_json_dumps(payload), args.out)
     else:
         lines = []
         for c in checks:
             tag = "PASS" if c.passed else "FAIL"
             lines.append(f"{tag}  {c.name} ({c.detail})")
-        if report is not None:
+        if args.verbose:
             for n in range(args.n_max + 1):
-                lines.append(f"vertical row n={n}: {report.vertical_rows[n]}")
-                lines.append(f"bond row n={n}:     {report.bond_rows[n]}")
+                lines.append(f"vertical row n={n}: {rows['vertical'][n]}")
+                lines.append(f"bond row n={n}:     {rows['bonds'][n]}")
         lines.append(
             f"{'all checks passed' if passed else 'CHECKS FAILED'} "
             f"(n_max={args.n_max})"

@@ -20,6 +20,10 @@ ENV_MAX_N = "SEPSTAT_MAX_N"
 DEFAULT_ORDER = 12
 MAX_ORDER = 64
 
+# Largest k accepted by `maxsep`: it lists 2^k * k! permutations, 46080
+# at k = 6, and that count grows by a factor of 2(k+1) with each k.
+MAX_MAXSEP_K = 6
+
 # Default size ceiling for the `verify` command.
 DEFAULT_VERIFY_N = 8
 

@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterator, Optional
+from typing import Callable, Iterator
 
 from . import config
 from .perms import (
@@ -39,6 +39,7 @@ from .separators import (
     horizontal_separator_positions,
     horizontal_separators,
     separator_count,
+    separator_masks,
     split_marked,
     vertical_separator_positions,
     vertical_separators,
@@ -72,34 +73,48 @@ def iterate_sn(n: int) -> Iterator[Permutation]:
 
 
 # ---------------------------------------------------------------------------
+# The driver: S_n split by first entry across worker processes
+
+
+def _words(n: int, firsts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The words of S_n whose first entry lies in ``firsts``; S_0 has the
+    empty word alone."""
+    if n == 0:
+        yield ()
+        return
+    values = range(1, n + 1)
+    for first in firsts:
+        rest = [v for v in values if v != first]
+        for tail in itertools.permutations(rest):
+            yield (first,) + tail
+
+
+def _over_sn(n: int, threads: int | None, chunk: Callable) -> list:
+    """``chunk(n, firsts)`` for a partition of the first entries of S_n.
+
+    ``threads`` > 1 deals the first entries round-robin across worker
+    processes, one chunk each; below 7! the whole of S_n is one chunk in
+    this process, because pool overhead beats tiny jobs. ``chunk`` is
+    handed to the pool, so it must be a module-level function.
+    """
+    _check_cap(n)
+    if threads is None:
+        threads = os.cpu_count() or 1
+    firsts = tuple(range(1, n + 1))
+    if threads <= 1 or factorial(n) < 5040:
+        return [chunk(n, firsts)]
+    chunks = [c for c in (firsts[i::threads] for i in range(threads)) if c]
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        return list(pool.map(chunk, itertools.repeat(n), chunks))
+
+
+# ---------------------------------------------------------------------------
 # The sweep: one pass per permutation over raw words
-
-
-def _scan(word: tuple[int, ...]) -> tuple[int, int, int]:
-    """(bond count, vertical bitmask, horizontal bitmask) of a word;
-    masks are over values, bit v set when digit v separates."""
-    n = len(word)
-    b = 0
-    for i in range(n - 1):
-        if abs(word[i] - word[i + 1]) == 1:
-            b += 1
-    vmask = 0
-    for i in range(1, n - 1):
-        if abs(word[i - 1] - word[i + 1]) == 1:
-            vmask |= 1 << word[i]
-    pos = [0] * (n + 1)
-    for i, v in enumerate(word):
-        pos[v] = i
-    hmask = 0
-    for a in range(2, n):
-        if abs(pos[a - 1] - pos[a + 1]) == 1:
-            hmask |= 1 << a
-    return b, vmask, hmask
 
 
 def _sweep_chunk(n: int, firsts: tuple[int, ...]) -> dict[str, Counter]:
     """Tally all five statistics over the permutations of {1..n} whose
-    first entry lies in ``firsts`` (the unit of parallel work)."""
+    first entry lies in ``firsts``."""
     tallies: dict[str, Counter] = {kind: Counter() for kind in KINDS}
     t_v, t_h, t_b, t_a, t_bonds = (
         tallies["vertical"],
@@ -108,16 +123,17 @@ def _sweep_chunk(n: int, firsts: tuple[int, ...]) -> dict[str, Counter]:
         tallies["any"],
         tallies["bonds"],
     )
-    values = range(1, n + 1)
-    for first in firsts:
-        rest = [v for v in values if v != first]
-        for tail in itertools.permutations(rest):
-            b, vm, hm = _scan((first,) + tail)
-            t_bonds[b] += 1
-            t_v[vm.bit_count()] += 1
-            t_h[hm.bit_count()] += 1
-            t_b[(vm & hm).bit_count()] += 1
-            t_a[(vm | hm).bit_count()] += 1
+    for word in _words(n, firsts):
+        vm, hm = separator_masks(word)
+        b = 0
+        for x, y in zip(word, word[1:]):
+            if x - y == 1 or y - x == 1:
+                b += 1
+        t_bonds[b] += 1
+        t_v[vm.bit_count()] += 1
+        t_h[hm.bit_count()] += 1
+        t_b[(vm & hm).bit_count()] += 1
+        t_a[(vm | hm).bit_count()] += 1
     return tallies
 
 
@@ -128,21 +144,10 @@ def sweep(n: int, threads: int | None = 1) -> dict[str, Counter]:
     processes; the merge is associative, so the result is identical
     for every worker count.
     """
-    _check_cap(n)
-    if n == 0:
-        return {kind: Counter({0: 1}) for kind in KINDS}
-    if threads is None:
-        threads = os.cpu_count() or 1
-    firsts = list(range(1, n + 1))
-    if threads <= 1 or factorial(n) < 5040:  # pool overhead beats tiny jobs
-        return _sweep_chunk(n, tuple(firsts))
-    chunks = [tuple(firsts[i::threads]) for i in range(threads)]
-    chunks = [c for c in chunks if c]
     merged: dict[str, Counter] = {kind: Counter() for kind in KINDS}
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        for part in pool.map(_sweep_chunk, itertools.repeat(n), chunks):
-            for kind in KINDS:
-                merged[kind].update(part[kind])
+    for part in _over_sn(n, threads, _sweep_chunk):
+        for kind in KINDS:
+            merged[kind].update(part[kind])
     return merged
 
 
@@ -197,35 +202,21 @@ def separator_free_count(n: int, threads: int | None = 1) -> int:
     test (non-attacking empresses); a disagreement would mean a bug in
     one of the definitions and raises immediately.
     """
-    _check_cap(n)
-    if n == 0:
-        return 1
-    if threads is None:
-        threads = os.cpu_count() or 1
-    firsts = list(range(1, n + 1))
-    if threads <= 1 or factorial(n) < 5040:
-        return _sepfree_chunk(n, tuple(firsts))
-    chunks = [tuple(firsts[i::threads]) for i in range(threads)]
-    chunks = [c for c in chunks if c]
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        return sum(pool.map(_sepfree_chunk, itertools.repeat(n), chunks))
+    return sum(_over_sn(n, threads, _sepfree_chunk))
 
 
 def _sepfree_chunk(n: int, firsts: tuple[int, ...]) -> int:
     count = 0
-    values = range(1, n + 1)
-    for first in firsts:
-        rest = [v for v in values if v != first]
-        for tail in itertools.permutations(rest):
-            p = Permutation((first,) + tail)
-            by_sets = separator_count(p) == 0
-            by_knight = not has_knight_pair(p)
-            if by_sets != by_knight:
-                raise RuntimeError(
-                    f"separator-free oracles disagree on {p}: "
-                    f"sets say {by_sets}, knight scan says {by_knight}"
-                )
-            count += by_sets
+    for word in _words(n, firsts):
+        p = Permutation(word)
+        by_sets = separator_count(p) == 0
+        by_knight = not has_knight_pair(p)
+        if by_sets != by_knight:
+            raise RuntimeError(
+                f"separator-free oracles disagree on {p}: "
+                f"sets say {by_sets}, knight scan says {by_knight}"
+            )
+        count += by_sets
     return count
 
 
@@ -251,6 +242,26 @@ def max_separator_perms(k: int) -> list[Permutation]:
             if separator_count(q) != q.n:  # structural guarantee; cheap to keep
                 raise RuntimeError(f"constructed {q} has a non-separating digit")
             out.append(q)
+    return out
+
+
+def all_separating_words(n: int, threads: int | None = 1) -> set[tuple[int, ...]]:
+    """The words of S_n in which every digit is a separator, found by
+    scanning all of S_n.
+
+    >>> sorted(all_separating_words(4))
+    [(2, 4, 1, 3), (3, 1, 4, 2)]
+    """
+    return set().union(*_over_sn(n, threads, _all_separating_chunk))
+
+
+def _all_separating_chunk(n: int, firsts: tuple[int, ...]) -> list[tuple[int, ...]]:
+    full = (1 << (n + 1)) - 2  # bits 1..n
+    out = []
+    for word in _words(n, firsts):
+        vm, hm = separator_masks(word)
+        if vm | hm == full:
+            out.append(word)
     return out
 
 
@@ -280,8 +291,7 @@ def expectation_empirical(n: int, kind: str, threads: int | None = 1) -> Fractio
     """The literal average of the statistic over all n! permutations."""
     if kind not in EXPECTATION_KINDS:
         raise ValueError(f"unknown kind {kind!r}; choose from {EXPECTATION_KINDS}")
-    table = sweep(n, threads)[kind]
-    return Fraction(sum(m * c for m, c in table.items()), factorial(n))
+    return distribution(n, kind, threads).mean()
 
 
 def expectation_convergence_ok(n: int) -> bool:
@@ -296,31 +306,7 @@ def expectation_convergence_ok(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Series-vs-enumeration verification
-
-
-@dataclass
-class VerificationReport:
-    """Outcome of comparing series coefficients with exhaustive
-    counts; ``mismatches`` holds (series, n, m, enumerated, series
-    value) tuples, first differing entry first."""
-
-    n_max: int
-    passed: bool
-    mismatches: list[tuple[str, int, int, int, int]]
-    vertical_rows: dict[int, dict[int, int]]
-    bond_rows: dict[int, dict[int, int]]
-
-    @property
-    def first_mismatch(self) -> Optional[tuple[str, int, int, int, int]]:
-        return self.mismatches[0] if self.mismatches else None
-
-    def to_json(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "passed": self.passed,
-            "mismatches": [list(m) for m in self.mismatches],
-        }
+# The full check suite behind `sepstat verify`
 
 
 def _row_mismatches(
@@ -335,39 +321,6 @@ def _row_mismatches(
     return out
 
 
-def verify_gf_vs_brute(n_max: int, threads: int | None = 1) -> VerificationReport:
-    """Check, for every n <= n_max, that the vertical-separator and
-    bond series rows equal the exhaustive distributions, term by term.
-    """
-    _check_cap(n_max)
-    h = vertical_sep_gf(n_max)
-    b = bond_gf(n_max)
-    mismatches: list[tuple[str, int, int, int, int]] = []
-    vertical_rows: dict[int, dict[int, int]] = {}
-    bond_rows: dict[int, dict[int, int]] = {}
-    for n in range(n_max + 1):
-        tables = sweep(n, threads)
-        vrow = dict(sorted(tables["vertical"].items()))
-        brow = dict(sorted(tables["bonds"].items()))
-        vertical_rows[n] = vrow
-        bond_rows[n] = brow
-        hpoly = {m: c for m, c in enumerate(coeff(h, n).coeffs) if c}
-        bpoly = {m: c for m, c in enumerate(coeff(b, n).coeffs) if c}
-        mismatches.extend(_row_mismatches("vertical", n, vrow, hpoly))
-        mismatches.extend(_row_mismatches("bonds", n, brow, bpoly))
-    return VerificationReport(
-        n_max=n_max,
-        passed=not mismatches,
-        mismatches=mismatches,
-        vertical_rows=vertical_rows,
-        bond_rows=bond_rows,
-    )
-
-
-# ---------------------------------------------------------------------------
-# The full check suite behind `sepstat verify`
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -375,12 +328,15 @@ class CheckResult:
     detail: str
 
 
-def run_check_suite(n_max: int, threads: int | None = 1) -> list[CheckResult]:
+def run_check_suite(
+    n_max: int, threads: int | None = 1
+) -> tuple[list[CheckResult], dict[int, dict[str, Counter]]]:
     """Every structural invariant the library promises, at desk scale.
 
     Exhaustive-from-definition checks are capped at n = 7 (and the
     marked round-trips at n = 6) regardless of ``n_max``; the sweeps
-    and series comparisons run all the way up to ``n_max``.
+    and series comparisons run all the way up to ``n_max``. Returns the
+    checks together with the sweep tables behind them, keyed by n.
     """
     _check_cap(n_max)
     results: list[CheckResult] = []
@@ -391,27 +347,19 @@ def run_check_suite(n_max: int, threads: int | None = 1) -> list[CheckResult]:
     tables = {n: sweep(n, threads) for n in range(n_max + 1)}
 
     # series rows against the exhaustive tables
-    h = vertical_sep_gf(n_max)
-    b = bond_gf(n_max)
-    bad_v: list[tuple] = []
-    bad_b: list[tuple] = []
-    for n in range(n_max + 1):
-        vrow = dict(tables[n]["vertical"])
-        brow = dict(tables[n]["bonds"])
-        hrow = {m: c for m, c in enumerate(coeff(h, n).coeffs) if c}
-        brow_series = {m: c for m, c in enumerate(coeff(b, n).coeffs) if c}
-        bad_v.extend(_row_mismatches("vertical", n, vrow, hrow))
-        bad_b.extend(_row_mismatches("bonds", n, brow, brow_series))
-    add(
-        "series-vs-enumeration (vertical separators)",
-        not bad_v,
-        f"n <= {n_max}" if not bad_v else f"first mismatch {bad_v[0]}",
-    )
-    add(
-        "series-vs-enumeration (bonds)",
-        not bad_b,
-        f"n <= {n_max}" if not bad_b else f"first mismatch {bad_b[0]}",
-    )
+    for kind, label, series in (
+        ("vertical", "vertical separators", vertical_sep_gf(n_max)),
+        ("bonds", "bonds", bond_gf(n_max)),
+    ):
+        bad: list[tuple] = []
+        for n in range(n_max + 1):
+            row = {m: c for m, c in enumerate(coeff(series, n).coeffs) if c}
+            bad.extend(_row_mismatches(kind, n, dict(tables[n][kind]), row))
+        add(
+            f"series-vs-enumeration ({label})",
+            not bad,
+            f"n <= {n_max}" if not bad else f"first mismatch {bad[0]}",
+        )
 
     sym_ok = all(
         tables[n]["vertical"] == tables[n]["horizontal"] for n in range(n_max + 1)
@@ -466,9 +414,7 @@ def run_check_suite(n_max: int, threads: int | None = 1) -> list[CheckResult]:
     exp_ok = True
     for n in range(3, n_max + 1):
         for kind in EXPECTATION_KINDS:
-            empirical = Fraction(
-                sum(m * c for m, c in tables[n][kind].items()), factorial(n)
-            )
+            empirical = DistTable(n, kind, tables[n][kind]).mean()
             if empirical != expectation_formula(n, kind):
                 exp_ok = False
     add("expectation formulas match averages", exp_ok, f"3 <= n <= {n_max}")
@@ -481,13 +427,7 @@ def run_check_suite(n_max: int, threads: int | None = 1) -> list[CheckResult]:
             built = max_separator_perms(k)
             if full != (2**k) * factorial(k) or full != len(built):
                 max_ok = False
-            want = {p.entries for p in built}
-            got = {
-                p.entries
-                for p in iterate_sn(n)
-                if separator_count(p) == n
-            }
-            if want != got:
+            if {p.entries for p in built} != all_separating_words(n, threads):
                 max_ok = False
         elif full != 0:
             max_ok = False
@@ -521,7 +461,7 @@ def run_check_suite(n_max: int, threads: int | None = 1) -> list[CheckResult]:
     add("marked comb/split round-trip", comb_ok, f"n <= {marked_n}")
     add("mark conservation across comb", conserved_ok, f"n <= {marked_n}")
 
-    return results
+    return results, tables
 
 
 def _vertical_mark_subsets(p: Permutation) -> Iterator[frozenset[int]]:

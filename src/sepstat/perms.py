@@ -112,10 +112,6 @@ def identity(n: int) -> Permutation:
     return Permutation(tuple(range(1, n + 1)))
 
 
-def descending(n: int) -> Permutation:
-    return Permutation(tuple(range(n, 0, -1)))
-
-
 def format_permutation(p: Permutation) -> str:
     """One-line rendering: compact digits for n <= 9, spaced otherwise."""
     if p.n == 0:

@@ -9,6 +9,8 @@ happens in exactly two ways:
 * horizontal: for a digit a, the values a-1 and a+1 sit in adjacent
   positions (deleting a closes the value gap between them).
 
+Both are computed in one place, :func:`separator_masks`.
+
 The marked side of this module encodes permutations with marked bonds
 as arrowed compositions, and realizes the correspondence between
 marked bonds of the odd/even halves and marked vertical separators of
@@ -18,7 +20,7 @@ their comb interleaving.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .perms import (
     Direction,
@@ -26,11 +28,46 @@ from .perms import (
     comb,
     comb_split,
     inflate,
+    inverse,
     standardize,
 )
 
 # ---------------------------------------------------------------------------
 # Separator sets
+
+
+def separator_masks(word: Sequence[int]) -> tuple[int, int]:
+    """(vertical, horizontal) masks of a word over values: bit v is set
+    when digit v is a separator of that type.
+
+    Both conditions are read off windows of three adjacent entries: the
+    middle entry is vertical when the outer two differ by 1, and value a
+    is horizontal when some adjacent pair differs by 2 with midpoint a
+    (that pair is {a-1, a+1}).
+
+    >>> [bin(m) for m in separator_masks((3, 1, 5, 2, 4))]
+    ['0b100100', '0b1100']
+    """
+    vmask = hmask = 0
+    a = b = -2  # the two entries before c; -2 is never within 2 of a value
+    for c in word:
+        d = b - c
+        if d == 2 or d == -2:
+            hmask |= 1 << ((b + c) >> 1)
+        d = a - c
+        if d == 1 or d == -1:
+            vmask |= 1 << b
+        a, b = b, c
+    return vmask, hmask
+
+
+def _values(mask: int) -> frozenset[int]:
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def _positions(p: Permutation, mask: int) -> frozenset[int]:
+    where = inverse(p).entries
+    return frozenset(where[v - 1] for v in _values(mask))
 
 
 def vertical_separators(p: Permutation) -> frozenset[int]:
@@ -39,19 +76,13 @@ def vertical_separators(p: Permutation) -> frozenset[int]:
     >>> sorted(vertical_separators(Permutation((1, 3, 2, 4, 6, 5, 8, 7, 9))))
     [2, 3, 6, 7]
     """
-    e = p.entries
-    return frozenset(
-        e[i] for i in range(1, len(e) - 1) if abs(e[i - 1] - e[i + 1]) == 1
-    )
+    return _values(separator_masks(p.entries)[0])
 
 
 def vertical_separator_positions(p: Permutation) -> frozenset[int]:
     """Positions of the vertical separators (the comb machinery is
     positional, so this view is provided alongside the value set)."""
-    e = p.entries
-    return frozenset(
-        i + 1 for i in range(1, len(e) - 1) if abs(e[i - 1] - e[i + 1]) == 1
-    )
+    return _positions(p, separator_masks(p.entries)[0])
 
 
 def horizontal_separators(p: Permutation) -> frozenset[int]:
@@ -60,15 +91,11 @@ def horizontal_separators(p: Permutation) -> frozenset[int]:
     >>> sorted(horizontal_separators(Permutation((1, 3, 2, 4, 6, 5, 8, 7, 9))))
     [2, 3, 5, 8]
     """
-    n = p.n
-    pos = [0] * (n + 1)
-    for i, v in enumerate(p.entries, start=1):
-        pos[v] = i
-    return frozenset(a for a in range(2, n) if abs(pos[a - 1] - pos[a + 1]) == 1)
+    return _values(separator_masks(p.entries)[1])
 
 
 def horizontal_separator_positions(p: Permutation) -> frozenset[int]:
-    return frozenset(p.position_of(a) for a in horizontal_separators(p))
+    return _positions(p, separator_masks(p.entries)[1])
 
 
 @dataclass(frozen=True)
@@ -83,15 +110,18 @@ class SeparatorReport:
 
 
 def separator_report(p: Permutation) -> SeparatorReport:
-    v = vertical_separators(p)
-    h = horizontal_separators(p)
+    v, h = separator_masks(p.entries)
     return SeparatorReport(
-        vertical=v, horizontal=h, both=v & h, sep_count=len(v | h)
+        vertical=_values(v),
+        horizontal=_values(h),
+        both=_values(v & h),
+        sep_count=(v | h).bit_count(),
     )
 
 
 def separator_count(p: Permutation) -> int:
-    return len(vertical_separators(p) | horizontal_separators(p))
+    v, h = separator_masks(p.entries)
+    return (v | h).bit_count()
 
 
 def is_separator_free(p: Permutation) -> bool:
@@ -223,9 +253,9 @@ class MarkedSepPermutation:
     marked_sep_positions: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
-        e = self.perm.entries
+        legal = vertical_separator_positions(self.perm)
         for i in self.marked_sep_positions:
-            if not 2 <= i <= len(e) - 1 or abs(e[i - 2] - e[i]) != 1:
+            if i not in legal:
                 raise ValueError(
                     f"position {i} is not a vertical separator position"
                 )
@@ -346,43 +376,4 @@ def split_marked(msp: MarkedSepPermutation) -> tuple[MarkedWord, MarkedWord]:
     return (
         MarkedWord(odd_values, frozenset(odd_marked)),
         MarkedWord(even_values, frozenset(even_marked)),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def marked_word_to_json(mw: MarkedWord) -> dict:
-    return {"perm": list(mw.values), "marked_bonds": sorted(mw.marked)}
-
-
-def marked_word_from_json(data: dict) -> MarkedWord:
-    return MarkedWord(tuple(data["perm"]), frozenset(data["marked_bonds"]))
-
-
-def marked_sep_to_json(msp: MarkedSepPermutation) -> dict:
-    return {
-        "perm": list(msp.perm.entries),
-        "marked_seps": sorted(msp.marked_sep_positions),
-    }
-
-
-def marked_sep_from_json(data: dict) -> MarkedSepPermutation:
-    return MarkedSepPermutation(
-        Permutation(tuple(data["perm"])), frozenset(data["marked_seps"])
-    )
-
-
-_DIRECTION_JSON = {Direction.UP: "up", Direction.DOWN: "down", Direction.NONE: ""}
-_DIRECTION_FROM_JSON = {v: k for k, v in _DIRECTION_JSON.items()}
-
-
-def arrowed_to_json(comp: ArrowedComposition) -> list[list[str]]:
-    return [[str(size), _DIRECTION_JSON[d]] for size, d in comp.parts]
-
-
-def arrowed_from_json(data: Iterable[Sequence[str]]) -> ArrowedComposition:
-    return ArrowedComposition(
-        tuple((int(size), _DIRECTION_FROM_JSON[d]) for size, d in data)
     )

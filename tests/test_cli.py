@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -205,6 +206,22 @@ def test_maxsep_json(capsys):
     assert len(data["perms"]) == 8
 
 
+def test_maxsep_k_capped_before_generating(capsys, monkeypatch):
+    def refuse(k):
+        raise AssertionError("generator started")
+
+    monkeypatch.setattr("sepstat.exhaustive.max_separator_perms", refuse)
+    code, out, err = run_cli(capsys, "maxsep", "7")
+    assert code == 2 and out == ""
+    assert err == "error: k=7 exceeds the cap 6\n"
+
+
+def test_maxsep_verify_threads_byte_identical(capsys):
+    one = run_cli(capsys, "maxsep", "2", "--verify", "--threads", "1")
+    two = run_cli(capsys, "maxsep", "2", "--verify", "--threads", "2")
+    assert one[0] == 0 and one == two
+
+
 def test_maxsep_verify_needs_cap(capsys, monkeypatch):
     monkeypatch.setenv(config.ENV_MAX_N, "7")
     code, _, err = run_cli(capsys, "maxsep", "2", "--verify")
@@ -253,6 +270,33 @@ def test_out_writes_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert target.read_text().splitlines()[0] == "n,m,count"
+
+
+def test_out_write_error_is_input_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run_cli(capsys, "report", "123", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in err
+
+
+# SHA-256 of stdout, recorded before the verification pass was merged
+# into one sweep; the output must not change.
+GOLDEN_STDOUT = {
+    ("verify", "--n-max", "7", "-v", "--threads", "1"):
+        "cb1a725b06c73f41f99581c46c2facbbca75d314374847fdea91ddcf40478b51",
+    ("verify", "--n-max", "7", "-v", "--threads", "1", "--format", "json"):
+        "7c285dd3a2a250cae65793a6b6e73a4ff6895cea7dcd1bf21976af6c751d53ac",
+    ("maxsep", "2", "--verify", "--threads", "1"):
+        "d545af9c46ac5df420733392fc5b380ac4b296687e023fe918d86c38e6c2b5c6",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_STDOUT), ids=" ".join)
+def test_golden_stdout(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_STDOUT[argv]
 
 
 def test_byte_identical_reruns(capsys):

@@ -10,6 +10,8 @@ from sepstat.exhaustive import (
     EXPECTATION_KINDS,
     KINDS,
     DistTable,
+    _words,
+    all_separating_words,
     distribution,
     expectation_convergence_ok,
     expectation_empirical,
@@ -19,10 +21,15 @@ from sepstat.exhaustive import (
     run_check_suite,
     separator_free_count,
     sweep,
-    verify_gf_vs_brute,
 )
-from sepstat.perms import parse_permutation
-from sepstat.separators import separator_count, separator_report
+from sepstat.perms import Permutation, parse_permutation
+from sepstat.separators import (
+    horizontal_separators,
+    separator_count,
+    separator_masks,
+    separator_report,
+    vertical_separators,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +84,21 @@ def test_distribution_totals(n):
 def test_vertical_equals_horizontal(n):
     tables = sweep(n)
     assert tables["vertical"] == tables["horizontal"]
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_sweep_masks_match_separator_sets(n):
+    words = list(_words(n, tuple(range(1, n + 1))))
+    assert len(words) == factorial(n)
+    full = []
+    for word in words:
+        p = Permutation(word)
+        vm, hm = separator_masks(word)
+        assert vm == sum(1 << v for v in vertical_separators(p))
+        assert hm == sum(1 << v for v in horizontal_separators(p))
+        if separator_count(p) == n:
+            full.append(word)
+    assert all_separating_words(n) == set(full)
 
 
 def test_sweep_matches_per_permutation_reports():
@@ -212,27 +234,22 @@ def test_convergence_sanity():
 # Verification harness
 
 
-def test_verify_gf_vs_brute_passes():
-    report = verify_gf_vs_brute(4)
-    assert report.passed
-    assert report.first_mismatch is None
-    assert report.vertical_rows[3] == {0: 2, 1: 4}
-    assert report.bond_rows[3] == {1: 4, 2: 2}
+def test_check_suite_tables():
+    checks, tables = run_check_suite(4)
+    assert all(c.passed for c in checks)
+    assert sorted(tables) == [0, 1, 2, 3, 4]
+    assert tables[3]["vertical"] == {0: 2, 1: 4}
+    assert tables[3]["bonds"] == {1: 4, 2: 2}
 
 
-def test_verify_gf_vs_brute_trivial():
-    report = verify_gf_vs_brute(0)
-    assert report.passed
-    assert report.vertical_rows[0] == {0: 1}
-
-
-def test_verify_report_json():
-    data = verify_gf_vs_brute(2).to_json()
-    assert data == {"n_max": 2, "passed": True, "mismatches": []}
+def test_check_suite_trivial():
+    checks, tables = run_check_suite(0)
+    assert all(c.passed for c in checks)
+    assert tables[0]["vertical"] == {0: 1}
 
 
 def test_run_check_suite_small():
-    checks = run_check_suite(4)
+    checks, _ = run_check_suite(4)
     assert checks and all(c.passed for c in checks)
     names = {c.name for c in checks}
     assert "series-vs-enumeration (vertical separators)" in names

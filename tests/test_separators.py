@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sepstat.perms import (
     Direction,
@@ -18,8 +19,6 @@ from sepstat.separators import (
     ArrowedComposition,
     MarkedSepPermutation,
     MarkedWord,
-    arrowed_from_json,
-    arrowed_to_json,
     comb_marked,
     decode_marked,
     encode_marked,
@@ -28,12 +27,9 @@ from sepstat.separators import (
     horizontal_separator_positions,
     horizontal_separators,
     is_separator_free,
-    marked_sep_from_json,
-    marked_sep_to_json,
-    marked_word_from_json,
-    marked_word_to_json,
     parse_arrowed,
     separator_count,
+    separator_masks,
     separator_report,
     split_marked,
     vertical_separator_positions,
@@ -46,8 +42,50 @@ def all_perms(n):
     return (Permutation(w) for w in itertools.permutations(range(1, n + 1)))
 
 
+def reference_masks(word):
+    """The two separator conditions read off the position array: b is
+    vertical when its positional neighbours differ by 1, and a is
+    horizontal when a-1 and a+1 sit in adjacent positions."""
+    n = len(word)
+    pos = [0] * (n + 1)
+    for i, v in enumerate(word):
+        pos[v] = i
+    vmask = 0
+    for i in range(1, n - 1):
+        if abs(word[i - 1] - word[i + 1]) == 1:
+            vmask |= 1 << word[i]
+    hmask = 0
+    for a in range(2, n):
+        if abs(pos[a - 1] - pos[a + 1]) == 1:
+            hmask |= 1 << a
+    return vmask, hmask
+
+
+@st.composite
+def perms_up_to_30(draw):
+    n = draw(st.integers(min_value=0, max_value=30))
+    return Permutation(tuple(draw(st.permutations(range(1, n + 1)))))
+
+
 # ---------------------------------------------------------------------------
 # Separator sets
+
+
+@given(perms_up_to_30())
+def test_separator_masks_match_position_array_form(p):
+    assert separator_masks(p.entries) == reference_masks(p.entries)
+
+
+@given(perms_up_to_30())
+def test_separator_positions_are_values_through_inverse(p):
+    where = inverse(p).entries
+    v = vertical_separators(p)
+    h = horizontal_separators(p)
+    assert vertical_separator_positions(p) == {where[a - 1] for a in v}
+    assert horizontal_separator_positions(p) == {where[a - 1] for a in h}
+    assert vertical_separator_positions(p) == {
+        i for i in range(1, p.n + 1) if p.entries[i - 1] in v
+    }
 
 
 def test_vertical_separators_worked_example():
@@ -218,13 +256,6 @@ def test_arrowed_compact_roundtrip():
     assert parse_arrowed("2u,1,3d") == parse_arrowed("2↑,1,3↓")
 
 
-def test_arrowed_json_roundtrip():
-    comp = parse_arrowed("1,3↓,2↑")
-    data = arrowed_to_json(comp)
-    assert data == [["1", ""], ["3", "down"], ["2", "up"]]
-    assert arrowed_from_json(data) == comp
-
-
 def test_encode_marked_worked_example():
     mw = MarkedWord((2, 4, 5, 6, 1, 9, 8, 7, 3), frozenset({2, 6, 7}))
     comp, sigma = encode_marked(mw)
@@ -320,14 +351,3 @@ def test_comb_split_marked_roundtrip_and_conservation(n):
             odd, even = split_marked(msp)
             assert len(chosen) == len(odd.marked) + len(even.marked)
             assert comb_marked(odd, even) == msp
-
-
-def test_serialization_roundtrips():
-    mw = MarkedWord((2, 4, 5, 6, 1, 9, 8, 7, 3), frozenset({2, 6, 7}))
-    assert marked_word_from_json(marked_word_to_json(mw)) == mw
-    msp = MarkedSepPermutation(
-        make_permutation([2, 7, 1, 8, 6, 3, 5, 4, 9]), frozenset({3, 6})
-    )
-    data = marked_sep_to_json(msp)
-    assert data == {"perm": [2, 7, 1, 8, 6, 3, 5, 4, 9], "marked_seps": [3, 6]}
-    assert marked_sep_from_json(data) == msp
