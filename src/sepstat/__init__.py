@@ -52,15 +52,12 @@ from .series import (
     bond_marked_gf,
     coeff,
     coeff2,
-    hadamard,
     run_block_series,
     series_add,
     series_mul,
     substitute_marker,
-    truncate,
     vertical_marked_gf,
     vertical_sep_gf,
-    z_shift,
 )
 from .exhaustive import (
     DistTable,

@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -63,7 +64,18 @@ def _emit(text: str, out: str | None) -> None:
         except OSError as exc:
             raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from None
     else:
-        print(text)
+        # flushed here so that a closed pipe fails inside main()
+        print(text, flush=True)
+
+
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _json_dumps(obj) -> str:
@@ -312,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     def with_threads(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--threads",
-            type=int,
+            type=_thread_count,
             default=None,
             metavar="T",
             help="worker processes for exhaustive sweeps "
@@ -389,6 +401,12 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader of stdout went away; point stdout at the null device
+        # so that flushing what is still buffered at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: cannot write to stdout: broken pipe", file=sys.stderr)
         return 2
 
 

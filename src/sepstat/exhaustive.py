@@ -274,10 +274,13 @@ def expectation_formula(n: int, kind: str) -> Fraction:
 
     vertical: 2(n-2)/n; both types at once: 4(n-3)^2/(n(n-1)(n-2));
     any type: 4(n^3-6n^2+14n-13)/(n(n-1)(n-2)). For n < 3 there are no
-    separators at all and the value is 0 by convention.
+    separators at all and the value is 0 by convention; n < 0 is an
+    error.
     """
     if kind not in EXPECTATION_KINDS:
         raise ValueError(f"unknown kind {kind!r}; choose from {EXPECTATION_KINDS}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     if n < 3:
         return Fraction(0)
     if kind == "vertical":

@@ -165,19 +165,21 @@ def standardize(values: Sequence[int]) -> Permutation:
 # Bonds and runs
 
 
-def bonds(p: Permutation) -> frozenset[int]:
-    """Positions i with |p_i - p_{i+1}| = 1.
+def bonds(word: Permutation | Sequence[int]) -> frozenset[int]:
+    """Positions i with |w_i - w_{i+1}| = 1, for a permutation or any
+    word of distinct integers (a comb half keeps its own values).
 
     >>> sorted(bonds(Permutation((4, 5, 1, 8, 7, 6, 2, 3))))
     [1, 4, 5, 7]
+    >>> sorted(bonds((2, 1, 6, 5, 9)))
+    [1, 3]
     """
-    e = p.entries
+    e = word.entries if isinstance(word, Permutation) else word
     return frozenset(i + 1 for i in range(len(e) - 1) if abs(e[i] - e[i + 1]) == 1)
 
 
 def bond_count(p: Permutation) -> int:
-    e = p.entries
-    return sum(1 for i in range(len(e) - 1) if abs(e[i] - e[i + 1]) == 1)
+    return len(bonds(p))
 
 
 def maximal_runs(p: Permutation) -> list[Run]:

@@ -25,6 +25,7 @@ from typing import Sequence
 from .perms import (
     Direction,
     Permutation,
+    bonds,
     comb,
     comb_split,
     inflate,
@@ -155,17 +156,6 @@ def has_knight_pair(p: Permutation) -> bool:
 # Marked words and arrowed compositions
 
 
-def word_bonds(values: Sequence[int]) -> frozenset[int]:
-    """Adjacent-pair indices i of a word with |w_i - w_{i+1}| = 1.
-
-    Words need not use {1..k}; bonds are value-difference bonds within
-    the word itself (comb halves are not standardized).
-    """
-    return frozenset(
-        i + 1 for i in range(len(values) - 1) if abs(values[i] - values[i + 1]) == 1
-    )
-
-
 @dataclass(frozen=True)
 class MarkedWord:
     """A word of distinct positive integers with a chosen subset of its
@@ -179,7 +169,7 @@ class MarkedWord:
             raise ValueError("marked word values must be distinct")
         if any(v < 1 for v in self.values):
             raise ValueError("marked word values must be positive")
-        legal = word_bonds(self.values)
+        legal = bonds(self.values)
         for i in self.marked:
             if i not in legal:
                 raise ValueError(f"marked index {i} is not a bond of the word")
@@ -333,7 +323,7 @@ def decode_marked(comp: ArrowedComposition, sigma: Permutation) -> MarkedWord:
 def enumerate_markings(p: Permutation) -> list[MarkedWord]:
     """All 2^(number of bonds) markings of a permutation's bonds,
     in a deterministic order."""
-    bond_list = sorted(word_bonds(p.entries))
+    bond_list = sorted(bonds(p))
     out = []
     for mask in range(1 << len(bond_list)):
         chosen = frozenset(

@@ -4,9 +4,7 @@ the bond and vertical-separator statistics.
 
 Everything is arbitrary-precision integer arithmetic; a series of
 order N stores the coefficients of z^0..z^N exactly and arithmetic
-never fabricates anything beyond the order. A z-exponent of -1 is
-tolerated transiently (it arises while aligning the odd-length case of
-the separator sum) but no public constructor returns one.
+never fabricates anything beyond the order.
 """
 
 from __future__ import annotations
@@ -73,12 +71,6 @@ class MarkerPoly:
             out[i] += c
         return MarkerPoly(out)
 
-    def __neg__(self) -> "MarkerPoly":
-        return MarkerPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "MarkerPoly") -> "MarkerPoly":
-        return self + (-other)
-
     def __mul__(self, other: "MarkerPoly | int") -> "MarkerPoly":
         if isinstance(other, int):
             return MarkerPoly(tuple(c * other for c in self.coeffs))
@@ -123,35 +115,23 @@ class BiSeries:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: Mapping[int, MarkerPoly] | None = None):
-        if order < -1:
+        if order < 0:
             raise ValueError(f"series order {order} out of range")
         clean: dict[int, MarkerPoly] = {}
         if coeffs:
             for e, poly in coeffs.items():
                 if not isinstance(poly, MarkerPoly):
                     poly = MarkerPoly.constant(poly)
-                if e < -1 or e > order:
-                    raise ValueError(f"exponent {e} outside -1..{order}")
+                if e < 0 or e > order:
+                    raise ValueError(f"exponent {e} outside 0..{order}")
                 if poly:
                     clean[e] = poly
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", clean)
 
     @classmethod
-    def zero(cls, order: int) -> "BiSeries":
-        return cls(order)
-
-    @classmethod
     def constant(cls, order: int, c: int = 1) -> "BiSeries":
         return cls(order, {0: MarkerPoly.constant(c)} if c else {})
-
-    @property
-    def min_shift(self) -> int:
-        """Smallest retained exponent (0 for the zero series)."""
-        return min(self.coeffs, default=0)
-
-    def support(self) -> list[int]:
-        return sorted(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, BiSeries):
@@ -197,11 +177,8 @@ def series_scale(a: BiSeries, c: int) -> BiSeries:
 
 def series_mul(a: BiSeries, b: BiSeries) -> BiSeries:
     """Cauchy product in z (polynomial product in the marker),
-    truncated at the common order. Negative shifts are not allowed
-    here; they only ever feed the Hadamard product."""
+    truncated at the common order."""
     _require_same_order(a, b)
-    if (a.coeffs and a.min_shift < 0) or (b.coeffs and b.min_shift < 0):
-        raise ValueError("cannot multiply series with negative exponents")
     out: dict[int, MarkerPoly] = {}
     for e1, p1 in a.coeffs.items():
         for e2, p2 in b.coeffs.items():
@@ -212,49 +189,6 @@ def series_mul(a: BiSeries, b: BiSeries) -> BiSeries:
             if prod:
                 out[e] = out.get(e, _ZERO) + prod
     return BiSeries(a.order, {e: p for e, p in out.items() if p})
-
-
-def hadamard(a: BiSeries, b: BiSeries) -> BiSeries:
-    """Coefficient-wise product in z; exponents present in only one
-    operand vanish.
-
-    >>> x = BiSeries(2, {0: MarkerPoly((2,)), 1: MarkerPoly((3,)), 2: MarkerPoly((-4,))})
-    >>> y = BiSeries(2, {0: MarkerPoly((5,)), 1: MarkerPoly((1,)), 2: MarkerPoly((7,))})
-    >>> [coeff(hadamard(x, y), e)[0] for e in range(3)]
-    [10, 3, -28]
-    """
-    _require_same_order(a, b)
-    out: dict[int, MarkerPoly] = {}
-    for e, p1 in a.coeffs.items():
-        p2 = b.coeffs.get(e)
-        if p2 is not None:
-            prod = p1 * p2
-            if prod:
-                out[e] = prod
-    return BiSeries(a.order, out)
-
-
-def z_shift(a: BiSeries, k: int) -> BiSeries:
-    """Multiply by z^k for k in {-1, +1}; the order adjusts with k.
-
-    Shifting down requires a zero constant term (no exponent may drop
-    below -1, and -1 is only for transient Hadamard operands).
-    """
-    if k not in (-1, 1):
-        raise ValueError(f"shift must be -1 or +1, got {k}")
-    if k == -1 and any(e <= -1 for e in a.coeffs):
-        raise ValueError("cannot shift a series with a z^-1 term down")
-    if k == -1 and 0 in a.coeffs:
-        raise ValueError("cannot shift a series with a nonzero constant term down")
-    return BiSeries(a.order + k, {e + k: poly for e, poly in a.coeffs.items()})
-
-
-def truncate(a: BiSeries, new_order: int) -> BiSeries:
-    """Restrict to exponents <= new_order (which must not exceed the
-    current order: truncation never invents precision)."""
-    if new_order > a.order:
-        raise ValueError(f"cannot extend order {a.order} to {new_order}")
-    return BiSeries(new_order, {e: p for e, p in a.coeffs.items() if e <= new_order})
 
 
 def substitute_marker(a: BiSeries, offset: int) -> BiSeries:
@@ -311,56 +245,44 @@ def bond_gf(order: int) -> BiSeries:
     return substitute_marker(bond_marked_gf(order), -1)
 
 
-def _run_block_sq(order: int) -> BiSeries:
-    """The run factor evaluated at z^2 (each half-entry weighs z^2 so
-    that the comb of two halves weighs z per entry)."""
-    out: dict[int, MarkerPoly] = {}
-    if order >= 2:
-        out[2] = _ONE
-    for j in range(2, order // 2 + 1):
-        out[2 * j] = MarkerPoly.monomial(2, j - 1)
-    return BiSeries(order, out)
-
-
 def vertical_marked_gf(order: int) -> BiSeries:
     """Permutations by size and number of *marked* vertical separators.
 
-    Even sizes pair the run-decompositions of the two comb halves with
-    a plain Hadamard product; odd sizes shift the longer (odd) half
-    down one z and the even half up one so their supports meet on odd
-    exponents. Only the even double sum reaches z^0, so the constant
-    term is 1 (the empty permutation).
+    The entry between the ends of a bond of one comb half sits in the
+    other half, so marked vertical separators are the marked bonds of
+    the two halves (`comb_marked`). Each half is a sequence of runs of
+    the bond series' run factor f, read in w = z^2 because a half holds
+    every other entry. Halves of j and l entries cut into a and b
+    runs give [w^j] f^a * [w^l] f^b, and the a + b runs can be ordered
+    in (a + b)! ways. Size 2k pairs two halves of k entries; size
+    2k + 1 pairs the k + 1 odd-position entries with the k even ones.
+    This pairing is the Hadamard product of the two halves' series.
+    Only size 0 takes the empty pair, so the constant term is 1.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    n = order
-    # the odd-part down-shift reads one exponent above n, so the half
-    # powers are carried at internal order n + 1
-    internal = n + 1
-    q = _run_block_sq(internal)
-    half_max = (n + 1) // 2  # a half of m runs occupies z^{2m} or more
-    powers = [BiSeries.constant(internal, 1)]
-    for _ in range(half_max):
-        powers.append(series_mul(powers[-1], q))
-
-    acc = BiSeries.zero(n)
-    for m_odd in range(half_max + 1):
-        for m_even in range(half_max + 1):
-            weight = factorial(m_odd + m_even)
-            even_term = hadamard(
-                truncate(powers[m_odd], n), truncate(powers[m_even], n)
-            )
-            acc = series_add(acc, series_scale(even_term, weight))
-            # the odd-size term z^-1 P_odd * z P_even; for m_odd = 0 the
-            # supports are {-1} and {>=1}, identically zero, so skip it
-            # and never materialize the negative exponent
-            if m_odd >= 1 and 2 * m_even + 1 <= n:
-                odd_term = hadamard(
-                    z_shift(powers[m_odd], -1),
-                    z_shift(truncate(powers[m_even], n - 1), +1),
-                )
-                acc = series_add(acc, series_scale(odd_term, weight))
-    return acc
+    half = (order + 1) // 2  # entries in the longer half at size order
+    f = run_block_series(half)
+    powers = [BiSeries.constant(half, 1)]
+    for _ in range(half):  # f^a starts at w^a, so a <= half suffices
+        powers.append(series_mul(powers[-1], f))
+    # by_size[j][a] = [w^j] f^a
+    by_size = [[coeff(p, j) for p in powers] for j in range(half + 1)]
+    weight = [factorial(m) for m in range(2 * half + 1)]
+    out: dict[int, MarkerPoly] = {}
+    for n in range(order + 1):
+        longer, shorter = by_size[(n + 1) // 2], by_size[n // 2]
+        total = _ZERO
+        for a, pa in enumerate(longer):
+            if not pa:
+                continue
+            inner = _ZERO
+            for b, pb in enumerate(shorter):
+                if pb:
+                    inner = inner + pb * weight[a + b]
+            total = total + pa * inner
+        out[n] = total
+    return BiSeries(order, out)
 
 
 def vertical_sep_gf(order: int) -> BiSeries:

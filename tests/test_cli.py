@@ -176,6 +176,13 @@ def test_expect_empirical_over_cap(capsys):
     assert code == 2 and "cap" in err
 
 
+def test_expect_negative_n_is_input_error(capsys):
+    for mode in ("formula", "both"):
+        code, out, err = run_cli(capsys, "expect", "-5", "--mode", mode)
+        assert code == 2 and out == ""
+        assert err == "error: n must be >= 0, got -5\n"
+
+
 def test_expect_json(capsys):
     code, out, _ = run_cli(
         capsys, "expect", "4", "--kind", "any", "--mode", "both", "--format", "json"
@@ -263,6 +270,19 @@ def test_csv_rejected_outside_tabular_commands(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("dist", "3"), ("expect", "4", "--mode", "both"), ("maxsep", "1", "--verify"),
+     ("verify", "--n-max", "3")],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_threads_below_one_rejected(capsys, argv, threads):
+    code, out, err = run_cli(capsys, *argv, "--threads", threads)
+    assert code == 2 and out == ""
+    assert f"argument --threads: must be at least 1, got {threads}" in err
+
+
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "table.csv"
     code, out, _ = run_cli(
@@ -280,8 +300,10 @@ def test_out_write_error_is_input_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-# SHA-256 of stdout, recorded before the verification pass was merged
-# into one sweep; the output must not change.
+# SHA-256 of stdout. The verify and maxsep digests were recorded before
+# the verification pass was merged into one sweep, the gf digests before
+# the vertical series was rebuilt from the bond series' run factor; the
+# output must not change.
 GOLDEN_STDOUT = {
     ("verify", "--n-max", "7", "-v", "--threads", "1"):
         "cb1a725b06c73f41f99581c46c2facbbca75d314374847fdea91ddcf40478b51",
@@ -289,6 +311,14 @@ GOLDEN_STDOUT = {
         "7c285dd3a2a250cae65793a6b6e73a4ff6895cea7dcd1bf21976af6c751d53ac",
     ("maxsep", "2", "--verify", "--threads", "1"):
         "d545af9c46ac5df420733392fc5b380ac4b296687e023fe918d86c38e6c2b5c6",
+    ("gf", "--which", "h", "--order", "64", "--format", "csv"):
+        "1cb274abc4910fac3f590a15f97fe2057f7f3f6ddf23fdfd9e4e864d305ac711",
+    ("gf", "--which", "g", "--order", "64", "--format", "csv"):
+        "0b648658239ef95903d1cbab8ee8ec55f0a8bf8804292d7b96a21cd470decb82",
+    ("gf", "--which", "A", "--order", "64", "--format", "csv"):
+        "4aac3c072f37a85718ceee7fe076dda41e449547a94e2cf61b9b39767c4ad61f",
+    ("gf", "--which", "B", "--order", "64", "--format", "csv"):
+        "d9287ae93b87d10a8bbbc4fef5067b384219bdb9ee70d69dfbf08b07ffd572b8",
 }
 
 
@@ -313,6 +343,22 @@ def test_console_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert "11/6" in proc.stdout
+
+
+def test_broken_stdout_pipe_is_input_error():
+    # maxsep 5 prints about 190 kB, more than a pipe holds, so the write
+    # fails whether or not it starts before the read end is closed
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sepstat.cli", "maxsep", "5"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == "error: cannot write to stdout: broken pipe\n"
 
 
 def test_no_arguments_is_usage_error(capsys):

@@ -22,7 +22,7 @@ from sepstat.exhaustive import (
     separator_free_count,
     sweep,
 )
-from sepstat.perms import Permutation, parse_permutation
+from sepstat.perms import Permutation, bond_count, parse_permutation
 from sepstat.separators import (
     horizontal_separators,
     separator_count,
@@ -104,7 +104,7 @@ def test_sweep_masks_match_separator_sets(n):
 def test_sweep_matches_per_permutation_reports():
     # the fast scan and the definitional sets must tally identically
     for n in range(6):
-        expected = {kind: {} for kind in ("vertical", "horizontal", "both", "any")}
+        expected = {kind: {} for kind in KINDS}
         for p in iterate_sn(n):
             rep = separator_report(p)
             for kind, m in (
@@ -112,6 +112,7 @@ def test_sweep_matches_per_permutation_reports():
                 ("horizontal", len(rep.horizontal)),
                 ("both", len(rep.both)),
                 ("any", rep.sep_count),
+                ("bonds", bond_count(p)),
             ):
                 expected[kind][m] = expected[kind].get(m, 0) + 1
         tables = sweep(n)
@@ -222,6 +223,12 @@ def test_total_equals_twice_vertical_minus_both(n):
 def test_expectation_unknown_kind():
     with pytest.raises(ValueError):
         expectation_formula(4, "horizontal-only")
+
+
+def test_expectation_negative_n():
+    for kind in EXPECTATION_KINDS:
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            expectation_formula(-1, kind)
 
 
 def test_convergence_sanity():

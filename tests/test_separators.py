@@ -7,6 +7,7 @@ from sepstat.perms import (
     Direction,
     Permutation,
     bond_count,
+    bonds,
     children,
     identity,
     inverse,
@@ -34,7 +35,6 @@ from sepstat.separators import (
     split_marked,
     vertical_separator_positions,
     vertical_separators,
-    word_bonds,
 )
 
 
@@ -236,7 +236,7 @@ def test_marked_word_rejects_non_bond():
 
 def test_word_bonds_uses_word_values():
     # halves of a permutation keep their original values
-    assert word_bonds((2, 1, 6, 5, 9)) == {1, 3}
+    assert bonds((2, 1, 6, 5, 9)) == {1, 3}
 
 
 def test_arrowed_composition_validation():

@@ -12,7 +12,6 @@ from sepstat.series import (
     bond_marked_gf,
     coeff,
     coeff2,
-    hadamard,
     run_block_series,
     series_add,
     series_csv_rows,
@@ -20,10 +19,8 @@ from sepstat.series import (
     series_scale,
     series_to_json,
     substitute_marker,
-    truncate,
     vertical_marked_gf,
     vertical_sep_gf,
-    z_shift,
 )
 
 small_polys = st.builds(
@@ -86,6 +83,10 @@ def test_series_validation():
         BiSeries(2, {3: MarkerPoly((1,))})
     with pytest.raises(ValueError):
         BiSeries(2, {-2: MarkerPoly((1,))})
+    with pytest.raises(ValueError):
+        BiSeries(0, {-1: MarkerPoly((1,))})
+    with pytest.raises(ValueError):
+        BiSeries(-1)
 
 
 def test_mul_basic():
@@ -115,52 +116,14 @@ def test_mul_binomial_square():
 
 def test_mul_truncates():
     a = z_power(2, 2)
-    assert series_mul(a, a) == BiSeries.zero(2)
+    assert series_mul(a, a) == BiSeries(2)
 
 
 def test_order_mismatch_rejected():
     with pytest.raises(ValueError, match="orders differ"):
         series_add(BiSeries.constant(2), BiSeries.constant(3))
     with pytest.raises(ValueError, match="orders differ"):
-        hadamard(BiSeries.constant(2), BiSeries.constant(3))
-
-
-def test_hadamard_numeric_example():
-    order = 2
-    a = BiSeries(order, {0: MarkerPoly((2,)), 1: MarkerPoly((3,)), 2: MarkerPoly((-4,))})
-    b = BiSeries(order, {0: MarkerPoly((5,)), 1: MarkerPoly((1,)), 2: MarkerPoly((7,))})
-    assert hadamard(a, b) == BiSeries(
-        order, {0: MarkerPoly((10,)), 1: MarkerPoly((3,)), 2: MarkerPoly((-28,))}
-    )
-
-
-def test_hadamard_all_ones_identity():
-    ones = BiSeries(6, {e: MarkerPoly((1,)) for e in range(7)})
-    f = bond_marked_gf(6)
-    assert hadamard(f, ones) == f
-
-
-def test_hadamard_disjoint_supports_vanish():
-    # z^-1 against z shares no exponent; this is why the odd-part sum
-    # contributes nothing at z^0
-    minus_one = BiSeries(1, {-1: MarkerPoly((1,))})
-    plus_one = z_power(1, 1)
-    assert hadamard(minus_one, plus_one) == BiSeries.zero(1)
-
-
-def test_z_shift():
-    assert z_shift(z_power(3, 2), -1) == z_power(2, 1)
-    with pytest.raises(ValueError, match="constant term"):
-        z_shift(BiSeries.constant(3), -1)
-    a = run_block_series(4)
-    assert z_shift(z_shift(a, +1), -1) == a
-
-
-def test_truncate_never_extends():
-    a = run_block_series(5)
-    assert truncate(a, 3) == run_block_series(3)
-    with pytest.raises(ValueError):
-        truncate(a, 6)
+        series_mul(BiSeries.constant(2), BiSeries.constant(3))
 
 
 def test_substitute_marker():
@@ -190,7 +153,7 @@ def test_run_block_series_coefficients():
     for j in range(2, 7):
         assert coeff(f, j) == MarkerPoly.monomial(2, j - 1)
     assert run_block_series(1) == z_power(1, 1)
-    assert run_block_series(0) == BiSeries.zero(0)
+    assert run_block_series(0) == BiSeries(0)
 
 
 # ---------------------------------------------------------------------------
@@ -309,4 +272,4 @@ def test_scale_and_add_roundtrip():
     a = vertical_sep_gf(4)
     doubled = series_scale(a, 2)
     assert series_add(a, a) == doubled
-    assert series_scale(a, 0) == BiSeries.zero(4)
+    assert series_scale(a, 0) == BiSeries(4)
