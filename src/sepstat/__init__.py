@@ -52,9 +52,6 @@ from .series import (
     bond_marked_gf,
     coeff,
     coeff2,
-    run_block_series,
-    series_add,
-    series_mul,
     substitute_marker,
     vertical_marked_gf,
     vertical_sep_gf,

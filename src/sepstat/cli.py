@@ -64,8 +64,17 @@ def _emit(text: str, out: str | None) -> None:
         except OSError as exc:
             raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from None
     else:
-        # flushed here so that a closed pipe fails inside main()
-        print(text, flush=True)
+        # flushed inside the try so that a failed write is caught here
+        try:
+            print(text, flush=True)
+        except OSError as exc:
+            # point stdout at the null device so that flushing what is
+            # still buffered at exit cannot fail a second time
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            reason = exc.strerror or exc
+            if isinstance(exc, BrokenPipeError):
+                reason = "broken pipe"
+            raise ValueError(f"cannot write to stdout: {reason}") from None
 
 
 def _thread_count(text: str) -> int:
@@ -401,12 +410,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BrokenPipeError:
-        # the reader of stdout went away; point stdout at the null device
-        # so that flushing what is still buffered at exit cannot fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: cannot write to stdout: broken pipe", file=sys.stderr)
         return 2
 
 

@@ -16,7 +16,10 @@ DEFAULT_MAX_N = 10
 ENV_MAX_N = "SEPSTAT_MAX_N"
 
 # Default z-truncation order for the series commands, and the largest
-# order the CLI accepts (the double Hadamard sum grows quadratically).
+# order the CLI accepts. Building is not what limits it (order 64 takes
+# well under a second): the rows past the exhaustive sweep's reach are
+# checked against no second exact count yet, and the cap stays until
+# they are.
 DEFAULT_ORDER = 12
 MAX_ORDER = 64
 

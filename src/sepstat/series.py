@@ -1,10 +1,10 @@
-"""Exact truncated power series in z with integer polynomial
-coefficients in one marker variable, plus the generating functions for
-the bond and vertical-separator statistics.
+"""Truncated power series in z with integer polynomial coefficients
+in one marker variable, and the generating functions for the bond and
+vertical-separator statistics.
 
-Everything is arbitrary-precision integer arithmetic; a series of
-order N stores the coefficients of z^0..z^N exactly and arithmetic
-never fabricates anything beyond the order.
+Every coefficient is read off one table of exact integers, the run
+table; a series of order N stores the coefficients of z^0..z^N and
+nothing beyond the order.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ class MarkerPoly:
     @classmethod
     def constant(cls, c: int) -> "MarkerPoly":
         return cls((c,))
-
-    @classmethod
-    def monomial(cls, c: int, power: int) -> "MarkerPoly":
-        return cls((0,) * power + (c,))
 
     @property
     def degree(self) -> int:
@@ -105,7 +101,6 @@ class MarkerPoly:
 
 
 _ZERO = MarkerPoly()
-_ONE = MarkerPoly((1,))
 
 
 class BiSeries:
@@ -129,10 +124,6 @@ class BiSeries:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", clean)
 
-    @classmethod
-    def constant(cls, order: int, c: int = 1) -> "BiSeries":
-        return cls(order, {0: MarkerPoly.constant(c)} if c else {})
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, BiSeries):
             return self.order == other.order and self.coeffs == other.coeffs
@@ -144,51 +135,6 @@ class BiSeries:
     def __repr__(self) -> str:
         terms = ", ".join(f"z^{e}: {list(p.coeffs)}" for e, p in self)
         return f"BiSeries(order={self.order}, {{{terms}}})"
-
-    def __add__(self, other: "BiSeries") -> "BiSeries":
-        return series_add(self, other)
-
-    def __mul__(self, other: "BiSeries") -> "BiSeries":
-        return series_mul(self, other)
-
-
-def _require_same_order(a: BiSeries, b: BiSeries) -> None:
-    if a.order != b.order:
-        raise ValueError(f"series orders differ: {a.order} vs {b.order}")
-
-
-def series_add(a: BiSeries, b: BiSeries) -> BiSeries:
-    _require_same_order(a, b)
-    out = dict(a.coeffs)
-    for e, poly in b.coeffs.items():
-        s = out.get(e, _ZERO) + poly
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return BiSeries(a.order, out)
-
-
-def series_scale(a: BiSeries, c: int) -> BiSeries:
-    if c == 0:
-        return BiSeries(a.order)
-    return BiSeries(a.order, {e: poly * c for e, poly in a.coeffs.items()})
-
-
-def series_mul(a: BiSeries, b: BiSeries) -> BiSeries:
-    """Cauchy product in z (polynomial product in the marker),
-    truncated at the common order."""
-    _require_same_order(a, b)
-    out: dict[int, MarkerPoly] = {}
-    for e1, p1 in a.coeffs.items():
-        for e2, p2 in b.coeffs.items():
-            e = e1 + e2
-            if e > a.order:
-                continue
-            prod = p1 * p2
-            if prod:
-                out[e] = out.get(e, _ZERO) + prod
-    return BiSeries(a.order, {e: p for e, p in out.items() if p})
 
 
 def substitute_marker(a: BiSeries, offset: int) -> BiSeries:
@@ -212,31 +158,46 @@ def coeff2(a: BiSeries, n: int, m: int) -> int:
 # The generating functions
 
 
-def run_block_series(order: int) -> BiSeries:
-    """The single-run factor z + sum_{j>=2} 2 z^j v^{j-1}: a length-1
-    run contributes z, and each longer run of length j comes in an
-    ascending and a descending copy carrying one marker per bond."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    out: dict[int, MarkerPoly] = {}
-    if order >= 1:
-        out[1] = _ONE
-    for j in range(2, order + 1):
-        out[j] = MarkerPoly.monomial(2, j - 1)
-    return BiSeries(order, out)
+def run_table(size: int) -> list[list[int]]:
+    """R[m][k] = [x^k] ((1 + x)/(1 - x))^m for 0 <= m, k <= size.
+
+    R[m][k] counts the ways to cut m + k ordered entries into m runs,
+    each run of two or more entries ascending or descending; a run of
+    j entries adds j - 1 to k. Multiplying ((1 + x)/(1 - x))^m by
+    1 - x gives R[m][k] = R[m][k-1] + R[m-1][k] + R[m-1][k-1].
+
+    >>> run_table(3)
+    [[1, 0, 0, 0], [1, 2, 2, 2], [1, 4, 8, 12], [1, 6, 18, 38]]
+    """
+    if size < 0:
+        raise ValueError("size must be >= 0")
+    table = [[1] + [0] * size]
+    for _ in range(size):
+        prev, row = table[-1], [1]
+        for k in range(1, size + 1):
+            row.append(row[k - 1] + prev[k] + prev[k - 1])
+        table.append(row)
+    return table
 
 
 def bond_marked_gf(order: int) -> BiSeries:
-    """Permutations by size (z) and number of *marked* bonds (marker):
-    sum over m of m! times the run factor to the m-th power. The m = 0
-    term is the empty permutation, giving a constant term of 1."""
-    f = run_block_series(order)
-    acc = BiSeries.constant(order, 1)
-    power = BiSeries.constant(order, 1)
-    for m in range(1, order + 1):  # f^m starts at z^m, so m <= order suffices
-        power = series_mul(power, f)
-        acc = series_add(acc, series_scale(power, factorial(m)))
-    return acc
+    """Permutations by size (z) and number of *marked* bonds (marker).
+
+    A permutation with marked bonds is a sequence of m runs of the
+    run factor f = z + sum_{j>=2} 2 z^j v^{j-1} (a length-1 run, or an
+    ascending or descending run of j entries with one marker per bond),
+    in any of m! orders. A run of j entries carries j - 1 bonds, so
+    f = z (1 + x)/(1 - x) with x = z v, and
+    [z^n v^k] = (n - k)! R[n - k][k]. The empty permutation (m = 0)
+    gives the constant term 1.
+    """
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    table = run_table(order)
+    return BiSeries(order, {
+        n: MarkerPoly([factorial(n - k) * table[n - k][k] for k in range(n + 1)])
+        for n in range(order + 1)
+    })
 
 
 def bond_gf(order: int) -> BiSeries:
@@ -253,7 +214,8 @@ def vertical_marked_gf(order: int) -> BiSeries:
     the two halves (`comb_marked`). Each half is a sequence of runs of
     the bond series' run factor f, read in w = z^2 because a half holds
     every other entry. Halves of j and l entries cut into a and b
-    runs give [w^j] f^a * [w^l] f^b, and the a + b runs can be ordered
+    runs give [w^j] f^a * [w^l] f^b = R[a][j - a] R[b][l - b]
+    v^(n - a - b) (see `run_table`), and the a + b runs can be ordered
     in (a + b)! ways. Size 2k pairs two halves of k entries; size
     2k + 1 pairs the k + 1 odd-position entries with the k even ones.
     This pairing is the Hadamard product of the two halves' series.
@@ -262,26 +224,17 @@ def vertical_marked_gf(order: int) -> BiSeries:
     if order < 0:
         raise ValueError("order must be >= 0")
     half = (order + 1) // 2  # entries in the longer half at size order
-    f = run_block_series(half)
-    powers = [BiSeries.constant(half, 1)]
-    for _ in range(half):  # f^a starts at w^a, so a <= half suffices
-        powers.append(series_mul(powers[-1], f))
-    # by_size[j][a] = [w^j] f^a
-    by_size = [[coeff(p, j) for p in powers] for j in range(half + 1)]
+    table = run_table(half)
     weight = [factorial(m) for m in range(2 * half + 1)]
     out: dict[int, MarkerPoly] = {}
     for n in range(order + 1):
-        longer, shorter = by_size[(n + 1) // 2], by_size[n // 2]
-        total = _ZERO
-        for a, pa in enumerate(longer):
-            if not pa:
-                continue
-            inner = _ZERO
-            for b, pb in enumerate(shorter):
-                if pb:
-                    inner = inner + pb * weight[a + b]
-            total = total + pa * inner
-        out[n] = total
+        longer, shorter = (n + 1) // 2, n // 2
+        row = [0] * (n + 1)
+        for a in range(longer + 1):
+            ra = table[a][longer - a]
+            for b in range(shorter + 1):
+                row[n - a - b] += weight[a + b] * ra * table[b][shorter - b]
+        out[n] = MarkerPoly(row)
     return BiSeries(order, out)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -359,6 +360,21 @@ def test_broken_stdout_pipe_is_input_error():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 2
     assert err == "error: cannot write to stdout: broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_device_is_input_error():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sepstat.cli", "report", "31524"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write to stdout: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_no_arguments_is_usage_error(capsys):

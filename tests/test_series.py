@@ -12,11 +12,8 @@ from sepstat.series import (
     bond_marked_gf,
     coeff,
     coeff2,
-    run_block_series,
-    series_add,
+    run_table,
     series_csv_rows,
-    series_mul,
-    series_scale,
     series_to_json,
     substitute_marker,
     vertical_marked_gf,
@@ -71,11 +68,7 @@ def test_poly_evaluate():
 
 
 # ---------------------------------------------------------------------------
-# BiSeries arithmetic
-
-
-def z_power(order, e, poly=None):
-    return BiSeries(order, {e: poly if poly is not None else MarkerPoly((1,))})
+# BiSeries
 
 
 def test_series_validation():
@@ -87,43 +80,6 @@ def test_series_validation():
         BiSeries(0, {-1: MarkerPoly((1,))})
     with pytest.raises(ValueError):
         BiSeries(-1)
-
-
-def test_mul_basic():
-    order = 4
-    one_plus_z = series_add(BiSeries.constant(order), z_power(order, 1))
-    one_minus_z = series_add(
-        BiSeries.constant(order), z_power(order, 1, MarkerPoly((-1,)))
-    )
-    prod = series_mul(one_plus_z, one_minus_z)
-    assert prod == BiSeries(order, {0: MarkerPoly((1,)), 2: MarkerPoly((-1,))})
-
-
-def test_mul_by_one_is_identity():
-    a = run_block_series(5)
-    assert series_mul(a, BiSeries.constant(5)) == a
-
-
-def test_mul_binomial_square():
-    # (z + 2 z^2 v)^2 = z^2 + 4 z^3 v + 4 z^4 v^2
-    order = 5
-    a = BiSeries(order, {1: MarkerPoly((1,)), 2: MarkerPoly((0, 2))})
-    sq = series_mul(a, a)
-    assert coeff(sq, 2) == MarkerPoly((1,))
-    assert coeff(sq, 3) == MarkerPoly((0, 4))
-    assert coeff(sq, 4) == MarkerPoly((0, 0, 4))
-
-
-def test_mul_truncates():
-    a = z_power(2, 2)
-    assert series_mul(a, a) == BiSeries(2)
-
-
-def test_order_mismatch_rejected():
-    with pytest.raises(ValueError, match="orders differ"):
-        series_add(BiSeries.constant(2), BiSeries.constant(3))
-    with pytest.raises(ValueError, match="orders differ"):
-        series_mul(BiSeries.constant(2), BiSeries.constant(3))
 
 
 def test_substitute_marker():
@@ -144,16 +100,21 @@ def test_coeff_bounds():
 
 
 # ---------------------------------------------------------------------------
-# The run-block factor
+# The run table
 
 
-def test_run_block_series_coefficients():
-    f = run_block_series(6)
-    assert coeff(f, 1) == MarkerPoly((1,))
-    for j in range(2, 7):
-        assert coeff(f, j) == MarkerPoly.monomial(2, j - 1)
-    assert run_block_series(1) == z_power(1, 1)
-    assert run_block_series(0) == BiSeries(0)
+def test_run_table_matches_composition_count():
+    # R[m][k] spreads k extra entries over i of the m runs (each of them
+    # then ascending or descending): sum_i C(m, i) 2^i C(k - 1, i - 1)
+    size = 64
+    table = run_table(size)
+    for m in range(size + 1):
+        assert table[m][0] == 1
+        for k in range(1, size + 1):
+            want = sum(comb(m, i) * 2**i * comb(k - 1, i - 1) for i in range(1, m + 1))
+            assert table[m][k] == want, (m, k)
+    with pytest.raises(ValueError):
+        run_table(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +130,8 @@ def test_bond_marked_gf_small_rows():
 
 def test_bond_marked_gf_matches_binomial_oracle():
     # marked-bond counts are sums of C(bonds, m) over the group
-    a = bond_marked_gf(5)
-    for n in range(6):
+    a = bond_marked_gf(8)
+    for n in range(9):
         table = sweep(n)["bonds"]
         for m in range(n + 1):
             want = sum(c * comb(b, m) for b, c in table.items())
@@ -266,10 +227,3 @@ def test_series_csv_rows():
     rows = series_csv_rows(a)
     assert (3, 0, 6) in rows and (3, 1, 8) in rows and (3, 2, 2) in rows
     assert all(c != 0 for _, _, c in rows)
-
-
-def test_scale_and_add_roundtrip():
-    a = vertical_sep_gf(4)
-    doubled = series_scale(a, 2)
-    assert series_add(a, a) == doubled
-    assert series_scale(a, 0) == BiSeries(4)
