@@ -250,8 +250,8 @@ def cmd_maxsep(args: argparse.Namespace) -> int:
     perms = exhaustive.max_separator_perms(args.k)
     verified = None
     if args.verify:
-        got = exhaustive.all_separating_words(n, threads=args.threads)
-        verified = {p.entries for p in perms} == got
+        tally = exhaustive.sweep(n, threads=args.threads)["any"]
+        verified = exhaustive.is_all_separating_set(perms, n, tally)
     if args.format == "json":
         payload = {
             "k": args.k,
@@ -303,7 +303,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             tag = "PASS" if c.passed else "FAIL"
             lines.append(f"{tag}  {c.name} ({c.detail})")
         if args.verbose:
-            for n in range(args.n_max + 1):
+            for n in tables:
                 lines.append(f"vertical row n={n}: {rows['vertical'][n]}")
                 lines.append(f"bond row n={n}:     {rows['bonds'][n]}")
         lines.append(
@@ -411,6 +411,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # a cross-check inside the library failed: a verification failure
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -69,7 +69,7 @@ def iterate_sn(n: int) -> Iterator[Permutation]:
     The cap is checked eagerly, before the stream is consumed.
     """
     _check_cap(n)
-    return (Permutation(word) for word in itertools.permutations(range(1, n + 1)))
+    return (Permutation(word) for word in _words(n, tuple(range(1, n + 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +92,11 @@ def _words(n: int, firsts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 def _over_sn(n: int, threads: int | None, chunk: Callable) -> list:
     """``chunk(n, firsts)`` for a partition of the first entries of S_n.
 
-    ``threads`` > 1 deals the first entries round-robin across worker
-    processes, one chunk each; below 7! the whole of S_n is one chunk in
-    this process, because pool overhead beats tiny jobs. ``chunk`` is
-    handed to the pool, so it must be a module-level function.
+    ``threads`` > 1 deals the first entries round-robin across at most
+    n worker processes, one chunk each; below 7! the whole of S_n is one
+    chunk in this process, because pool overhead beats tiny jobs.
+    ``chunk`` is handed to the pool, so it must be a module-level
+    function.
     """
     _check_cap(n)
     if threads is None:
@@ -103,8 +104,9 @@ def _over_sn(n: int, threads: int | None, chunk: Callable) -> list:
     firsts = tuple(range(1, n + 1))
     if threads <= 1 or factorial(n) < 5040:
         return [chunk(n, firsts)]
-    chunks = [c for c in (firsts[i::threads] for i in range(threads)) if c]
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+    workers = min(threads, n)
+    chunks = [firsts[i::workers] for i in range(workers)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(chunk, itertools.repeat(n), chunks))
 
 
@@ -114,7 +116,12 @@ def _over_sn(n: int, threads: int | None, chunk: Callable) -> list:
 
 def _sweep_chunk(n: int, firsts: tuple[int, ...]) -> dict[str, Counter]:
     """Tally all five statistics over the permutations of {1..n} whose
-    first entry lies in ``firsts``."""
+    first entry lies in ``firsts``.
+
+    Every word is also put to the knight-move test, the separately
+    written oracle for having no separator; a disagreement would mean a
+    bug in one of the two definitions and raises ``RuntimeError``.
+    """
     tallies: dict[str, Counter] = {kind: Counter() for kind in KINDS}
     t_v, t_h, t_b, t_a, t_bonds = (
         tallies["vertical"],
@@ -124,11 +131,13 @@ def _sweep_chunk(n: int, firsts: tuple[int, ...]) -> dict[str, Counter]:
         tallies["bonds"],
     )
     for word in _words(n, firsts):
-        vm, hm = separator_masks(word)
-        b = 0
-        for x, y in zip(word, word[1:]):
-            if x - y == 1 or y - x == 1:
-                b += 1
+        vm, hm, b = separator_masks(word)
+        by_sets = vm | hm == 0
+        if by_sets == has_knight_pair(word):
+            raise RuntimeError(
+                f"separator-free oracles disagree on {Permutation(word)}: "
+                f"sets say {by_sets}, knight scan says {not by_sets}"
+            )
         t_bonds[b] += 1
         t_v[vm.bit_count()] += 1
         t_h[hm.bit_count()] += 1
@@ -191,33 +200,14 @@ def distribution(n: int, kind: str, threads: int | None = 1) -> DistTable:
     return DistTable(n=n, kind=kind, counts=dict(sorted(table.items())))
 
 
-# ---------------------------------------------------------------------------
-# Separator-free permutations: two oracles that must agree
-
-
 def separator_free_count(n: int, threads: int | None = 1) -> int:
     """Number of permutations of S_n with no separator of any type.
 
-    Counted twice, via the separator sets and via the knight-move
-    test (non-attacking empresses); a disagreement would mean a bug in
-    one of the definitions and raises immediately.
+    The sweep counts them by the separator sets and checks every word
+    against the knight-move test (non-attacking empresses) as well; a
+    disagreement raises ``RuntimeError``.
     """
-    return sum(_over_sn(n, threads, _sepfree_chunk))
-
-
-def _sepfree_chunk(n: int, firsts: tuple[int, ...]) -> int:
-    count = 0
-    for word in _words(n, firsts):
-        p = Permutation(word)
-        by_sets = separator_count(p) == 0
-        by_knight = not has_knight_pair(p)
-        if by_sets != by_knight:
-            raise RuntimeError(
-                f"separator-free oracles disagree on {p}: "
-                f"sets say {by_sets}, knight scan says {by_knight}"
-            )
-        count += by_sets
-    return count
+    return sweep(n, threads)["any"].get(0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -245,24 +235,17 @@ def max_separator_perms(k: int) -> list[Permutation]:
     return out
 
 
-def all_separating_words(n: int, threads: int | None = 1) -> set[tuple[int, ...]]:
-    """The words of S_n in which every digit is a separator, found by
-    scanning all of S_n.
-
-    >>> sorted(all_separating_words(4))
-    [(2, 4, 1, 3), (3, 1, 4, 2)]
+def is_all_separating_set(
+    perms: list[Permutation], n: int, any_counts: Counter
+) -> bool:
+    """True iff ``perms`` are exactly the permutations of S_n in which
+    every digit separates, given the sweep's ``any`` tally of S_n: each
+    one is such a permutation, and there are as many distinct ones as
+    the sweep counted, so the subset is the whole set.
     """
-    return set().union(*_over_sn(n, threads, _all_separating_chunk))
-
-
-def _all_separating_chunk(n: int, firsts: tuple[int, ...]) -> list[tuple[int, ...]]:
-    full = (1 << (n + 1)) - 2  # bits 1..n
-    out = []
-    for word in _words(n, firsts):
-        vm, hm = separator_masks(word)
-        if vm | hm == full:
-            out.append(word)
-    return out
+    return all(separator_count(p) == n for p in perms) and (
+        len({p.entries for p in perms}) == len(perms) == any_counts.get(n, 0)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +320,12 @@ def run_check_suite(
     """Every structural invariant the library promises, at desk scale.
 
     Exhaustive-from-definition checks are capped at n = 7 (and the
-    marked round-trips at n = 6) regardless of ``n_max``; the sweeps
-    and series comparisons run all the way up to ``n_max``. Returns the
-    checks together with the sweep tables behind them, keyed by n.
+    marked round-trips at n = 6) regardless of ``n_max``; the sweeps,
+    one per n, and the series comparisons run all the way up to
+    ``n_max``. Returns the checks together with the sweep tables behind
+    them, keyed by n. A sweep that finds the separator-free oracles
+    disagreeing ends the suite: the only check returned is that failure,
+    with the tables swept before it.
     """
     _check_cap(n_max)
     results: list[CheckResult] = []
@@ -347,7 +333,13 @@ def run_check_suite(
     def add(name: str, passed: bool, detail: str) -> None:
         results.append(CheckResult(name, passed, detail))
 
-    tables = {n: sweep(n, threads) for n in range(n_max + 1)}
+    tables: dict[int, dict[str, Counter]] = {}
+    try:
+        for n in range(n_max + 1):
+            tables[n] = sweep(n, threads)
+    except RuntimeError as exc:
+        add("separator-free dual oracle", False, str(exc))
+        return results, tables
 
     # series rows against the exhaustive tables
     for kind, label, series in (
@@ -370,10 +362,14 @@ def run_check_suite(
     add("vertical/horizontal distributions identical", sym_ok, f"n <= {n_max}")
 
     small = min(n_max, 7)
+    marked_n = min(n_max, 6)
     dual_ok = True
     rev_ok = True
     child_ok = True
     king_ok = True
+    enc_ok = True
+    comb_ok = True
+    conserved_ok = True
     checked = 0
     for n in range(small + 1):
         for p in iterate_sn(n):
@@ -396,56 +392,8 @@ def run_check_suite(
                     king_kids = sum(1 for c in kids if is_king(c))
                     if king_kids != n - separator_count(p):
                         king_ok = False
-    add("inverse duality of separator sets", dual_ok, f"{checked} permutations")
-    add("reverse invariance of separator sets", rev_ok, f"{checked} permutations")
-    add("children count is n - bonds", child_ok, f"n <= {small}")
-    add("king children count is n - separators", king_ok, f"n <= {small}")
-
-    free_ok = True
-    free_detail = f"n <= {n_max}"
-    try:
-        for n in range(n_max + 1):
-            count = separator_free_count(n, threads)
-            if count != tables[n]["any"].get(0, 0):
-                free_ok = False
-                free_detail = f"count disagreement at n={n}"
-    except RuntimeError as exc:
-        free_ok = False
-        free_detail = str(exc)
-    add("separator-free dual oracle", free_ok, free_detail)
-
-    exp_ok = True
-    for n in range(3, n_max + 1):
-        for kind in EXPECTATION_KINDS:
-            empirical = DistTable(n, kind, tables[n][kind]).mean()
-            if empirical != expectation_formula(n, kind):
-                exp_ok = False
-    add("expectation formulas match averages", exp_ok, f"3 <= n <= {n_max}")
-
-    max_ok = True
-    for n in range(1, n_max + 1):
-        full = tables[n]["any"].get(n, 0)
-        if n % 4 == 0:
-            k = n // 4
-            built = max_separator_perms(k)
-            if full != (2**k) * factorial(k) or full != len(built):
-                max_ok = False
-            if {p.entries for p in built} != all_separating_words(n, threads):
-                max_ok = False
-        elif full != 0:
-            max_ok = False
-    add("all-digits-separate structure", max_ok, f"n <= {n_max}")
-
-    ladder = [8, 10, 100, 10**3, 10**6]
-    conv_ok = all(expectation_convergence_ok(n) for n in ladder)
-    add("expectation convergence (formula level)", conv_ok, f"n in {ladder}")
-
-    marked_n = min(n_max, 6)
-    enc_ok = True
-    comb_ok = True
-    conserved_ok = True
-    for n in range(marked_n + 1):
-        for p in iterate_sn(n):
+            if n > marked_n:
+                continue
             for mw in enumerate_markings(p):
                 comp, sigma = encode_marked(mw)
                 if decode_marked(comp, sigma) != mw:
@@ -460,6 +408,40 @@ def run_check_suite(
                     even.marked
                 ):
                     conserved_ok = False
+    add("inverse duality of separator sets", dual_ok, f"{checked} permutations")
+    add("reverse invariance of separator sets", rev_ok, f"{checked} permutations")
+    add("children count is n - bonds", child_ok, f"n <= {small}")
+    add("king children count is n - separators", king_ok, f"n <= {small}")
+
+    # every sweep above checked each word against the knight-move test
+    add("separator-free dual oracle", True, f"n <= {n_max}")
+
+    exp_ok = True
+    for n in range(3, n_max + 1):
+        for kind in EXPECTATION_KINDS:
+            empirical = DistTable(n, kind, tables[n][kind]).mean()
+            if empirical != expectation_formula(n, kind):
+                exp_ok = False
+    add("expectation formulas match averages", exp_ok, f"3 <= n <= {n_max}")
+
+    max_ok = True
+    for n in range(1, n_max + 1):
+        full = tables[n]["any"].get(n, 0)
+        if n % 4 == 0:
+            k = n // 4
+            if full != (2**k) * factorial(k):
+                max_ok = False
+            built = max_separator_perms(k)
+            if not is_all_separating_set(built, n, tables[n]["any"]):
+                max_ok = False
+        elif full != 0:
+            max_ok = False
+    add("all-digits-separate structure", max_ok, f"n <= {n_max}")
+
+    ladder = [8, 10, 100, 10**3, 10**6]
+    conv_ok = all(expectation_convergence_ok(n) for n in ladder)
+    add("expectation convergence (formula level)", conv_ok, f"n in {ladder}")
+
     add("marked encode/decode round-trip", enc_ok, f"n <= {marked_n}")
     add("marked comb/split round-trip", comb_ok, f"n <= {marked_n}")
     add("mark conservation across comb", conserved_ok, f"n <= {marked_n}")

@@ -37,29 +37,34 @@ from .perms import (
 # Separator sets
 
 
-def separator_masks(word: Sequence[int]) -> tuple[int, int]:
-    """(vertical, horizontal) masks of a word over values: bit v is set
-    when digit v is a separator of that type.
+def separator_masks(word: Sequence[int]) -> tuple[int, int, int]:
+    """(vertical, horizontal, bonds) of a word: bit v of the first two
+    masks is set when digit v is a separator of that type, and bonds
+    counts the adjacent pairs that differ by 1.
 
-    Both conditions are read off windows of three adjacent entries: the
-    middle entry is vertical when the outer two differ by 1, and value a
+    All three are read off windows of at most three adjacent entries:
+    the middle entry is vertical when the outer two differ by 1, value a
     is horizontal when some adjacent pair differs by 2 with midpoint a
-    (that pair is {a-1, a+1}).
+    (that pair is {a-1, a+1}), and an adjacent pair differing by 1 is a
+    bond.
 
-    >>> [bin(m) for m in separator_masks((3, 1, 5, 2, 4))]
-    ['0b100100', '0b1100']
+    >>> vm, hm, b = separator_masks((3, 1, 5, 2, 4))
+    >>> bin(vm), bin(hm), b
+    ('0b100100', '0b1100', 0)
     """
-    vmask = hmask = 0
+    vmask = hmask = bonds = 0
     a = b = -2  # the two entries before c; -2 is never within 2 of a value
     for c in word:
         d = b - c
         if d == 2 or d == -2:
             hmask |= 1 << ((b + c) >> 1)
+        elif d == 1 or d == -1:
+            bonds += 1
         d = a - c
         if d == 1 or d == -1:
             vmask |= 1 << b
         a, b = b, c
-    return vmask, hmask
+    return vmask, hmask, bonds
 
 
 def _values(mask: int) -> frozenset[int]:
@@ -111,7 +116,7 @@ class SeparatorReport:
 
 
 def separator_report(p: Permutation) -> SeparatorReport:
-    v, h = separator_masks(p.entries)
+    v, h, _ = separator_masks(p.entries)
     return SeparatorReport(
         vertical=_values(v),
         horizontal=_values(h),
@@ -121,7 +126,7 @@ def separator_report(p: Permutation) -> SeparatorReport:
 
 
 def separator_count(p: Permutation) -> int:
-    v, h = separator_masks(p.entries)
+    v, h, _ = separator_masks(p.entries)
     return (v | h).bit_count()
 
 
@@ -135,14 +140,15 @@ def is_separator_free(p: Permutation) -> bool:
     return separator_count(p) == 0
 
 
-def has_knight_pair(p: Permutation) -> bool:
-    """True iff two entries sit a knight's move apart.
+def has_knight_pair(word: Permutation | Sequence[int]) -> bool:
+    """True iff two entries of a permutation or word sit a knight's
+    move apart.
 
     Rook attacks are impossible in a permutation matrix, so this is
     the whole empress-attack test: offsets (1, 2) and (2, 1) in
     (position, value) distance.
     """
-    e = p.entries
+    e = word.entries if isinstance(word, Permutation) else word
     n = len(e)
     for i in range(n - 1):
         if abs(e[i] - e[i + 1]) == 2:

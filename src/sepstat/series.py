@@ -9,7 +9,7 @@ nothing beyond the order.
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import factorial
 from typing import Iterator, Mapping
 
 
@@ -80,14 +80,15 @@ class MarkerPoly:
     __rmul__ = __mul__
 
     def shifted(self, offset: int) -> "MarkerPoly":
-        """Substitute marker -> marker + offset, expanded exactly."""
+        """Substitute marker -> marker + offset, expanded exactly (a
+        Taylor shift by repeated synthetic division)."""
         if offset == 0 or not self.coeffs:
             return self
-        out = [0] * len(self.coeffs)
-        for k, c in enumerate(self.coeffs):
-            if c:
-                for j in range(k + 1):
-                    out[j] += c * comb(k, j) * offset ** (k - j)
+        out = list(self.coeffs)
+        d = len(out) - 1
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                out[j] += offset * out[j + 1]
         return MarkerPoly(out)
 
     def __call__(self, x: int) -> int:

@@ -386,3 +386,84 @@ def test_verify_verbose_shows_rows(capsys):
     code, out, _ = run_cli(capsys, "verify", "--n-max", "3", "--verbose")
     assert code == 0
     assert "vertical row n=3: {0: 2, 1: 4}" in out
+
+
+# ---------------------------------------------------------------------------
+# Bounded work and the separator-free cross-check
+
+
+# Runs the CLI with the pool recording how many workers it is asked for.
+_RECORD_WORKERS = """
+import sys
+from concurrent.futures import ProcessPoolExecutor
+from sepstat import cli, exhaustive
+
+class Recording(ProcessPoolExecutor):
+    def __init__(self, max_workers=None, **kwargs):
+        print("workers", max_workers, file=sys.stderr)
+        super().__init__(max_workers, **kwargs)
+
+exhaustive.ProcessPoolExecutor = Recording
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_threads_far_above_n_is_bounded():
+    def run(threads):
+        return subprocess.run(
+            [sys.executable, "-c", _RECORD_WORKERS, "dist", "7", "--threads", threads],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    huge = run("100000000000000000000")
+    one = run("1")
+    assert huge.returncode == 0 and one.returncode == 0
+    assert huge.stdout == one.stdout
+    assert huge.stderr == "workers 7\n"  # one per first entry, no more
+    assert one.stderr == ""
+
+
+@pytest.fixture
+def knight_flipped_on_2413(monkeypatch):
+    """Make the knight-move oracle give the wrong answer on [2413]."""
+    from sepstat import exhaustive
+
+    real = exhaustive.has_knight_pair
+    monkeypatch.setattr(
+        exhaustive,
+        "has_knight_pair",
+        lambda word: real(word) != (tuple(word) == (2, 4, 1, 3)),
+    )
+
+
+@pytest.mark.usefixtures("knight_flipped_on_2413")
+@pytest.mark.parametrize("extra", [(), ("--format", "json"), ("-v",)])
+def test_verify_reports_oracle_disagreement(capsys, extra):
+    code, out, err = run_cli(capsys, "verify", "--n-max", "4", *extra)
+    assert code == 1
+    assert "Traceback" not in out + err
+    if extra == ("--format", "json"):
+        data = json.loads(out)
+        assert data["passed"] is False
+        [check] = data["checks"]
+        assert check["name"] == "separator-free dual oracle"
+        assert not check["passed"] and "[2413]" in check["detail"]
+    else:
+        first = out.splitlines()[0]
+        assert first.startswith("FAIL  separator-free dual oracle")
+        assert "[2413]" in first
+        assert out.endswith("CHECKS FAILED (n_max=4)\n")
+    if extra == ("-v",):
+        # rows only for the n swept before the failure
+        assert "vertical row n=3: {0: 2, 1: 4}" in out
+        assert "row n=4" not in out
+
+
+@pytest.mark.usefixtures("knight_flipped_on_2413")
+def test_dist_reports_oracle_disagreement(capsys):
+    code, out, err = run_cli(capsys, "dist", "4")
+    assert code == 1 and out == ""
+    assert err.startswith("error: separator-free oracles disagree on [2413]")
+    assert err.count("\n") == 1

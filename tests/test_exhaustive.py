@@ -11,11 +11,11 @@ from sepstat.exhaustive import (
     KINDS,
     DistTable,
     _words,
-    all_separating_words,
     distribution,
     expectation_convergence_ok,
     expectation_empirical,
     expectation_formula,
+    is_all_separating_set,
     iterate_sn,
     max_separator_perms,
     run_check_suite,
@@ -93,12 +93,12 @@ def test_sweep_masks_match_separator_sets(n):
     full = []
     for word in words:
         p = Permutation(word)
-        vm, hm = separator_masks(word)
+        vm, hm, _ = separator_masks(word)
         assert vm == sum(1 << v for v in vertical_separators(p))
         assert hm == sum(1 << v for v in horizontal_separators(p))
         if separator_count(p) == n:
-            full.append(word)
-    assert all_separating_words(n) == set(full)
+            full.append(p)
+    assert is_all_separating_set(full, n, sweep(n)["any"])
 
 
 def test_sweep_matches_per_permutation_reports():
@@ -149,6 +149,24 @@ def test_separator_free_matches_sweep(n):
 
 def test_separator_free_parallel():
     assert separator_free_count(7, threads=2) == separator_free_count(7)
+
+
+def test_separator_free_disagreement_stops_the_suite(monkeypatch):
+    from sepstat import exhaustive
+
+    real = exhaustive.has_knight_pair
+    monkeypatch.setattr(
+        exhaustive,
+        "has_knight_pair",
+        lambda word: real(word) != (tuple(word) == (2, 4, 1, 3)),
+    )
+    with pytest.raises(RuntimeError, match=r"disagree on \[2413\]"):
+        separator_free_count(4)
+    checks, tables = run_check_suite(5)
+    assert [(c.name, c.passed) for c in checks] == [
+        ("separator-free dual oracle", False)
+    ]
+    assert sorted(tables) == [0, 1, 2, 3]
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,9 @@ def perms_up_to_30(draw):
 
 @given(perms_up_to_30())
 def test_separator_masks_match_position_array_form(p):
-    assert separator_masks(p.entries) == reference_masks(p.entries)
+    vm, hm, b = separator_masks(p.entries)
+    assert (vm, hm) == reference_masks(p.entries)
+    assert b == len(bonds(p.entries))
 
 
 @given(perms_up_to_30())

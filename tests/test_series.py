@@ -50,9 +50,35 @@ def test_poly_shift_expansion():
     assert MarkerPoly((6, 4)).shifted(-1) == MarkerPoly((2, 4))
 
 
+def binomial_shift(poly, offset):
+    """The shift expanded term by term: c*v^k becomes
+    sum_j c*C(k, j)*offset^(k-j)*v^j."""
+    out = [0] * len(poly.coeffs)
+    for k, c in enumerate(poly.coeffs):
+        for j in range(k + 1):
+            out[j] += c * comb(k, j) * offset ** (k - j)
+    return MarkerPoly(out)
+
+
 @given(small_polys, st.integers(min_value=-3, max_value=3))
 def test_poly_shift_roundtrip(p, c):
     assert p.shifted(c).shifted(-c) == p
+
+
+@given(
+    st.builds(MarkerPoly, st.lists(st.integers(-10**6, 10**6), max_size=12)),
+    st.integers(min_value=-5, max_value=5),
+)
+def test_poly_shift_matches_binomial_expansion(p, c):
+    assert p.shifted(c) == binomial_shift(p, c)
+
+
+def test_substitute_marker_matches_binomial_expansion_at_order_64():
+    a = vertical_marked_gf(64)
+    for offset in (-1, 2, -3, 5):
+        shifted = substitute_marker(a, offset)
+        for e, poly in a:
+            assert coeff(shifted, e) == binomial_shift(poly, offset)
 
 
 @given(small_polys, small_polys, small_polys)
@@ -87,6 +113,20 @@ def test_substitute_marker():
     assert coeff(substitute_marker(a, -1), 2) == MarkerPoly((1, -2, 1))
     assert substitute_marker(a, 0) == a
     assert substitute_marker(substitute_marker(a, -1), +1) == a
+
+
+@given(
+    st.integers(min_value=0, max_value=6).flatmap(
+        lambda order: st.builds(
+            BiSeries,
+            st.just(order),
+            st.dictionaries(st.integers(0, order), small_polys, max_size=order + 1),
+        )
+    ),
+    st.integers(min_value=-5, max_value=5),
+)
+def test_substitute_marker_roundtrip(a, offset):
+    assert substitute_marker(substitute_marker(a, offset), -offset) == a
 
 
 def test_coeff_bounds():
