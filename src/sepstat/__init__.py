@@ -37,8 +37,6 @@ from .separators import (
     encode_marked,
     has_knight_pair,
     horizontal_separators,
-    is_separator_free,
-    parse_arrowed,
     separator_count,
     separator_masks,
     separator_report,
@@ -51,7 +49,6 @@ from .series import (
     bond_gf,
     bond_marked_gf,
     coeff,
-    coeff2,
     substitute_marker,
     vertical_marked_gf,
     vertical_sep_gf,

@@ -2,7 +2,8 @@
 series coefficients, expectations, the all-digits-separate generator,
 and the verification harness.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input error.
+Exit codes: 0 success, 1 verification failure, 2 usage or input error
+(a worker process that dies included).
 Identical inputs produce byte-identical output regardless of the
 worker count; parallelism only lives inside the exhaustive sweeps.
 """
@@ -15,13 +16,14 @@ import io
 import json
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
 from . import config, exhaustive
 from .perms import (
-    Direction,
+    ARROW,
     Permutation,
     bond_count,
     bonds,
@@ -53,8 +55,6 @@ _SERIES_ALIASES = {
     "marked-bonds": "A",
     "bonds": "B",
 }
-
-_ARROW = {Direction.UP: "↑", Direction.DOWN: "↓", Direction.NONE: ""}
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -128,7 +128,7 @@ def _poly_str(poly, var: str) -> str:
 def _run_str(p: Permutation, run) -> str:
     values = p.entries[run.start - 1 : run.start - 1 + run.length]
     joiner = "" if p.n <= 9 else "-"
-    return joiner.join(str(v) for v in values) + _ARROW[run.direction]
+    return joiner.join(str(v) for v in values) + ARROW[run.direction]
 
 
 # ---------------------------------------------------------------------------
@@ -408,13 +408,13 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
-        # a cross-check inside the library failed: a verification failure
+    except exhaustive.VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (ValueError, IndexError, BrokenProcessPool) as exc:
+        # a dead pool worker is a failure to run, not a failed check
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

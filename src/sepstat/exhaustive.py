@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Iterator
+from typing import Iterator
 
 from . import config
 from .perms import (
@@ -52,6 +52,10 @@ EXPECTATION_KINDS = ("vertical", "both", "any")
 _MAX_SEP_BLOCKS = (Permutation((3, 1, 4, 2)), Permutation((2, 4, 1, 3)))
 
 
+class VerificationError(RuntimeError):
+    """Two routes that must agree did not: a bug in one of them."""
+
+
 def _check_cap(n: int) -> None:
     cap = config.enumeration_cap()
     if n < 0:
@@ -73,7 +77,8 @@ def iterate_sn(n: int) -> Iterator[Permutation]:
 
 
 # ---------------------------------------------------------------------------
-# The driver: S_n split by first entry across worker processes
+# Enumeration and the sweep: S_n split by first entry across worker
+# processes, one pass per permutation over raw words
 
 
 def _words(n: int, firsts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -89,38 +94,13 @@ def _words(n: int, firsts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             yield (first,) + tail
 
 
-def _over_sn(n: int, threads: int | None, chunk: Callable) -> list:
-    """``chunk(n, firsts)`` for a partition of the first entries of S_n.
-
-    ``threads`` > 1 deals the first entries round-robin across at most
-    n worker processes, one chunk each; below 7! the whole of S_n is one
-    chunk in this process, because pool overhead beats tiny jobs.
-    ``chunk`` is handed to the pool, so it must be a module-level
-    function.
-    """
-    _check_cap(n)
-    if threads is None:
-        threads = os.cpu_count() or 1
-    firsts = tuple(range(1, n + 1))
-    if threads <= 1 or factorial(n) < 5040:
-        return [chunk(n, firsts)]
-    workers = min(threads, n)
-    chunks = [firsts[i::workers] for i in range(workers)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(chunk, itertools.repeat(n), chunks))
-
-
-# ---------------------------------------------------------------------------
-# The sweep: one pass per permutation over raw words
-
-
 def _sweep_chunk(n: int, firsts: tuple[int, ...]) -> dict[str, Counter]:
     """Tally all five statistics over the permutations of {1..n} whose
     first entry lies in ``firsts``.
 
     Every word is also put to the knight-move test, the separately
     written oracle for having no separator; a disagreement would mean a
-    bug in one of the two definitions and raises ``RuntimeError``.
+    bug in one of the two definitions and raises ``VerificationError``.
     """
     tallies: dict[str, Counter] = {kind: Counter() for kind in KINDS}
     t_v, t_h, t_b, t_a, t_bonds = (
@@ -134,7 +114,7 @@ def _sweep_chunk(n: int, firsts: tuple[int, ...]) -> dict[str, Counter]:
         vm, hm, b = separator_masks(word)
         by_sets = vm | hm == 0
         if by_sets == has_knight_pair(word):
-            raise RuntimeError(
+            raise VerificationError(
                 f"separator-free oracles disagree on {Permutation(word)}: "
                 f"sets say {by_sets}, knight scan says {not by_sets}"
             )
@@ -149,14 +129,25 @@ def _sweep_chunk(n: int, firsts: tuple[int, ...]) -> dict[str, Counter]:
 def sweep(n: int, threads: int | None = 1) -> dict[str, Counter]:
     """Exhaustive tallies of all five statistics over S_n.
 
-    ``threads`` > 1 partitions the work by first entry across worker
-    processes; the merge is associative, so the result is identical
-    for every worker count.
+    ``threads`` > 1 deals the first entries round-robin across at most
+    n worker processes (``None`` means one per CPU); below 7! the whole
+    of S_n is swept in this process, because pool overhead beats tiny
+    jobs. The merge is associative, so the result is identical for
+    every worker count.
     """
+    _check_cap(n)
+    if threads is None:
+        threads = os.cpu_count() or 1
+    firsts = tuple(range(1, n + 1))
+    if threads <= 1 or factorial(n) < 5040:
+        return _sweep_chunk(n, firsts)
+    workers = min(threads, n)
+    chunks = [firsts[i::workers] for i in range(workers)]
     merged: dict[str, Counter] = {kind: Counter() for kind in KINDS}
-    for part in _over_sn(n, threads, _sweep_chunk):
-        for kind in KINDS:
-            merged[kind].update(part[kind])
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for part in pool.map(_sweep_chunk, itertools.repeat(n), chunks):
+            for kind in KINDS:
+                merged[kind].update(part[kind])
     return merged
 
 
@@ -167,10 +158,6 @@ class DistTable:
     n: int
     kind: str
     counts: dict[int, int]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
 
     def mean(self) -> Fraction:
         return Fraction(
@@ -205,7 +192,7 @@ def separator_free_count(n: int, threads: int | None = 1) -> int:
 
     The sweep counts them by the separator sets and checks every word
     against the knight-move test (non-attacking empresses) as well; a
-    disagreement raises ``RuntimeError``.
+    disagreement raises ``VerificationError``.
     """
     return sweep(n, threads)["any"].get(0, 0)
 
@@ -230,7 +217,9 @@ def max_separator_perms(k: int) -> list[Permutation]:
         for blocks in itertools.product(_MAX_SEP_BLOCKS, repeat=k):
             q = inflate(pattern, blocks)
             if separator_count(q) != q.n:  # structural guarantee; cheap to keep
-                raise RuntimeError(f"constructed {q} has a non-separating digit")
+                raise VerificationError(
+                    f"constructed {q} has a non-separating digit"
+                )
             out.append(q)
     return out
 
@@ -337,7 +326,7 @@ def run_check_suite(
     try:
         for n in range(n_max + 1):
             tables[n] = sweep(n, threads)
-    except RuntimeError as exc:
+    except VerificationError as exc:
         add("separator-free dual oracle", False, str(exc))
         return results, tables
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 
 class Direction(Enum):
@@ -26,9 +26,13 @@ class Direction(Enum):
         return f"Direction.{self.name}"
 
 
+ARROW = {Direction.UP: "↑", Direction.DOWN: "↓", Direction.NONE: ""}
+
+
 @dataclass(frozen=True)
 class Run:
-    """A maximal segment of adjacent entries stepping by +1 or -1.
+    """A segment of adjacent entries stepping by +1 or -1 (see
+    :func:`split_runs`).
 
     ``start`` is the 1-indexed position of the first entry. A run of
     length 1 has direction NONE; longer runs are UP or DOWN (mixed
@@ -84,12 +88,6 @@ class Permutation:
             raise IndexError(f"position {pos} outside 1..{len(self.entries)}")
         return self.entries[pos - 1]
 
-    def position_of(self, value: int) -> int:
-        """1-indexed position at which ``value`` occurs."""
-        if not 1 <= value <= len(self.entries):
-            raise ValueError(f"value {value} outside 1..{len(self.entries)}")
-        return self.entries.index(value) + 1
-
     def __str__(self) -> str:
         return format_permutation(self)
 
@@ -106,10 +104,6 @@ def make_permutation(values: Iterable[int]) -> Permutation:
     Permutation([])
     """
     return Permutation(tuple(values))
-
-
-def identity(n: int) -> Permutation:
-    return Permutation(tuple(range(1, n + 1)))
 
 
 def format_permutation(p: Permutation) -> str:
@@ -182,27 +176,37 @@ def bond_count(p: Permutation) -> int:
     return len(bonds(p))
 
 
-def maximal_runs(p: Permutation) -> list[Run]:
-    """Partition positions 1..n into maximal runs, left to right."""
-    e = p.entries
+def split_runs(word: Sequence[int], joined: Collection[int]) -> list[Run]:
+    """Cut a word at every adjacency i (between positions i and i + 1)
+    outside ``joined``, a subset of its bonds, into runs left to right.
+
+    Consecutive bonds cannot change direction (a value would have to
+    repeat), so each run is monotone and its first step gives its
+    direction.
+
+    >>> [(r.start, r.length, r.direction.value)
+    ...  for r in split_runs((2, 3, 4, 1), {1})]
+    [(1, 2, 'up'), (3, 1, 'none'), (4, 1, 'none')]
+    """
     runs: list[Run] = []
-    i = 0
-    while i < len(e):
-        j = i
-        # consecutive bonds cannot change direction (the value would
-        # have to repeat), so extending greedily stays monotone
-        while j + 1 < len(e) and abs(e[j] - e[j + 1]) == 1:
-            j += 1
-        length = j - i + 1
-        if length == 1:
+    start = 0  # 0-indexed first entry of the current run
+    for i in range(1, len(word) + 1):  # i = len(word) closes the last run
+        if i in joined:
+            continue
+        if i - start == 1:
             direction = Direction.NONE
-        elif e[i + 1] > e[i]:
+        elif word[start + 1] > word[start]:
             direction = Direction.UP
         else:
             direction = Direction.DOWN
-        runs.append(Run(start=i + 1, length=length, direction=direction))
-        i = j + 1
+        runs.append(Run(start=start + 1, length=i - start, direction=direction))
+        start = i
     return runs
+
+
+def maximal_runs(p: Permutation) -> list[Run]:
+    """Partition positions 1..n into maximal runs, left to right."""
+    return split_runs(p.entries, bonds(p))
 
 
 def is_king(p: Permutation) -> bool:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .perms import (
+    ARROW,
     Direction,
     Permutation,
     bonds,
@@ -30,6 +31,7 @@ from .perms import (
     comb_split,
     inflate,
     inverse,
+    split_runs,
     standardize,
 )
 
@@ -130,23 +132,16 @@ def separator_count(p: Permutation) -> int:
     return (v | h).bit_count()
 
 
-def is_separator_free(p: Permutation) -> bool:
-    """True iff no digit is a separator of either type.
-
-    Equivalent to the permutation matrix carrying n non-attacking
-    empresses (rook + knight); :func:`has_knight_pair` is the
-    independent oracle for that reading.
-    """
-    return separator_count(p) == 0
-
-
 def has_knight_pair(word: Permutation | Sequence[int]) -> bool:
     """True iff two entries of a permutation or word sit a knight's
     move apart.
 
     Rook attacks are impossible in a permutation matrix, so this is
     the whole empress-attack test: offsets (1, 2) and (2, 1) in
-    (position, value) distance.
+    (position, value) distance. A permutation has no separator of
+    either type iff its matrix carries n non-attacking empresses (rook
+    + knight), that is iff this is False; it is written independently
+    of :func:`separator_masks` so that each checks the other.
     """
     e = word.entries if isinstance(word, Permutation) else word
     n = len(e)
@@ -180,10 +175,6 @@ class MarkedWord:
             if i not in legal:
                 raise ValueError(f"marked index {i} is not a bond of the word")
 
-    @property
-    def k(self) -> int:
-        return len(self.values)
-
 
 @dataclass(frozen=True)
 class ArrowedComposition:
@@ -205,39 +196,12 @@ class ArrowedComposition:
                 )
 
     @property
-    def total(self) -> int:
-        return sum(size for size, _ in self.parts)
-
-    @property
     def num_parts(self) -> int:
         return len(self.parts)
 
     def compact(self) -> str:
         """Render as e.g. "1,2↑,1,1,3↓,1"."""
-        arrow = {Direction.UP: "↑", Direction.DOWN: "↓", Direction.NONE: ""}
-        return ",".join(f"{size}{arrow[d]}" for size, d in self.parts)
-
-    def __str__(self) -> str:
-        return f"({self.compact()})"
-
-
-def parse_arrowed(text: str) -> ArrowedComposition:
-    """Parse the compact form "1,3↓,1" (also accepts u/d suffixes)."""
-    s = text.strip().strip("()")
-    if not s:
-        return ArrowedComposition(())
-    parts: list[tuple[int, Direction]] = []
-    for piece in s.split(","):
-        piece = piece.strip()
-        direction = Direction.NONE
-        if piece.endswith(("↑", "u", "U")):
-            direction = Direction.UP
-            piece = piece[:-1]
-        elif piece.endswith(("↓", "d", "D")):
-            direction = Direction.DOWN
-            piece = piece[:-1]
-        parts.append((int(piece), direction))
-    return ArrowedComposition(tuple(parts))
+        return ",".join(f"{size}{ARROW[d]}" for size, d in self.parts)
 
 
 @dataclass(frozen=True)
@@ -266,41 +230,28 @@ def encode_marked(mw: MarkedWord) -> tuple[ArrowedComposition, Permutation]:
 
     Returns the arrowed composition of run lengths/directions together
     with the relative order of the runs (standardization of one
-    representative per run; the minimum is used, and any choice gives
-    the same answer because runs are value-contiguous).
+    representative per run; the first entry is used, and any choice
+    gives the same answer because runs are value-contiguous).
 
     >>> comp, sigma = encode_marked(
     ...     MarkedWord((2, 4, 5, 6, 1, 9, 8, 7, 3), frozenset({2, 6, 7})))
     >>> comp.compact(), sigma
     ('1,2↑,1,1,3↓,1', Permutation([2, 4, 5, 1, 6, 3]))
     """
-    word = Permutation(mw.values)  # must be a permutation of {1..n}
-    e = word.entries
-    parts: list[tuple[int, Direction]] = []
-    reps: list[int] = []
-    i = 0
-    while i < len(e):
-        j = i
-        while j + 1 < len(e) and (j + 1) in mw.marked:
-            j += 1
-        length = j - i + 1
-        if length == 1:
-            direction = Direction.NONE
-        elif e[i + 1] > e[i]:
-            direction = Direction.UP
-        else:
-            direction = Direction.DOWN
-        parts.append((length, direction))
-        reps.append(min(e[i : j + 1]))
-        i = j + 1
-    return ArrowedComposition(tuple(parts)), standardize(reps)
+    e = Permutation(mw.values).entries  # must be a permutation of {1..n}
+    runs = split_runs(e, mw.marked)
+    comp = ArrowedComposition(tuple((r.length, r.direction) for r in runs))
+    return comp, standardize([e[r.start - 1] for r in runs])
 
 
 def decode_marked(comp: ArrowedComposition, sigma: Permutation) -> MarkedWord:
     """Inverse of :func:`encode_marked`: inflate ``sigma`` by monotone
     runs described by ``comp`` and mark every intra-run adjacency.
 
-    >>> mw = decode_marked(parse_arrowed("1,3↓,1,1,2↑"), Permutation((3, 4, 2, 1, 5)))
+    >>> d = Direction
+    >>> comp = ArrowedComposition(
+    ...     ((1, d.NONE), (3, d.DOWN), (1, d.NONE), (1, d.NONE), (2, d.UP)))
+    >>> mw = decode_marked(comp, Permutation((3, 4, 2, 1, 5)))
     >>> mw.values, sorted(mw.marked)
     ((3, 6, 5, 4, 2, 1, 7, 8), [2, 3, 7])
     """

@@ -31,33 +31,15 @@ class MarkerPoly:
             end -= 1
         object.__setattr__(self, "coeffs", tuple(coeffs[:end]))
 
-    @classmethod
-    def constant(cls, c: int) -> "MarkerPoly":
-        return cls((c,))
-
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            return self.coeffs == (MarkerPoly.constant(other)).coeffs
         if isinstance(other, MarkerPoly):
             return self.coeffs == other.coeffs
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __getitem__(self, power: int) -> int:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
-        return 0
-
+    # perfbench/tracing.py looks up __add__, __mul__ and __rmul__ by name
     def __add__(self, other: "MarkerPoly") -> "MarkerPoly":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -91,12 +73,6 @@ class MarkerPoly:
                 out[j] += offset * out[j + 1]
         return MarkerPoly(out)
 
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def __repr__(self) -> str:
         return f"MarkerPoly({list(self.coeffs)})"
 
@@ -116,8 +92,6 @@ class BiSeries:
         clean: dict[int, MarkerPoly] = {}
         if coeffs:
             for e, poly in coeffs.items():
-                if not isinstance(poly, MarkerPoly):
-                    poly = MarkerPoly.constant(poly)
                 if e < 0 or e > order:
                     raise ValueError(f"exponent {e} outside 0..{order}")
                 if poly:
@@ -149,10 +123,6 @@ def coeff(a: BiSeries, n: int) -> MarkerPoly:
     if not 0 <= n <= a.order:
         raise ValueError(f"exponent {n} outside the exact range 0..{a.order}")
     return a.coeffs.get(n, _ZERO)
-
-
-def coeff2(a: BiSeries, n: int, m: int) -> int:
-    return coeff(a, n)[m]
 
 
 # ---------------------------------------------------------------------------

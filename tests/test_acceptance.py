@@ -19,7 +19,6 @@ from sepstat.exhaustive import (
     sweep,
 )
 from sepstat.perms import (
-    Permutation,
     bond_count,
     children,
     inverse,

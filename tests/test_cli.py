@@ -467,3 +467,18 @@ def test_dist_reports_oracle_disagreement(capsys):
     assert code == 1 and out == ""
     assert err.startswith("error: separator-free oracles disagree on [2413]")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [("dist", "7"), ("verify", "--n-max", "3")])
+def test_dead_pool_worker_is_an_error_not_a_failed_check(capsys, monkeypatch, argv):
+    from concurrent.futures.process import BrokenProcessPool
+
+    from sepstat import exhaustive
+
+    def dead_pool(n, threads=1):
+        raise BrokenProcessPool("A process in the process pool was terminated")
+
+    monkeypatch.setattr(exhaustive, "sweep", dead_pool)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: A process in the process pool was terminated\n"

@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 from math import factorial
 
@@ -9,7 +8,6 @@ from sepstat import config
 from sepstat.exhaustive import (
     EXPECTATION_KINDS,
     KINDS,
-    DistTable,
     _words,
     distribution,
     expectation_convergence_ok,
@@ -22,7 +20,7 @@ from sepstat.exhaustive import (
     separator_free_count,
     sweep,
 )
-from sepstat.perms import Permutation, bond_count, parse_permutation
+from sepstat.perms import Permutation, bond_count
 from sepstat.separators import (
     horizontal_separators,
     separator_count,
@@ -127,7 +125,7 @@ def test_sweep_parallel_merge_is_deterministic():
 
 def test_dist_table_helpers():
     table = distribution(3, "vertical")
-    assert table.total == 6
+    assert sum(table.counts.values()) == 6
     assert table.mean() == Fraction(2, 3)
     assert table.to_json() == {"n": 3, "kind": "vertical", "counts": {"0": 2, "1": 4}}
     assert table.csv_rows() == [(3, 0, 2), (3, 1, 4)]

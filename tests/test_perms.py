@@ -15,7 +15,6 @@ from sepstat.perms import (
     delete_and_standardize,
     deletions,
     format_permutation,
-    identity,
     inflate,
     inverse,
     is_king,
@@ -60,7 +59,6 @@ def test_make_permutation_rejects_out_of_range_naming_value():
 def test_indexing_is_one_based():
     p = make_permutation([5, 3, 2, 4, 1])
     assert p[1] == 5 and p[5] == 1
-    assert p.position_of(5) == 1 and p.position_of(1) == 5
     with pytest.raises(IndexError):
         p[0]
     with pytest.raises(IndexError):
@@ -121,7 +119,8 @@ def test_maximal_runs_example():
 
 
 def test_maximal_runs_identity():
-    assert maximal_runs(identity(6)) == [Run(1, 6, Direction.UP)]
+    p = Permutation(tuple(range(1, 7)))
+    assert maximal_runs(p) == [Run(1, 6, Direction.UP)]
 
 
 def test_maximal_runs_mixed_word():
@@ -153,7 +152,8 @@ def test_inverse_examples():
     p = parse_permutation("53241")
     assert inverse(p) == p
     assert inverse(parse_permutation("3142")) == parse_permutation("2413")
-    assert inverse(identity(4)) == identity(4)
+    identity = Permutation(tuple(range(1, 5)))
+    assert inverse(identity) == identity
 
 
 def test_reverse_examples():

@@ -6,10 +6,8 @@ from hypothesis import given, strategies as st
 from sepstat.perms import (
     Direction,
     Permutation,
-    bond_count,
     bonds,
     children,
-    identity,
     inverse,
     is_king,
     make_permutation,
@@ -27,8 +25,6 @@ from sepstat.separators import (
     has_knight_pair,
     horizontal_separator_positions,
     horizontal_separators,
-    is_separator_free,
-    parse_arrowed,
     separator_count,
     separator_masks,
     separator_report,
@@ -36,6 +32,8 @@ from sepstat.separators import (
     vertical_separator_positions,
     vertical_separators,
 )
+
+UP, DOWN, NONE = Direction.UP, Direction.DOWN, Direction.NONE
 
 
 def all_perms(n):
@@ -98,7 +96,7 @@ def test_vertical_separators_worked_example():
 def test_identity_has_no_separators():
     # plenty of 2-blocks, but deleting any digit only reproduces a
     # block that was already there
-    p = identity(5)
+    p = Permutation(tuple(range(1, 6)))
     assert vertical_separators(p) == frozenset()
     assert horizontal_separators(p) == frozenset()
 
@@ -177,13 +175,13 @@ def test_reverse_invariance(n):
 
 
 def test_is_separator_free_examples():
-    assert is_separator_free(parse_permutation("123"))
-    assert not is_separator_free(parse_permutation("132"))
+    assert separator_count(parse_permutation("123")) == 0
+    assert separator_count(parse_permutation("132")) != 0
     assert not has_knight_pair(parse_permutation("123"))
 
 
 def test_knight_counts_match_in_s4():
-    by_sets = sum(is_separator_free(p) for p in all_perms(4))
+    by_sets = sum(separator_count(p) == 0 for p in all_perms(4))
     by_knight = sum(not has_knight_pair(p) for p in all_perms(4))
     assert by_sets == by_knight
 
@@ -191,7 +189,7 @@ def test_knight_counts_match_in_s4():
 @pytest.mark.parametrize("n", range(8))
 def test_knight_equivalence(n):
     for p in all_perms(n):
-        assert is_separator_free(p) == (not has_knight_pair(p))
+        assert (separator_count(p) == 0) == (not has_knight_pair(p))
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -209,7 +207,7 @@ def test_separator_deletion_creates_fresh_block(n):
     for p in all_perms(n):
         rep = separator_report(p)
         for value in rep.vertical | rep.horizontal:
-            pos = p.position_of(value)
+            pos = p.entries.index(value) + 1
             child = tuple(
                 v - 1 if v > value else v
                 for v in p.entries[: pos - 1] + p.entries[pos:]
@@ -246,49 +244,53 @@ def test_arrowed_composition_validation():
         ArrowedComposition(((2, Direction.NONE),))
     with pytest.raises(ValueError):
         ArrowedComposition(((1, Direction.UP),))
-    comp = ArrowedComposition(((1, Direction.NONE), (3, Direction.DOWN)))
-    assert comp.total == 4 and comp.num_parts == 2
+    comp = ArrowedComposition(((1, NONE), (3, DOWN)))
+    assert sum(size for size, _ in comp.parts) == 4 and comp.num_parts == 2
 
 
 def test_arrowed_compact_roundtrip():
-    comp = parse_arrowed("1,2↑,1,1,3↓,1")
+    comp = ArrowedComposition(
+        ((1, NONE), (2, UP), (1, NONE), (1, NONE), (3, DOWN), (1, NONE))
+    )
     assert comp.compact() == "1,2↑,1,1,3↓,1"
-    assert comp.total == 9
-    assert parse_arrowed(comp.compact()) == comp
-    assert parse_arrowed("2u,1,3d") == parse_arrowed("2↑,1,3↓")
 
 
 def test_encode_marked_worked_example():
     mw = MarkedWord((2, 4, 5, 6, 1, 9, 8, 7, 3), frozenset({2, 6, 7}))
     comp, sigma = encode_marked(mw)
-    assert comp == parse_arrowed("1,2↑,1,1,3↓,1")
+    assert comp == ArrowedComposition(
+        ((1, NONE), (2, UP), (1, NONE), (1, NONE), (3, DOWN), (1, NONE))
+    )
     assert sigma == parse_permutation("245163")
 
 
 def test_encode_unmarked_is_trivial():
     p = parse_permutation("2413")
     comp, sigma = encode_marked(MarkedWord(p.entries))
-    assert comp == parse_arrowed("1,1,1,1")
+    assert comp == ArrowedComposition(((1, NONE),) * 4)
     assert sigma == p
 
 
 def test_decode_marked_worked_example():
-    mw = decode_marked(parse_arrowed("1,3↓,1,1,2↑"), parse_permutation("34215"))
+    comp = ArrowedComposition(
+        ((1, NONE), (3, DOWN), (1, NONE), (1, NONE), (2, UP))
+    )
+    mw = decode_marked(comp, parse_permutation("34215"))
     assert mw.values == (3, 6, 5, 4, 2, 1, 7, 8)
     assert mw.marked == {2, 3, 7}
 
 
 def test_decode_fully_marked_identity():
-    mw = decode_marked(parse_arrowed("5↑"), parse_permutation("1"))
+    mw = decode_marked(ArrowedComposition(((5, UP),)), parse_permutation("1"))
     assert mw.values == (1, 2, 3, 4, 5)
     assert mw.marked == {1, 2, 3, 4}
-    single = decode_marked(parse_arrowed("1"), parse_permutation("1"))
+    single = decode_marked(ArrowedComposition(((1, NONE),)), parse_permutation("1"))
     assert single.values == (1,) and not single.marked
 
 
 def test_decode_part_count_mismatch():
     with pytest.raises(ValueError):
-        decode_marked(parse_arrowed("1,1"), parse_permutation("1"))
+        decode_marked(ArrowedComposition(((1, NONE),) * 2), parse_permutation("1"))
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -296,7 +298,7 @@ def test_encode_decode_roundtrip(n):
     for p in all_perms(n):
         for mw in enumerate_markings(p):
             comp, sigma = encode_marked(mw)
-            assert comp.total == n
+            assert sum(size for size, _ in comp.parts) == n
             assert decode_marked(comp, sigma) == mw
 
 

@@ -1,17 +1,16 @@
-import itertools
+from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
-from sepstat.exhaustive import sweep
+from sepstat.exhaustive import expectation_formula, sweep
 from sepstat.series import (
     BiSeries,
     MarkerPoly,
     bond_gf,
     bond_marked_gf,
     coeff,
-    coeff2,
     run_table,
     series_csv_rows,
     series_to_json,
@@ -32,10 +31,8 @@ small_polys = st.builds(
 def test_poly_normalization_and_lookup():
     p = MarkerPoly((1, 2, 0, 0))
     assert p.coeffs == (1, 2)
-    assert p.degree == 1
-    assert p[0] == 1 and p[1] == 2 and p[7] == 0
     assert not MarkerPoly((0, 0))
-    assert MarkerPoly() == 0
+    assert MarkerPoly((0, 0)) == MarkerPoly()
 
 
 def test_poly_mul():
@@ -88,11 +85,6 @@ def test_poly_ring_laws(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
-def test_poly_evaluate():
-    assert MarkerPoly((2, 4))(1) == 6
-    assert MarkerPoly((6, 8, 2))(1) == 16
-
-
 # ---------------------------------------------------------------------------
 # BiSeries
 
@@ -132,7 +124,7 @@ def test_substitute_marker_roundtrip(a, offset):
 def test_coeff_bounds():
     h = vertical_sep_gf(3)
     assert coeff(h, 0) == MarkerPoly((1,))
-    assert coeff2(h, 3, 1) == 4
+    assert coeff(h, 3).coeffs[1] == 4
     with pytest.raises(ValueError):
         coeff(h, 4)
     with pytest.raises(ValueError):
@@ -173,16 +165,32 @@ def test_bond_marked_gf_matches_binomial_oracle():
     a = bond_marked_gf(8)
     for n in range(9):
         table = sweep(n)["bonds"]
-        for m in range(n + 1):
-            want = sum(c * comb(b, m) for b, c in table.items())
-            assert coeff2(a, n, m) == want, (n, m)
+        want = [sum(c * comb(b, m) for b, c in table.items()) for m in range(n + 1)]
+        assert coeff(a, n) == MarkerPoly(want), n
 
 
 def test_bond_gf_rows():
     b = bond_gf(4)
     assert coeff(b, 3) == MarkerPoly((0, 4, 2))
-    assert coeff(b, 4)(1) == 24
-    assert coeff2(b, 4, 0) == 2  # the two kings of S_4
+    assert sum(coeff(b, 4).coeffs) == 24
+    assert coeff(b, 4).coeffs[0] == 2  # the two kings of S_4
+
+
+def test_bond_gf_row_zero_is_hertzsprungs_problem():
+    """Row m = 0 of the bond series counts the permutations with no
+    |p_i - p_{i+1}| = 1: Hertzsprung's problem, OEIS A002464
+    (https://oeis.org/A002464), a(n) = (n+1)a(n-1) - (n-2)a(n-2)
+    - (n-5)a(n-3) + (n-3)a(n-4) with a(0..3) = 1, 1, 0, 0. The
+    recurrence does not use the run table, so this checks the series
+    past the sweep's reach, up to the CLI's largest order."""
+    a = [1, 1, 0, 0]
+    for n in range(4, 65):
+        a.append(
+            (n + 1) * a[n - 1] - (n - 2) * a[n - 2]
+            - (n - 5) * a[n - 3] + (n - 3) * a[n - 4]
+        )
+    b = bond_gf(64)
+    assert [coeff(b, n).coeffs[0] for n in range(65)] == a
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +207,8 @@ def test_vertical_marked_gf_small_rows():
 def test_vertical_sep_gf_small_rows():
     h = vertical_sep_gf(3)
     assert coeff(h, 3) == MarkerPoly((2, 4))
-    assert coeff2(h, 1, 0) == 1
-    assert coeff2(h, 2, 0) == 2
+    assert coeff(h, 1) == MarkerPoly((1,))
+    assert coeff(h, 2) == MarkerPoly((2,))
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -214,16 +222,26 @@ def test_vertical_sep_gf_matches_enumeration(n):
 def test_normalization_at_marker_one():
     h = vertical_sep_gf(8)
     for n in range(9):
-        assert coeff(h, n)(1) == factorial(n)
+        assert sum(coeff(h, n).coeffs) == factorial(n)
 
 
 def test_binomial_transform_between_marked_and_exact():
     g = vertical_marked_gf(8)
     h = vertical_sep_gf(8)
     for n in range(9):
-        for m in range(n + 1):
-            want = sum(coeff2(h, n, k) * comb(k, m) for k in range(n + 1))
-            assert coeff2(g, n, m) == want
+        row = coeff(h, n).coeffs
+        want = [sum(c * comb(k, m) for k, c in enumerate(row)) for m in range(n + 1)]
+        assert coeff(g, n) == MarkerPoly(want)
+
+
+def test_vertical_marked_gf_first_moment_is_the_expectation_formula():
+    # [z^n v^1] counts (permutation, vertical separator) pairs, so over
+    # n! it is E[V]; neither side enumerates S_n
+    g = vertical_marked_gf(64)
+    for n in range(65):
+        row = coeff(g, n).coeffs
+        pairs = row[1] if len(row) > 1 else 0
+        assert Fraction(pairs, factorial(n)) == expectation_formula(n, "vertical")
 
 
 def test_marker_degree_bound():
@@ -231,9 +249,9 @@ def test_marker_degree_bound():
     # fit; the bound is attained from n = 3 on
     h = vertical_sep_gf(8)
     for n in range(9):
-        assert coeff(h, n).degree <= max(n - 2, 0)
+        assert len(coeff(h, n).coeffs) - 1 <= max(n - 2, 0)
     for n in range(3, 9):
-        assert coeff(h, n).degree == n - 2
+        assert len(coeff(h, n).coeffs) - 1 == n - 2
 
 
 def test_nonnegative_counts():
