@@ -5,7 +5,8 @@ and the verification harness.
 Exit codes: 0 success, 1 verification failure, 2 usage or input error
 (a worker process that dies included).
 Identical inputs produce byte-identical output regardless of the
-worker count; parallelism only lives inside the exhaustive sweeps.
+worker count; parallelism only lives inside the exhaustive sweeps, and
+`dist` and `expect` (which count without one) ignore --threads.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_dist(args: argparse.Namespace) -> int:
-    table = exhaustive.distribution(args.n, args.kind, threads=args.threads)
+    table = exhaustive.distribution(args.n, args.kind)
     if args.format == "json":
         _emit(_json_dumps(table.to_json()), args.out)
     elif args.format == "csv":
@@ -217,9 +218,7 @@ def cmd_expect(args: argparse.Namespace) -> int:
         payload["formula_approx"] = _approx(formula)
         lines.append(f"formula:   {formula} (approx. {_approx(formula)})")
     if want_empirical:
-        empirical = exhaustive.expectation_empirical(
-            args.n, args.kind, threads=args.threads
-        )
+        empirical = exhaustive.expectation_empirical(args.n, args.kind)
         payload["empirical"] = str(empirical)
         payload["empirical_approx"] = _approx(empirical)
         lines.append(f"empirical: {empirical} (approx. {_approx(empirical)})")
@@ -330,25 +329,27 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default="plain")
         p.add_argument("--out", metavar="PATH", help="write output to a file")
 
-    def with_threads(p: argparse.ArgumentParser) -> None:
+    def with_threads(
+        p: argparse.ArgumentParser,
+        help_text: str = "worker processes for exhaustive sweeps "
+        "(default: machine parallelism)",
+    ) -> None:
         p.add_argument(
-            "--threads",
-            type=_thread_count,
-            default=None,
-            metavar="T",
-            help="worker processes for exhaustive sweeps "
-            "(default: machine parallelism)",
+            "--threads", type=_thread_count, default=None, metavar="T", help=help_text
         )
+
+    # dist and expect count in one process without enumerating
+    ignored = "accepted and ignored: counted without a sweep"
 
     p = sub.add_parser("report", help="separator/bond/run report for one permutation")
     p.add_argument("perm", help='e.g. "132465879" or "5,3,2,4,1"')
     common(p, ("plain", "json"))
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("dist", help="exhaustive distribution of a statistic over S_n")
+    p = sub.add_parser("dist", help="exact distribution of a statistic over S_n")
     p.add_argument("n", type=int)
     p.add_argument("--kind", choices=exhaustive.KINDS, default="vertical")
-    with_threads(p)
+    with_threads(p, ignored)
     common(p, ("plain", "json", "csv"))
     p.set_defaults(func=cmd_dist)
 
@@ -368,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--kind", choices=exhaustive.EXPECTATION_KINDS, default="any")
     p.add_argument("--mode", choices=("formula", "empirical", "both"), default="formula")
-    with_threads(p)
+    with_threads(p, ignored)
     common(p, ("plain", "json"))
     p.set_defaults(func=cmd_expect)
 

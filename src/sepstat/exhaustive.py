@@ -1,11 +1,13 @@
 """Exhaustive desk-scale oracles over S_n and the exact expectation
 formulas.
 
-Everything here is the brute-force side of a dual-route design: the
-sweeps recount, permutation by permutation, what the series module
-claims in closed form, and the expectation formulas are checked
-against literal averages. Counts are exact integers and expectations
-exact rationals, so agreement is equality, never tolerance.
+The sweep is the brute-force side of a dual-route design: it
+recounts, permutation by permutation, what the series module claims in
+closed form, and `verify` checks the expectation formulas against its
+literal averages. `distribution` and `expectation_empirical` are
+counted by :mod:`sepstat.transfer` instead, without enumerating. Counts
+are exact integers and expectations exact rationals, so agreement is
+equality, never tolerance.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterator
 
-from . import config
+from . import config, transfer
 from .perms import (
     Permutation,
     bond_count,
@@ -30,7 +32,9 @@ from .perms import (
     reverse,
 )
 from .separators import (
+    KINDS,
     MarkedSepPermutation,
+    VerificationError,
     comb_marked,
     decode_marked,
     encode_marked,
@@ -46,14 +50,9 @@ from .separators import (
 )
 from .series import bond_gf, coeff, vertical_sep_gf
 
-KINDS = ("vertical", "horizontal", "both", "any", "bonds")
 EXPECTATION_KINDS = ("vertical", "both", "any")
 
 _MAX_SEP_BLOCKS = (Permutation((3, 1, 4, 2)), Permutation((2, 4, 1, 3)))
-
-
-class VerificationError(RuntimeError):
-    """Two routes that must agree did not: a bug in one of them."""
 
 
 def _check_cap(n: int) -> None:
@@ -153,7 +152,7 @@ def sweep(n: int, threads: int | None = 1) -> dict[str, Counter]:
 
 @dataclass(frozen=True)
 class DistTable:
-    """Exhaustive distribution of one statistic over S_n."""
+    """Exact distribution of one statistic over S_n."""
 
     n: int
     kind: str
@@ -175,15 +174,14 @@ class DistTable:
         return [(self.n, m, c) for m, c in sorted(self.counts.items())]
 
 
-def distribution(n: int, kind: str, threads: int | None = 1) -> DistTable:
-    """Exhaustive distribution of one statistic.
+def distribution(n: int, kind: str) -> DistTable:
+    """Exact distribution of one statistic, counted by the transfer pass
+    (:mod:`sepstat.transfer`), not by a sweep.
 
     >>> distribution(3, "vertical").counts
     {0: 2, 1: 4}
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}; choose from {KINDS}")
-    table = sweep(n, threads)[kind]
+    table = transfer.distribution(n, kind)
     return DistTable(n=n, kind=kind, counts=dict(sorted(table.items())))
 
 
@@ -262,11 +260,13 @@ def expectation_formula(n: int, kind: str) -> Fraction:
     return Fraction(4 * (n**3 - 6 * n**2 + 14 * n - 13), n * (n - 1) * (n - 2))
 
 
-def expectation_empirical(n: int, kind: str, threads: int | None = 1) -> Fraction:
-    """The literal average of the statistic over all n! permutations."""
+def expectation_empirical(n: int, kind: str) -> Fraction:
+    """The mean of the statistic's exact distribution over S_n, counted
+    by the transfer pass: a route to the expectation independent of the
+    closed form."""
     if kind not in EXPECTATION_KINDS:
         raise ValueError(f"unknown kind {kind!r}; choose from {EXPECTATION_KINDS}")
-    return distribution(n, kind, threads).mean()
+    return distribution(n, kind).mean()
 
 
 def expectation_convergence_ok(n: int) -> bool:

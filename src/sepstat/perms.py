@@ -4,7 +4,7 @@ deletion with standardization, one-level containment children,
 inflation, and the odd/even comb interleaving.
 
 Positions and values are both 1-indexed throughout, matching the usual
-one-line conventions; no 0-indexed view is exposed. The empty
+one-line conventions: position i holds ``entries[i - 1]``. The empty
 permutation (n = 0) is a valid value and acts as the counting unit.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 
 class Direction(Enum):
@@ -29,8 +29,7 @@ class Direction(Enum):
 ARROW = {Direction.UP: "↑", Direction.DOWN: "↓", Direction.NONE: ""}
 
 
-@dataclass(frozen=True)
-class Run:
+class Run(NamedTuple):
     """A segment of adjacent entries stepping by +1 or -1 (see
     :func:`split_runs`).
 
@@ -54,7 +53,7 @@ class Permutation:
 
     >>> Permutation((5, 3, 2, 4, 1)).n
     5
-    >>> Permutation((5, 3, 2, 4, 1))[1]
+    >>> Permutation((5, 3, 2, 4, 1)).entries[0]
     5
     """
 
@@ -75,18 +74,6 @@ class Permutation:
     @property
     def n(self) -> int:
         return len(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.entries)
-
-    def __getitem__(self, pos: int) -> int:
-        """Entry at 1-indexed position ``pos``."""
-        if not 1 <= pos <= len(self.entries):
-            raise IndexError(f"position {pos} outside 1..{len(self.entries)}")
-        return self.entries[pos - 1]
 
     def __str__(self) -> str:
         return format_permutation(self)
@@ -199,7 +186,7 @@ def split_runs(word: Sequence[int], joined: Collection[int]) -> list[Run]:
             direction = Direction.UP
         else:
             direction = Direction.DOWN
-        runs.append(Run(start=start + 1, length=i - start, direction=direction))
+        runs.append(Run(start + 1, i - start, direction))
         start = i
     return runs
 

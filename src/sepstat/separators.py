@@ -38,6 +38,15 @@ from .perms import (
 # ---------------------------------------------------------------------------
 # Separator sets
 
+# The five statistics of a permutation read off separator_masks: the
+# numbers of vertical, horizontal, both-type and any-type separators,
+# and the number of bonds.
+KINDS = ("vertical", "horizontal", "both", "any", "bonds")
+
+
+class VerificationError(RuntimeError):
+    """Two routes that must agree did not: a bug in one of them."""
+
 
 def separator_masks(word: Sequence[int]) -> tuple[int, int, int]:
     """(vertical, horizontal, bonds) of a word: bit v of the first two

@@ -73,14 +73,15 @@ def test_dist_empty_group(capsys):
 
 
 def test_dist_over_cap(capsys):
-    code, _, err = run_cli(capsys, "dist", "11")
+    code, _, err = run_cli(capsys, "dist", "13")
     assert code == 2
     assert "cap" in err
 
 
 def test_dist_env_cap(capsys, monkeypatch):
+    # SEPSTAT_MAX_N bounds the sweeps; dist counts without one
     monkeypatch.setenv(config.ENV_MAX_N, "5")
-    code, _, err = run_cli(capsys, "dist", "6")
+    code, _, err = run_cli(capsys, "verify", "--n-max", "6")
     assert code == 2 and "cap 5" in err
 
 
@@ -172,7 +173,7 @@ def test_expect_big_n_formula(capsys):
 
 def test_expect_empirical_over_cap(capsys):
     code, _, err = run_cli(
-        capsys, "expect", "11", "--kind", "vertical", "--mode", "empirical"
+        capsys, "expect", "13", "--kind", "vertical", "--mode", "empirical"
     )
     assert code == 2 and "cap" in err
 
@@ -411,7 +412,8 @@ sys.exit(cli.main(sys.argv[1:]))
 def test_threads_far_above_n_is_bounded():
     def run(threads):
         return subprocess.run(
-            [sys.executable, "-c", _RECORD_WORKERS, "dist", "7", "--threads", threads],
+            [sys.executable, "-c", _RECORD_WORKERS, "verify", "--n-max", "7",
+             "--threads", threads],
             capture_output=True,
             text=True,
             timeout=60,
@@ -421,7 +423,8 @@ def test_threads_far_above_n_is_bounded():
     one = run("1")
     assert huge.returncode == 0 and one.returncode == 0
     assert huge.stdout == one.stdout
-    assert huge.stderr == "workers 7\n"  # one per first entry, no more
+    # only the n = 7 sweep is pooled: one worker per first entry, no more
+    assert huge.stderr == "workers 7\n"
     assert one.stderr == ""
 
 
@@ -461,15 +464,23 @@ def test_verify_reports_oracle_disagreement(capsys, extra):
         assert "row n=4" not in out
 
 
-@pytest.mark.usefixtures("knight_flipped_on_2413")
-def test_dist_reports_oracle_disagreement(capsys):
+def test_dist_reports_oracle_disagreement(capsys, monkeypatch):
+    from sepstat import transfer
+
+    real = transfer.has_knight_pair
+    monkeypatch.setattr(
+        transfer,
+        "has_knight_pair",
+        lambda window: real(window) != (tuple(window) == (2, 4, 1)),
+    )
     code, out, err = run_cli(capsys, "dist", "4")
     assert code == 1 and out == ""
-    assert err.startswith("error: separator-free oracles disagree on [2413]")
-    assert err.count("\n") == 1
+    assert err == "error: separator-free oracles disagree on window (2, 4, 1)\n"
 
 
-@pytest.mark.parametrize("argv", [("dist", "7"), ("verify", "--n-max", "3")])
+@pytest.mark.parametrize(
+    "argv", [("maxsep", "2", "--verify"), ("verify", "--n-max", "3")]
+)
 def test_dead_pool_worker_is_an_error_not_a_failed_check(capsys, monkeypatch, argv):
     from concurrent.futures.process import BrokenProcessPool
 

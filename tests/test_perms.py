@@ -57,12 +57,15 @@ def test_make_permutation_rejects_out_of_range_naming_value():
 
 
 def test_indexing_is_one_based():
+    # position i holds entries[i - 1]; the position arguments are 1..n
     p = make_permutation([5, 3, 2, 4, 1])
-    assert p[1] == 5 and p[5] == 1
+    assert p.entries[0] == 5 and p.entries[4] == 1
+    assert delete_and_standardize(p, 1) == make_permutation([3, 2, 4, 1])
+    assert delete_and_standardize(p, 5) == make_permutation([4, 2, 1, 3])
     with pytest.raises(IndexError):
-        p[0]
+        delete_and_standardize(p, 0)
     with pytest.raises(IndexError):
-        p[6]
+        delete_and_standardize(p, 6)
 
 
 @pytest.mark.parametrize(
@@ -168,7 +171,7 @@ def test_bijection_laws(n):
         assert inverse(q) == p
         assert reverse(reverse(p)) == p
         # q is really the inverse: q o p = identity
-        assert all(q[p[i]] == i for i in range(1, n + 1))
+        assert all(q.entries[v - 1] == i for i, v in enumerate(p.entries, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -150,7 +150,7 @@ def test_boundary_rule(n):
         assert 1 not in h and (n not in h or n == 0)
         v = vertical_separators(p)
         if n:
-            assert p[1] not in v and p[n] not in v
+            assert p.entries[0] not in v and p.entries[-1] not in v
 
 
 @pytest.mark.parametrize("n", range(7))
