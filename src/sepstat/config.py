@@ -29,9 +29,14 @@ MAX_TRANSFER_N = 12
 
 # Default z-truncation order for the series commands, and the largest
 # order the CLI accepts. Building is not what limits it (order 64 takes
-# well under a second): the rows past the exhaustive sweep's reach are
-# checked against no second exact count yet, and the cap stays until
-# they are.
+# well under a second); the checks are. Whole rows of h and B equal the
+# sweep for n <= 8 (`verify`) and the transfer count for n <= 11 (the
+# tests). Past that, only parts of rows are checked, at every n <= 64:
+# row 0 of B against Hertzsprung's recurrence (OEIS A002464) and the
+# v^1 term of g against n! times the vertical expectation. A second
+# exact count of more of each row at the higher orders, such as closed
+# forms for the higher binomial moments, would justify a higher cap;
+# the build cost at the new order should be measured first.
 DEFAULT_ORDER = 12
 MAX_ORDER = 64
 

@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import config, transfer
 from .perms import (
@@ -93,9 +93,17 @@ def _words(n: int, firsts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             yield (first,) + tail
 
 
-def _sweep_chunk(n: int, firsts: tuple[int, ...]) -> dict[str, Counter]:
-    """Tally all five statistics over the permutations of {1..n} whose
-    first entry lies in ``firsts``.
+def _part_words(n: int, part: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """The words of S_n in part ``part`` of ``parts``, in lexicographic
+    order: those whose first entry lies in ``range(1, n + 1)[part::parts]``.
+    S_0's empty word has no first entry and goes to part 0 alone."""
+    if n == 0 and part:
+        return iter(())
+    return _words(n, tuple(range(1, n + 1)[part::parts]))
+
+
+def _sweep_chunk(words: Iterable[tuple[int, ...]]) -> dict[str, Counter]:
+    """Tally all five statistics over ``words``, permutations of {1..n}.
 
     Every word is also put to the knight-move test, the separately
     written oracle for having no separator; a disagreement would mean a
@@ -109,13 +117,14 @@ def _sweep_chunk(n: int, firsts: tuple[int, ...]) -> dict[str, Counter]:
         tallies["any"],
         tallies["bonds"],
     )
-    for word in _words(n, firsts):
+    for word in words:
         vm, hm, b = separator_masks(word)
         by_sets = vm | hm == 0
         if by_sets == has_knight_pair(word):
             raise VerificationError(
                 f"separator-free oracles disagree on {Permutation(word)}: "
-                f"sets say {by_sets}, knight scan says {not by_sets}"
+                f"sets say {by_sets}, knight scan says {not by_sets}",
+                word,
             )
         t_bonds[b] += 1
         t_v[vm.bit_count()] += 1
@@ -125,28 +134,47 @@ def _sweep_chunk(n: int, firsts: tuple[int, ...]) -> dict[str, Counter]:
     return tallies
 
 
+def _deal(n: int, threads: int | None, fn, *args) -> list:
+    """Run ``fn(*args, part, parts)`` for each part of the first-entry
+    split of S_n (see `_part_words`) and return the results in part
+    order.
+
+    There are min(threads, n) parts (``None`` means one per CPU), each
+    run in its own worker process. Below 7!, or with one thread, there
+    is one part, run in this process, because pool overhead beats tiny
+    jobs. This is the only process pool.
+    """
+    if threads is None:
+        threads = os.cpu_count() or 1
+    if threads <= 1 or factorial(n) < 5040:
+        return [fn(*args, 0, 1)]
+    parts = min(threads, n)
+    with ProcessPoolExecutor(max_workers=parts) as pool:
+        futures = [pool.submit(fn, *args, part, parts) for part in range(parts)]
+        return [future.result() for future in futures]
+
+
+def _sweep_part(n: int, part: int, parts: int) -> dict[str, Counter]:
+    return _sweep_chunk(_part_words(n, part, parts))
+
+
+def _merge(tallies: dict[str, Counter], part: dict[str, Counter]) -> None:
+    for kind in KINDS:
+        tallies[kind].update(part[kind])
+
+
 def sweep(n: int, threads: int | None = 1) -> dict[str, Counter]:
     """Exhaustive tallies of all five statistics over S_n.
 
     ``threads`` > 1 deals the first entries round-robin across at most
     n worker processes (``None`` means one per CPU); below 7! the whole
-    of S_n is swept in this process, because pool overhead beats tiny
-    jobs. The merge is associative, so the result is identical for
-    every worker count.
+    of S_n is swept in this process. The merge is associative, so the
+    result is identical for every worker count.
     """
     _check_cap(n)
-    if threads is None:
-        threads = os.cpu_count() or 1
-    firsts = tuple(range(1, n + 1))
-    if threads <= 1 or factorial(n) < 5040:
-        return _sweep_chunk(n, firsts)
-    workers = min(threads, n)
-    chunks = [firsts[i::workers] for i in range(workers)]
     merged: dict[str, Counter] = {kind: Counter() for kind in KINDS}
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_sweep_chunk, itertools.repeat(n), chunks):
-            for kind in KINDS:
-                merged[kind].update(part[kind])
+    for part in _deal(n, threads, _sweep_part, n):
+        _merge(merged, part)
     return merged
 
 
@@ -303,54 +331,26 @@ class CheckResult:
     detail: str
 
 
-def run_check_suite(
-    n_max: int, threads: int | None = 1
-) -> tuple[list[CheckResult], dict[int, dict[str, Counter]]]:
-    """Every structural invariant the library promises, at desk scale.
+def _suite_chunk(n_max: int, part: int, parts: int) -> tuple:
+    """One part of the suite's exhaustive work: the sweep of part
+    ``part`` of every S_n, n <= n_max, then the per-permutation checks
+    over its part of S_<=7 (the marked round-trips over S_<=6).
 
-    Exhaustive-from-definition checks are capped at n = 7 (and the
-    marked round-trips at n = 6) regardless of ``n_max``; the sweeps,
-    one per n, and the series comparisons run all the way up to
-    ``n_max``. Returns the checks together with the sweep tables behind
-    them, keyed by n. A sweep that finds the separator-free oracles
-    disagreeing ends the suite: the only check returned is that failure,
-    with the tables swept before it.
+    Returns ``(tables, failure, flags, checked)``. ``failure`` is None,
+    or ``(n, word, message)`` for the first word of the part on which
+    the separator-free oracles disagree; the part stops there and
+    ``tables`` holds the n before it. ``flags`` are the seven walk
+    checks (inverse duality, reverse invariance, children, king
+    children, encode/decode, comb/split, mark conservation), and
+    ``checked`` counts the permutations walked.
     """
-    _check_cap(n_max)
-    results: list[CheckResult] = []
-
-    def add(name: str, passed: bool, detail: str) -> None:
-        results.append(CheckResult(name, passed, detail))
-
     tables: dict[int, dict[str, Counter]] = {}
-    try:
-        for n in range(n_max + 1):
-            tables[n] = sweep(n, threads)
-    except VerificationError as exc:
-        add("separator-free dual oracle", False, str(exc))
-        return results, tables
+    for n in range(n_max + 1):
+        try:
+            tables[n] = _sweep_part(n, part, parts)
+        except VerificationError as exc:
+            return tables, (n, exc.word, str(exc)), (), 0
 
-    # series rows against the exhaustive tables
-    for kind, label, series in (
-        ("vertical", "vertical separators", vertical_sep_gf(n_max)),
-        ("bonds", "bonds", bond_gf(n_max)),
-    ):
-        bad: list[tuple] = []
-        for n in range(n_max + 1):
-            row = {m: c for m, c in enumerate(coeff(series, n).coeffs) if c}
-            bad.extend(_row_mismatches(kind, n, dict(tables[n][kind]), row))
-        add(
-            f"series-vs-enumeration ({label})",
-            not bad,
-            f"n <= {n_max}" if not bad else f"first mismatch {bad[0]}",
-        )
-
-    sym_ok = all(
-        tables[n]["vertical"] == tables[n]["horizontal"] for n in range(n_max + 1)
-    )
-    add("vertical/horizontal distributions identical", sym_ok, f"n <= {n_max}")
-
-    small = min(n_max, 7)
     marked_n = min(n_max, 6)
     dual_ok = True
     rev_ok = True
@@ -360,8 +360,9 @@ def run_check_suite(
     comb_ok = True
     conserved_ok = True
     checked = 0
-    for n in range(small + 1):
-        for p in iterate_sn(n):
+    for n in range(min(n_max, 7) + 1):
+        for word in _part_words(n, part, parts):
+            p = Permutation(word)
             checked += 1
             q = inverse(p)
             if horizontal_separators(q) != vertical_separator_positions(p):
@@ -397,6 +398,73 @@ def run_check_suite(
                     even.marked
                 ):
                     conserved_ok = False
+    flags = (dual_ok, rev_ok, child_ok, king_ok, enc_ok, comb_ok, conserved_ok)
+    return tables, None, flags, checked
+
+
+def run_check_suite(
+    n_max: int, threads: int | None = 1
+) -> tuple[list[CheckResult], dict[int, dict[str, Counter]]]:
+    """Every structural invariant the library promises, at desk scale.
+
+    Exhaustive-from-definition checks are capped at n = 7 (and the
+    marked round-trips at n = 6) regardless of ``n_max``; the sweeps,
+    one per n, and the series comparisons run all the way up to
+    ``n_max``. The sweeps and the walk over S_<=7 are dealt together
+    by first entry, as one job per part on one pool of at most
+    ``n_max`` workers (none below 7!); the parts' tallies, flags and
+    counts merge into the same result for every worker count.
+
+    Returns the checks together with the sweep tables behind them,
+    keyed by n. A sweep that finds the separator-free oracles
+    disagreeing ends the suite: the only check returned is that failure,
+    at the lowest n and the lexicographically first word there, with
+    the tables swept before it.
+    """
+    _check_cap(n_max)
+    results: list[CheckResult] = []
+
+    def add(name: str, passed: bool, detail: str) -> None:
+        results.append(CheckResult(name, passed, detail))
+
+    parts = _deal(n_max, threads, _suite_chunk, n_max)
+    # lowest n first, then the lexicographically first word at that n
+    failure = min((part[1] for part in parts if part[1]), default=None)
+    reach = failure[0] if failure else n_max + 1
+    tables = {n: {kind: Counter() for kind in KINDS} for n in range(reach)}
+    for part_tables, *_ in parts:
+        for n in range(reach):
+            _merge(tables[n], part_tables[n])
+    if failure:
+        add("separator-free dual oracle", False, failure[2])
+        return results, tables
+    dual_ok, rev_ok, child_ok, king_ok, enc_ok, comb_ok, conserved_ok = (
+        all(flag) for flag in zip(*(part[2] for part in parts))
+    )
+    checked = sum(part[3] for part in parts)
+
+    # series rows against the exhaustive tables
+    for kind, label, series in (
+        ("vertical", "vertical separators", vertical_sep_gf(n_max)),
+        ("bonds", "bonds", bond_gf(n_max)),
+    ):
+        bad: list[tuple] = []
+        for n in range(n_max + 1):
+            row = {m: c for m, c in enumerate(coeff(series, n).coeffs) if c}
+            bad.extend(_row_mismatches(kind, n, dict(tables[n][kind]), row))
+        add(
+            f"series-vs-enumeration ({label})",
+            not bad,
+            f"n <= {n_max}" if not bad else f"first mismatch {bad[0]}",
+        )
+
+    sym_ok = all(
+        tables[n]["vertical"] == tables[n]["horizontal"] for n in range(n_max + 1)
+    )
+    add("vertical/horizontal distributions identical", sym_ok, f"n <= {n_max}")
+
+    small = min(n_max, 7)
+    marked_n = min(n_max, 6)
     add("inverse duality of separator sets", dual_ok, f"{checked} permutations")
     add("reverse invariance of separator sets", rev_ok, f"{checked} permutations")
     add("children count is n - bonds", child_ok, f"n <= {small}")

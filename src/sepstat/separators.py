@@ -30,7 +30,6 @@ from .perms import (
     comb,
     comb_split,
     inflate,
-    inverse,
     split_runs,
     standardize,
 )
@@ -45,7 +44,12 @@ KINDS = ("vertical", "horizontal", "both", "any", "bonds")
 
 
 class VerificationError(RuntimeError):
-    """Two routes that must agree did not: a bug in one of them."""
+    """Two routes that must agree did not: a bug in one of them.
+    ``word`` is the permutation word they disagree on, when there is one."""
+
+    def __init__(self, message: str, word: tuple[int, ...] | None = None) -> None:
+        super().__init__(message)
+        self.word = word
 
 
 def separator_masks(word: Sequence[int]) -> tuple[int, int, int]:
@@ -83,8 +87,10 @@ def _values(mask: int) -> frozenset[int]:
 
 
 def _positions(p: Permutation, mask: int) -> frozenset[int]:
-    where = inverse(p).entries
-    return frozenset(where[v - 1] for v in _values(mask))
+    where = [0] * (len(p.entries) + 1)  # where[v] is the position of value v
+    for i, v in enumerate(p.entries, 1):
+        where[v] = i
+    return frozenset(where[v] for v in _values(mask))
 
 
 def vertical_separators(p: Permutation) -> frozenset[int]:

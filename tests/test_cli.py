@@ -311,6 +311,11 @@ GOLDEN_STDOUT = {
         "cb1a725b06c73f41f99581c46c2facbbca75d314374847fdea91ddcf40478b51",
     ("verify", "--n-max", "7", "-v", "--threads", "1", "--format", "json"):
         "7c285dd3a2a250cae65793a6b6e73a4ff6895cea7dcd1bf21976af6c751d53ac",
+    # the same suite dealt over a pool of two workers
+    ("verify", "--n-max", "7", "-v", "--threads", "2"):
+        "cb1a725b06c73f41f99581c46c2facbbca75d314374847fdea91ddcf40478b51",
+    ("verify", "--n-max", "7", "-v", "--threads", "2", "--format", "json"):
+        "7c285dd3a2a250cae65793a6b6e73a4ff6895cea7dcd1bf21976af6c751d53ac",
     ("maxsep", "2", "--verify", "--threads", "1"):
         "d545af9c46ac5df420733392fc5b380ac4b296687e023fe918d86c38e6c2b5c6",
     ("gf", "--which", "h", "--order", "64", "--format", "csv"):
@@ -486,10 +491,10 @@ def test_dead_pool_worker_is_an_error_not_a_failed_check(capsys, monkeypatch, ar
 
     from sepstat import exhaustive
 
-    def dead_pool(n, threads=1):
+    def dead_pool(n, threads, fn, *args):
         raise BrokenProcessPool("A process in the process pool was terminated")
 
-    monkeypatch.setattr(exhaustive, "sweep", dead_pool)
+    monkeypatch.setattr(exhaustive, "_deal", dead_pool)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err == "error: A process in the process pool was terminated\n"

@@ -1,13 +1,15 @@
+import multiprocessing
 from fractions import Fraction
 from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
-from sepstat import config
+from sepstat import config, exhaustive
 from sepstat.exhaustive import (
     EXPECTATION_KINDS,
     KINDS,
+    _part_words,
     _words,
     distribution,
     expectation_convergence_ok,
@@ -84,6 +86,17 @@ def test_vertical_equals_horizontal(n):
     assert tables["vertical"] == tables["horizontal"]
 
 
+@pytest.mark.parametrize("parts", [1, 2, 3])
+@pytest.mark.parametrize("n", range(6))
+def test_parts_split_sn_in_lexicographic_order(n, parts):
+    slices = [list(_part_words(n, part, parts)) for part in range(parts)]
+    assert all(words == sorted(words) for words in slices)
+    assert sorted(w for words in slices for w in words) == list(
+        _words(n, tuple(range(1, n + 1)))
+    )
+    assert len(slices[0]) == (1 if n == 0 else len(range(1, n + 1, parts)) * factorial(n - 1))
+
+
 @pytest.mark.parametrize("n", range(8))
 def test_sweep_masks_match_separator_sets(n):
     words = list(_words(n, tuple(range(1, n + 1))))
@@ -147,6 +160,28 @@ def test_separator_free_matches_sweep(n):
 
 def test_separator_free_parallel():
     assert separator_free_count(7, threads=2) == separator_free_count(7)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched oracle reaches pool workers only through fork",
+)
+def test_pooled_suite_reports_the_first_disagreement(monkeypatch):
+    # at n = 4 the two words lie in different parts of a 2-worker split
+    # (first entries 1, 3 and 2, 4); the lexicographically first is named
+    real = exhaustive.has_knight_pair
+    flipped = {(2, 4, 1, 3), (3, 1, 4, 2)}
+    monkeypatch.setattr(
+        exhaustive,
+        "has_knight_pair",
+        lambda word: real(word) != (tuple(word) in flipped),
+    )
+    pooled = run_check_suite(7, threads=2)
+    assert pooled == run_check_suite(7, threads=1)
+    [check], tables = pooled
+    assert check.name == "separator-free dual oracle" and not check.passed
+    assert check.detail.startswith("separator-free oracles disagree on [2413]")
+    assert list(tables) == [0, 1, 2, 3]
 
 
 def test_separator_free_disagreement_stops_the_suite(monkeypatch):
