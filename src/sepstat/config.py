@@ -18,13 +18,16 @@ ENV_MAX_N = "SEPSTAT_MAX_N"
 
 # Largest n accepted by the transfer count behind `dist` and `expect`
 # (sepstat.transfer), which builds permutations left to right instead of
-# enumerating them. Each n costs about 3x the one before. Measured per
-# command on 2 shared vCPUs with Python 3.11: `vertical` takes 0.7 s at
-# n = 11 and 1.2 s at n = 12; `any`, whose states also carry the values
-# waiting for a second flag, takes 3.0 s (+6 MB) and 9.3 s (+20 MB).
-# No environment override: SEPSTAT_MAX_N bounds the sweeps only. The
-# pass packs each entry into 4 bits of its state keys, so the cap can
-# never pass 15.
+# enumerating them. Measured per command (best of 3, interpreter start
+# excluded) on 2 shared vCPUs with Python 3.11: the block pass takes
+# 0.05 s at n = 11 and 0.08 s at n = 12 for `vertical`, 0.05 s and
+# 0.09 s for `horizontal`, and 0.02 s at both for `bonds`. `both` and
+# `any`, whose states carry the used values and the values waiting for a
+# second flag, take 3-4 s (+6 MB) and 9-14 s (+20 MB), and each n costs
+# them about 3x the one before. No environment override: SEPSTAT_MAX_N
+# bounds the sweeps only. The `both`/`any` pass packs each entry into 4
+# bits of its state keys, so for them the cap can never pass 15; the
+# block pass has no such limit.
 MAX_TRANSFER_N = 12
 
 # Default z-truncation order for the series commands, and the largest

@@ -5,14 +5,31 @@ A permutation is built left to right. Every statistic is read off
 windows of at most three adjacent entries, so placing the next entry c
 after the last two entries (a, b) can flag b vertical (when a and c
 differ by 1), flag the midpoint of (b, c) horizontal (when b and c
-differ by 2) and add the bond (b, c). A state is the set of used values
-with the last two entries; it carries, for each value the statistic has
-reached so far, the number of prefixes that lead to it.
+differ by 2) and add the bond (b, c). A state carries, for each value
+the statistic has reached so far, the number of prefixes that lead to
+it.
+
+`vertical`, `horizontal` and `bonds` count events, and each event reads
+one value distance: |c - a|, |c - b| and |c - b|, of at most 1, 2 and 1.
+Their pass keeps only the values a later event can read, its *points*:
+the unused values, the last entry b and, for `vertical`, the entry a
+before it while a value neighbour of a is unused. Points ``far`` or
+more apart (one more than the distance read: 2, 3 and 2) never meet in
+an event, and removing points only widens gaps, so such a gap splits the
+points into independent blocks. A block is a string over the values
+from its first point to its last: ``U`` unused, ``B`` the last entry,
+``A`` the one before it, ``.`` none of these. A state is its blocks,
+each the smaller of itself and its mirror image (a mirror keeps every
+distance, so this also covers the complement symmetry), sorted and
+joined by ``far - 1`` dots. Points of different blocks then lie ``far``
+or more apart in the state string too, so a transition reads its
+events off positions in that string.
 
 `both` and `any` count values, not events: a value is flagged at most
 once vertical and at most once horizontal, and its first flag adds 1 to
-`any`, its second 1 to `both`. Their states also keep the values that
-hold one flag and can still receive the other:
+`any`, its second 1 to `both`. Their states are the used values, the
+last two entries and the values that hold one flag and can still
+receive the other:
 
 * a value flagged vertical waits while its two value neighbours can
   still become adjacent: both unused, or one unused and the other the
@@ -20,16 +37,19 @@ hold one flag and can still receive the other:
 * a value flagged horizontal waits while it is unused or is the last
   entry (the entry after it decides its vertical flag).
 
+The complement x -> n + 1 - x preserves all five statistics, so this
+pass runs only first entries up to (n + 1) / 2, each weighted by 2
+except a middle one.
+
 Each state's counts are one packed int, coefficient m in slot m of
 ``factorial(n).bit_length() + 1`` bits, so a transition is one exact
-big-int add. The complement x -> n + 1 - x preserves all five
-statistics, so only first entries up to (n + 1) / 2 are run, each
-weighted by 2 except a middle one.
+big-int add.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import permutations
 from math import factorial
 
 from . import config
@@ -91,14 +111,13 @@ def distribution(n: int, kind: str) -> Counter:
     if n < 2:
         return Counter({0: 1})
     width = factorial(n).bit_length() + 1
-    total = 0
-    for first in range(1, (n + 1) // 2 + 1):
-        weight = 1 if 2 * first == n + 1 else 2
-        if kind in ("both", "any"):
-            poly = _flag_pass(n, first, width, kind, vflag, mid)
-        else:
-            poly = _event_pass(n, first, width, kind, vflag, mid, bond)
-        total += weight * poly
+    if kind in ("both", "any"):
+        total = 0
+        for first in range(1, (n + 1) // 2 + 1):
+            weight = 1 if 2 * first == n + 1 else 2
+            total += weight * _flag_pass(n, first, width, kind, vflag, mid)
+    else:
+        total = _block_pass(n, width, kind, vflag, mid, bond)
     slot = (1 << width) - 1
     counts = Counter()
     for m in range(n + 1):
@@ -106,6 +125,70 @@ def distribution(n: int, kind: str) -> Counter:
         if count:
             counts[m] = count
     return counts
+
+
+# One more than the value distance each event kind reads.
+_FAR = {"vertical": 2, "horizontal": 3, "bonds": 2}
+
+
+def _distance_rule(n, kind, vflag, mid, bond) -> dict[int, bool]:
+    """Whether a window holds an event of ``kind``, by the distance
+    |c - a| (`vertical`: b is flagged) or |c - b| (the others), clamped
+    at ``_FAR[kind]``.
+
+    Every window of the tables is read. One that disagrees with an
+    earlier window of its distance, or holds an event at a distance of
+    ``far`` or more, would be miscounted by the block pass, so it raises
+    ``VerificationError`` naming it.
+    """
+    far = _FAR[kind]
+    values = range(1, n + 1)
+    if kind == "vertical":
+        windows = (((a, b, c), c - a, vflag[a][b][c])
+                   for a, b, c in permutations(values, 3))
+    else:
+        table = mid if kind == "horizontal" else bond
+        windows = (((b, c), c - b, table[b][c] != 0)
+                   for b, c in permutations(values, 2))
+    rule = {far: False}
+    for window, diff, event in windows:
+        if rule.setdefault(min(abs(diff), far), event) != event:
+            raise VerificationError(
+                f"{kind} events are not a function of the value distance "
+                f"clamped at {far}: window {window}"
+            )
+    return rule
+
+
+def _block_pass(n, width, kind, vflag, mid, bond) -> int:
+    """Counts for `vertical`, `horizontal` or `bonds` over S_n: each
+    event adds 1, so a transition shifts its counts by ``width`` or by
+    nothing."""
+    far = _FAR[kind]
+    rule = _distance_rule(n, kind, vflag, mid, bond)
+    shift = {d: width for d in range(1 - far, far) if rule.get(abs(d))}
+    vertical = kind == "vertical"
+    gap = "." * (far - 1)
+    cur = {"U" * n: 1}
+    for _ in range(n):
+        nxt: dict[str, int] = {}
+        for line, poly in cur.items():
+            b = line.find("B")
+            ref = line.find("A") if vertical else b  # the point events read
+            base = line.replace("A", ".")  # a is two entries back after c
+            for c, point in enumerate(line):
+                if point != "U":
+                    continue
+                new = base[:c] + "B" + base[c + 1:]
+                if b >= 0:  # b is now the entry before the last
+                    near = vertical and "U" in new[max(b - 1, 0):b + 2]
+                    new = new[:b] + ("A" if near else ".") + new[b + 1:]
+                blocks = (part.strip(".") for part in new.split(gap))
+                key = gap.join(sorted(min(s, s[::-1]) for s in blocks if s))
+                step = shift.get(c - ref, 0) if ref >= 0 else 0
+                nxt[key] = nxt.get(key, 0) + (poly << step)
+        cur = nxt
+    return cur.popitem()[1]
 
 
 # Keys pack the used-value mask (bit v for value v) in the low n + 1
@@ -116,56 +199,14 @@ def distribution(n: int, kind: str) -> Counter:
 # value neighbours are used it is stored as 0, which merges states.
 
 
-def _near(n: int) -> list[int]:
-    """Bit mask of the value neighbours v - 1 and v + 1 in 1..n of each
-    value v (index 0 has none)."""
-    full = (1 << n + 1) - 2
-    return [0] + [(1 << v - 1 | 1 << v + 1) & full for v in range(1, n + 1)]
-
-
-def _event_pass(n, first, width, kind, vflag, mid, bond) -> int:
-    """Counts for `vertical`, `horizontal` or `bonds` over the
-    permutations starting with ``first``: each event adds 1, so a
-    transition shifts its counts by ``width`` or by nothing."""
-    size = n + 1
-    full = (1 << size) - 2
-    vals = range(1, size)
-    near = _near(n)
-    if kind == "vertical":
-        shift = [[[width * f for f in row] for row in plane] for plane in vflag]
-    else:
-        near = [0] * size  # only `vertical` reads the entry before the last
-        table = mid if kind == "horizontal" else bond
-        plane = [[width * (e != 0) for e in row] for row in table]
-        shift = [plane] * size
-    cur = {1 << first | first << size: 1}
-    for step in range(2, n + 1):
-        keymask = -1 if step < n else 0  # the last layer merges every state
-        nxt: dict[int, int] = {}
-        while cur:
-            key, poly = cur.popitem()
-            used = key & full
-            b = key >> size & 15
-            row = shift[key >> size + 4 & 15][b]
-            waiting = near[b] & ~used
-            for c in vals:
-                if used >> c & 1:
-                    continue
-                bit = 1 << c
-                a = b if waiting | bit != bit else 0
-                k2 = (used | bit | c << size | a << size + 4) & keymask
-                nxt[k2] = nxt.get(k2, 0) + (poly << row[c])
-        cur = nxt
-    return cur.popitem()[1]
-
-
 def _flag_pass(n, first, width, kind, vflag, mid) -> int:
     """Counts for `both` or `any` over the permutations starting with
     ``first``, with the waiting sets in the state."""
     size = n + 1
     full = (1 << size) - 2
     vals = range(1, size)
-    near = _near(n)
+    # bit mask of the value neighbours v - 1 and v + 1 in 1..n of each v
+    near = [0] + [(1 << v - 1 | 1 << v + 1) & full for v in vals]
     first_flag, second_flag = (width, 0) if kind == "any" else (0, width)
     pv_at = size + 8  # values flagged vertical, waiting for horizontal
     ph_at = 2 * size + 8  # values flagged horizontal, waiting for vertical

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -22,7 +23,7 @@ def test_transfer_equals_sweep(n):
 
 
 def test_transfer_rows_equal_series_rows():
-    order = 11
+    order = config.MAX_TRANSFER_N
     h, b = vertical_sep_gf(order), bond_gf(order)
     for n in range(order + 1):
         v_row = {m: c for m, c in enumerate(coeff(h, n).coeffs) if c}
@@ -69,14 +70,43 @@ def test_transfer_checks_every_window_against_the_knight_oracle(monkeypatch):
     assert transfer.distribution(2, "bonds") == {1: 2}  # no triple in S_2
 
 
+@pytest.mark.parametrize(
+    "kind, table, window",
+    [
+        ("bonds", 2, (2, 3)),  # the bond (1, 2) is an event, (2, 3) is not
+        ("bonds", 2, (1, 3)),  # an event past the clamp at distance 2
+        ("horizontal", 1, (2, 4)),
+        ("vertical", 0, (2, 4, 3)),
+    ],
+)
+def test_transfer_rejects_events_that_are_not_translation_invariant(
+    monkeypatch, kind, table, window
+):
+    real = transfer._window_events
+
+    def flipped(n):
+        tables = real(n)
+        row = tables[table]
+        for v in window[:-1]:
+            row = row[v]
+        row[window[-1]] = not row[window[-1]]
+        return tables
+
+    monkeypatch.setattr(transfer, "_window_events", flipped)
+    with pytest.raises(VerificationError, match=rf"window {re.escape(str(window))}"):
+        transfer.distribution(5, kind)
+
+
 def _complement_mask(mask: int, n: int) -> int:
     return sum(1 << (n + 1 - v) for v in range(1, n + 1) if mask >> v & 1)
 
 
 @pytest.mark.parametrize("n", range(7))
 def test_complement_symmetry_behind_the_halved_pass(n):
-    # the pass runs first entries up to (n + 1) / 2 only; the complement
-    # x -> n + 1 - x maps the others onto them and keeps every statistic
+    # the `both`/`any` pass runs first entries up to (n + 1) / 2 only; the
+    # complement x -> n + 1 - x maps the others onto them and keeps every
+    # statistic (the block pass mirrors blocks instead, which rests on the
+    # distance rule it checks itself)
     for word in itertools.permutations(range(1, n + 1)):
         vm, hm, b = separator_masks(word)
         cvm, chm, cb = separator_masks(tuple(n + 1 - x for x in word))
