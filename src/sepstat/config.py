@@ -23,8 +23,9 @@ ENV_MAX_N = "SEPSTAT_MAX_N"
 # 0.05 s at n = 11 and 0.08 s at n = 12 for `vertical`, 0.05 s and
 # 0.09 s for `horizontal`, and 0.02 s at both for `bonds`. `both` and
 # `any`, whose states carry the used values and the values waiting for a
-# second flag, take 3-4 s (+6 MB) and 9-14 s (+20 MB), and each n costs
-# them about 3x the one before. No environment override: SEPSTAT_MAX_N
+# second flag (folded by the complement), take 0.6-0.9 s (+8-9 MB) at
+# n = 11 and 2.2-3.5 s (+26-31 MB) at n = 12, and each n costs them
+# about 3x the one before. No environment override: SEPSTAT_MAX_N
 # bounds the sweeps only. The `both`/`any` pass packs each entry into 4
 # bits of its state keys, so for them the cap can never pass 15; the
 # block pass has no such limit.

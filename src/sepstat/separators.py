@@ -1,8 +1,13 @@
 """Separator detection and the marked machinery.
 
 A digit of a permutation is a *separator* when deleting it (and
-standardizing) creates a 2-block that was not there before. This
-happens in exactly two ways:
+standardizing) creates a 2-block that was not there before. Read
+literally: the child has more bonds than survive from the permutation.
+The bonds not touching the digit survive, and so does the join through
+a run interior: deleting a digit both of whose adjacencies are bonds
+(the 2 of 123) joins its neighbours into a bond that continues their
+run, not a new block. The tests check this reading against every digit
+of S_<=7. A separator arises in exactly two ways:
 
 * vertical: the digit's positional neighbours hold values differing
   by 1 (deleting the middle brings them together);

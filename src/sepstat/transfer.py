@@ -37,9 +37,14 @@ receive the other:
 * a value flagged horizontal waits while it is unused or is the last
   entry (the entry after it decides its vertical flag).
 
-The complement x -> n + 1 - x preserves all five statistics, so this
-pass runs only first entries up to (n + 1) / 2, each weighted by 2
-except a middle one.
+The complement x -> n + 1 - x preserves all five statistics and maps
+this pass's transitions onto each other, so a state and its complement
+lead to the same counts. The pass starts from the first entries up to
+(n + 1) / 2 in one layer, each weighted by 2 except a middle one, and at
+the end of every layer it folds each state onto the smaller of itself
+and its complement. States reached from different first entries, or
+from complementary prefixes, then merge. It first checks that every
+window's event is the complement of its complement window's.
 
 Each state's counts are one packed int, coefficient m in slot m of
 ``factorial(n).bit_length() + 1`` bits, so a transition is one exact
@@ -49,7 +54,7 @@ big-int add.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import permutations
+from itertools import chain, permutations
 from math import factorial
 
 from . import config
@@ -112,10 +117,7 @@ def distribution(n: int, kind: str) -> Counter:
         return Counter({0: 1})
     width = factorial(n).bit_length() + 1
     if kind in ("both", "any"):
-        total = 0
-        for first in range(1, (n + 1) // 2 + 1):
-            weight = 1 if 2 * first == n + 1 else 2
-            total += weight * _flag_pass(n, first, width, kind, vflag, mid)
+        total = _flag_pass(n, width, kind, vflag, mid)
     else:
         total = _block_pass(n, width, kind, vflag, mid, bond)
     slot = (1 << width) - 1
@@ -196,21 +198,61 @@ def _block_pass(n, width, kind, vflag, mid, bond) -> int:
 # (values are at most 12), then the two waiting sets of `both` and `any`.
 # The entry before the last only decides whether the last is vertical,
 # which needs the next entry to be a value neighbour of it; once both
-# value neighbours are used it is stored as 0, which merges states.
+# value neighbours are used it is stored as 0, which merges states. The
+# complement of a key reverses the three value sets over 1..n and maps
+# b -> n + 1 - b and a -> n + 1 - a, keeping a = 0; each layer is
+# stored with every key folded onto the smaller of it and its complement.
 
 
-def _flag_pass(n, first, width, kind, vflag, mid) -> int:
-    """Counts for `both` or `any` over the permutations starting with
-    ``first``, with the waiting sets in the state."""
+def _complement_check(n, kind, vflag, mid) -> None:
+    """Raise ``VerificationError`` naming a window whose event is not
+    the complement of its complement window's: b vertical in (a, b, c)
+    exactly when n + 1 - b is in the complement, and value m flagged
+    horizontal by (b, c) exactly when n + 1 - m is by its complement.
+    The fold of :func:`_flag_pass` would miscount such tables."""
+    size = n + 1
+    values = range(1, size)
+    windows = chain(
+        (((a, b, c), vflag[a][b][c], vflag[size - a][size - b][size - c])
+         for a, b, c in permutations(values, 3)),
+        (((b, c), mid[b][c] and size - mid[b][c], mid[size - b][size - c])
+         for b, c in permutations(values, 2)),
+    )
+    for window, event, twin in windows:
+        if event != twin:
+            raise VerificationError(
+                f"{kind} events are not symmetric under the complement: window "
+                f"{window} against window {tuple(size - v for v in window)}"
+            )
+
+
+def _flag_pass(n, width, kind, vflag, mid) -> int:
+    """Counts for `both` or `any` over S_n, with the waiting sets in the
+    state and every layer folded by the complement."""
+    _complement_check(n, kind, vflag, mid)
     size = n + 1
     full = (1 << size) - 2
     vals = range(1, size)
     # bit mask of the value neighbours v - 1 and v + 1 in 1..n of each v
     near = [0] + [(1 << v - 1 | 1 << v + 1) & full for v in vals]
+    # the unused values of each used mask
+    free = [[c for c in vals if not used >> c & 1] for used in range(1 << size)]
+    # the events of each window: bit 0 flags b vertical, the rest is the
+    # value the window flags horizontal
+    events = [[[vflag[a][b][c] | mid[b][c] << 1 for c in range(size)]
+               for b in range(size)] for a in range(size)]
+    # each value set reversed over 1..n, and the (b, a) byte complemented
+    rev = [0] * (1 << size)
+    for mask in range(2, 1 << size, 2):
+        low = mask & -mask
+        rev[mask] = rev[mask ^ low] | (1 << size) // low
+    flip = [(size - b if b else 0) | (size - a if a else 0) << 4
+            for a in range(16) for b in range(16)]
     first_flag, second_flag = (width, 0) if kind == "any" else (0, width)
     pv_at = size + 8  # values flagged vertical, waiting for horizontal
     ph_at = 2 * size + 8  # values flagged horizontal, waiting for vertical
-    cur = {1 << first | first << size: 1}
+    cur = {1 << f | f << size: 1 if 2 * f == size else 2
+           for f in range(1, size // 2 + 1)}
     for step in range(2, n + 1):
         keymask = -1 if step < n else 0
         nxt: dict[int, int] = {}
@@ -218,38 +260,54 @@ def _flag_pass(n, first, width, kind, vflag, mid) -> int:
             key, poly = cur.popitem()
             used = key & full
             b = key >> size & 15
-            vrow = vflag[key >> size + 4 & 15][b]
-            mrow = mid[b]
+            erow = events[key >> size + 4 & 15][b]
             pv = key >> pv_at & full
             ph = key >> ph_at
+            # A flag waits only while the values it needs are unused now
+            # (c, the new last entry, among them); `quiet` is the next key
+            # without c's own fields when c flags nothing.
+            avail = full ^ used
+            pair = avail << 1 & avail >> 1
+            quiet = used | (pv & pair) << pv_at | (ph & avail) << ph_at
+            # b is kept as the entry before the last while a value
+            # neighbour of it other than c is unused.
             waiting = near[b] & ~used
-            for c in vals:
-                if used >> c & 1:
-                    continue
-                bit = 1 << c
-                used2 = used | bit
-                v2, h2, inc = pv, ph, 0
-                if vrow[c]:
-                    if h2 >> b & 1:
-                        h2 ^= 1 << b
-                        inc = second_flag
-                    else:
-                        v2 |= 1 << b
-                        inc = first_flag
-                m = mrow[c]
-                if m:
-                    if v2 >> m & 1:
-                        v2 ^= 1 << m
-                        inc += second_flag
-                    else:
-                        h2 |= 1 << m
-                        inc += first_flag
-                avail = full ^ used2 | bit  # unused, or the last entry
-                v2 &= avail << 1 & avail >> 1
-                h2 &= avail
-                a = b if waiting | bit != bit else 0
-                k2 = (used2 | c << size | a << size + 4 | v2 << pv_at
-                      | h2 << ph_at) & keymask
-                nxt[k2] = nxt.get(k2, 0) + (poly << inc)
-        cur = nxt
+            keep = b << size + 4 if waiting else 0
+            lone = waiting.bit_length() - 1 if waiting & waiting - 1 == 0 else 0
+            for c in free[used]:
+                e = erow[c]
+                if e:
+                    v2, h2, inc = pv, ph, 0
+                    if e & 1:
+                        if h2 >> b & 1:
+                            h2 ^= 1 << b
+                            inc = second_flag
+                        else:
+                            v2 |= 1 << b
+                            inc = first_flag
+                    m = e >> 1
+                    if m:
+                        if v2 >> m & 1:
+                            v2 ^= 1 << m
+                            inc += second_flag
+                        else:
+                            h2 |= 1 << m
+                            inc += first_flag
+                    k2 = used | (v2 & pair) << pv_at | (h2 & avail) << ph_at
+                    add = poly << inc
+                else:
+                    k2, add = quiet, poly
+                k2 = (k2 | 1 << c | c << size | (0 if c == lone else keep)) & keymask
+                nxt[k2] = nxt.get(k2, 0) + add
+        if keymask:
+            while nxt:
+                key, poly = nxt.popitem()
+                twin = (rev[key & full] | flip[key >> size & 255] << size
+                        | rev[key >> pv_at & full] << pv_at
+                        | rev[key >> ph_at] << ph_at)
+                if twin < key:
+                    key = twin
+                cur[key] = cur.get(key, 0) + poly
+        else:
+            cur = nxt
     return cur.popitem()[1]

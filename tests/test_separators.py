@@ -8,6 +8,7 @@ from sepstat.perms import (
     Permutation,
     bonds,
     children,
+    delete_and_standardize,
     inverse,
     is_king,
     make_permutation,
@@ -222,6 +223,25 @@ def test_separator_deletion_creates_fresh_block(n):
                 if not was_bond:
                     fresh = True
             assert fresh, (p, value)
+
+
+def test_literal_deletion_definition_on_every_digit_of_s_le_7():
+    # The definition read literally: x separates when the child left by
+    # deleting it has more bonds than survive from p. Bonds not touching
+    # x survive, and so does a join through a run interior (both of x's
+    # adjacencies bonds, as 2 in 123): it continues the run, no new block.
+    digits = 0
+    for n in range(1, 8):
+        for p in all_perms(n):
+            joints = bonds(p)
+            separators = vertical_separators(p) | horizontal_separators(p)
+            for pos, x in enumerate(p.entries, 1):
+                touching = len({pos - 1, pos} & joints)
+                surviving = len(joints) - touching + (touching == 2)
+                child = delete_and_standardize(p, pos)
+                assert (len(bonds(child)) > surviving) == (x in separators), (p, x)
+                digits += 1
+    assert digits == 40319
 
 
 # ---------------------------------------------------------------------------

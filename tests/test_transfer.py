@@ -82,6 +82,30 @@ def test_transfer_checks_every_window_against_the_knight_oracle(monkeypatch):
 def test_transfer_rejects_events_that_are_not_translation_invariant(
     monkeypatch, kind, table, window
 ):
+    _flip_window(monkeypatch, table, window)
+    with pytest.raises(VerificationError, match=rf"window {re.escape(str(window))}"):
+        transfer.distribution(5, kind)
+
+
+@pytest.mark.parametrize("kind", ["both", "any"])
+@pytest.mark.parametrize(
+    "table, window",
+    [
+        (0, (2, 4, 3)),  # 4 is vertical here but not in (4, 2, 3)
+        (1, (2, 4)),  # 3 is horizontal here but not 3 by (4, 2)
+    ],
+)
+def test_flag_pass_rejects_events_that_break_the_complement_symmetry(
+    monkeypatch, kind, table, window
+):
+    _flip_window(monkeypatch, table, window)
+    with pytest.raises(VerificationError, match=rf"window {re.escape(str(window))}"):
+        transfer.distribution(5, kind)
+
+
+def _flip_window(monkeypatch, table, window):
+    """Patch ``_window_events`` to flip the event of one window in the
+    table at index ``table`` (0 vflag, 1 mid, 2 bond)."""
     real = transfer._window_events
 
     def flipped(n):
@@ -93,8 +117,6 @@ def test_transfer_rejects_events_that_are_not_translation_invariant(
         return tables
 
     monkeypatch.setattr(transfer, "_window_events", flipped)
-    with pytest.raises(VerificationError, match=rf"window {re.escape(str(window))}"):
-        transfer.distribution(5, kind)
 
 
 def _complement_mask(mask: int, n: int) -> int:
@@ -103,10 +125,11 @@ def _complement_mask(mask: int, n: int) -> int:
 
 @pytest.mark.parametrize("n", range(7))
 def test_complement_symmetry_behind_the_halved_pass(n):
-    # the `both`/`any` pass runs first entries up to (n + 1) / 2 only; the
-    # complement x -> n + 1 - x maps the others onto them and keeps every
-    # statistic (the block pass mirrors blocks instead, which rests on the
-    # distance rule it checks itself)
+    # the `both`/`any` pass starts from first entries up to (n + 1) / 2
+    # and folds every layer onto the smaller of each state and its
+    # complement; on whole words, the complement x -> n + 1 - x keeps
+    # every statistic (the pass checks the window tables itself, and the
+    # block pass mirrors blocks, which rests on the distance rule it checks)
     for word in itertools.permutations(range(1, n + 1)):
         vm, hm, b = separator_masks(word)
         cvm, chm, cb = separator_masks(tuple(n + 1 - x for x in word))
