@@ -203,7 +203,7 @@ class DistTable:
 
 
 def distribution(n: int, kind: str) -> DistTable:
-    """Exact distribution of one statistic, counted by the transfer pass
+    """Exact distribution of one statistic, counted without enumerating
     (:mod:`sepstat.transfer`), not by a sweep.
 
     >>> distribution(3, "vertical").counts
@@ -290,8 +290,8 @@ def expectation_formula(n: int, kind: str) -> Fraction:
 
 def expectation_empirical(n: int, kind: str) -> Fraction:
     """The mean of the statistic's exact distribution over S_n, counted
-    by the transfer pass: a route to the expectation independent of the
-    closed form."""
+    by :mod:`sepstat.transfer`: a route to the expectation independent
+    of the closed form."""
     if kind not in EXPECTATION_KINDS:
         raise ValueError(f"unknown kind {kind!r}; choose from {EXPECTATION_KINDS}")
     return distribution(n, kind).mean()

@@ -1,35 +1,27 @@
 """Exact distributions of the five statistics over S_n, counted without
 enumerating S_n.
 
-A permutation is built left to right. Every statistic is read off
-windows of at most three adjacent entries, so placing the next entry c
-after the last two entries (a, b) can flag b vertical (when a and c
-differ by 1), flag the midpoint of (b, c) horizontal (when b and c
-differ by 2) and add the bond (b, c). A state carries, for each value
-the statistic has reached so far, the number of prefixes that lead to
-it.
+Every statistic is read off windows of at most three adjacent entries:
+placing the next entry c after the last two entries (a, b) can flag b
+vertical (when a and c differ by 1), flag the midpoint of (b, c)
+horizontal (when b and c differ by 2) and add the bond (b, c). The
+events of every window of 1..n are read off `separator_masks`, and each
+window is put to the knight oracle too, before any counting.
 
-`vertical`, `horizontal` and `bonds` count events, and each event reads
-one value distance: |c - a|, |c - b| and |c - b|, of at most 1, 2 and 1.
-Their pass keeps only the values a later event can read, its *points*:
-the unused values, the last entry b and, for `vertical`, the entry a
-before it while a value neighbour of a is unused. Points ``far`` or
-more apart (one more than the distance read: 2, 3 and 2) never meet in
-an event, and removing points only widens gaps, so such a gap splits the
-points into independent blocks. A block is a string over the values
-from its first point to its last: ``U`` unused, ``B`` the last entry,
-``A`` the one before it, ``.`` none of these. A state is its blocks,
-each the smaller of itself and its mirror image (a mirror keeps every
-distance, so this also covers the complement symmetry), sorted and
-joined by ``far - 1`` dots. Points of different blocks then lie ``far``
-or more apart in the state string too, so a transition reads its
-events off positions in that string.
+`vertical`, `horizontal` and `bonds` count events, and each event is
+fixed by one value distance: |c - a| = 1, |c - b| = 2 and |c - b| = 1.
+Once every window is checked against its rule, row n of the insertion
+recurrences (:mod:`sepstat.insertion`) is the distribution: the bond
+rows for `bonds`, and the horizontal rows for `horizontal` and, by the
+inverse symmetry, for `vertical`.
 
 `both` and `any` count values, not events: a value is flagged at most
 once vertical and at most once horizontal, and its first flag adds 1 to
-`any`, its second 1 to `both`. Their states are the used values, the
-last two entries and the values that hold one flag and can still
-receive the other:
+`any`, its second 1 to `both`. Their pass builds permutations left to
+right, and a state carries, for each value the statistic has reached so
+far, the number of prefixes that lead to it. The states are the used
+values, the last two entries and the values that hold one flag and can
+still receive the other:
 
 * a value flagged vertical waits while its two value neighbours can
   still become adjacent: both unused, or one unused and the other the
@@ -58,6 +50,7 @@ from itertools import chain, permutations
 from math import factorial
 
 from . import config
+from .insertion import bond_rows, horizontal_rows
 from .separators import KINDS, VerificationError, has_knight_pair, separator_masks
 
 
@@ -113,13 +106,14 @@ def distribution(n: int, kind: str) -> Counter:
     if n > config.MAX_TRANSFER_N:
         raise ValueError(f"n={n} exceeds the transfer cap {config.MAX_TRANSFER_N}")
     vflag, mid, bond = _window_events(n)
+    if kind not in ("both", "any"):
+        _distance_rule(n, kind, vflag, mid, bond)
+        rows = bond_rows(n) if kind == "bonds" else horizontal_rows(n)
+        return Counter(rows[n])
     if n < 2:
         return Counter({0: 1})
     width = factorial(n).bit_length() + 1
-    if kind in ("both", "any"):
-        total = _flag_pass(n, width, kind, vflag, mid)
-    else:
-        total = _block_pass(n, width, kind, vflag, mid, bond)
+    total = _flag_pass(n, width, kind, vflag, mid)
     slot = (1 << width) - 1
     counts = Counter()
     for m in range(n + 1):
@@ -129,68 +123,25 @@ def distribution(n: int, kind: str) -> Counter:
     return counts
 
 
-# One more than the value distance each event kind reads.
-_FAR = {"vertical": 2, "horizontal": 3, "bonds": 2}
-
-
-def _distance_rule(n, kind, vflag, mid, bond) -> dict[int, bool]:
-    """Whether a window holds an event of ``kind``, by the distance
-    |c - a| (`vertical`: b is flagged) or |c - b| (the others), clamped
-    at ``_FAR[kind]``.
-
-    Every window of the tables is read. One that disagrees with an
-    earlier window of its distance, or holds an event at a distance of
-    ``far`` or more, would be miscounted by the block pass, so it raises
-    ``VerificationError`` naming it.
-    """
-    far = _FAR[kind]
+def _distance_rule(n, kind, vflag, mid, bond) -> None:
+    """Raise ``VerificationError`` naming the first window whose event
+    breaks the rule the insertion recurrences count: b vertical in
+    (a, b, c) exactly when |c - a| = 1, a horizontal event in (b, c)
+    exactly when |c - b| = 2, a bond exactly when |c - b| = 1."""
     values = range(1, n + 1)
     if kind == "vertical":
-        windows = (((a, b, c), c - a, vflag[a][b][c])
+        windows = (((a, b, c), abs(c - a) == 1, vflag[a][b][c])
                    for a, b, c in permutations(values, 3))
     else:
-        table = mid if kind == "horizontal" else bond
-        windows = (((b, c), c - b, table[b][c] != 0)
+        table, distance = (mid, 2) if kind == "horizontal" else (bond, 1)
+        windows = (((b, c), abs(c - b) == distance, table[b][c] != 0)
                    for b, c in permutations(values, 2))
-    rule = {far: False}
-    for window, diff, event in windows:
-        if rule.setdefault(min(abs(diff), far), event) != event:
+    for window, rule, event in windows:
+        if event != rule:
             raise VerificationError(
-                f"{kind} events are not a function of the value distance "
-                f"clamped at {far}: window {window}"
+                f"{kind} events do not follow the value-distance rule: "
+                f"window {window}"
             )
-    return rule
-
-
-def _block_pass(n, width, kind, vflag, mid, bond) -> int:
-    """Counts for `vertical`, `horizontal` or `bonds` over S_n: each
-    event adds 1, so a transition shifts its counts by ``width`` or by
-    nothing."""
-    far = _FAR[kind]
-    rule = _distance_rule(n, kind, vflag, mid, bond)
-    shift = {d: width for d in range(1 - far, far) if rule.get(abs(d))}
-    vertical = kind == "vertical"
-    gap = "." * (far - 1)
-    cur = {"U" * n: 1}
-    for _ in range(n):
-        nxt: dict[str, int] = {}
-        for line, poly in cur.items():
-            b = line.find("B")
-            ref = line.find("A") if vertical else b  # the point events read
-            base = line.replace("A", ".")  # a is two entries back after c
-            for c, point in enumerate(line):
-                if point != "U":
-                    continue
-                new = base[:c] + "B" + base[c + 1:]
-                if b >= 0:  # b is now the entry before the last
-                    near = vertical and "U" in new[max(b - 1, 0):b + 2]
-                    new = new[:b] + ("A" if near else ".") + new[b + 1:]
-                blocks = (part.strip(".") for part in new.split(gap))
-                key = gap.join(sorted(min(s, s[::-1]) for s in blocks if s))
-                step = shift.get(c - ref, 0) if ref >= 0 else 0
-                nxt[key] = nxt.get(key, 0) + (poly << step)
-        cur = nxt
-    return cur.popitem()[1]
 
 
 # Keys pack the used-value mask (bit v for value v) in the low n + 1

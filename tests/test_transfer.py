@@ -128,8 +128,7 @@ def test_complement_symmetry_behind_the_halved_pass(n):
     # the `both`/`any` pass starts from first entries up to (n + 1) / 2
     # and folds every layer onto the smaller of each state and its
     # complement; on whole words, the complement x -> n + 1 - x keeps
-    # every statistic (the pass checks the window tables itself, and the
-    # block pass mirrors blocks, which rests on the distance rule it checks)
+    # every statistic (the pass checks the window tables itself)
     for word in itertools.permutations(range(1, n + 1)):
         vm, hm, b = separator_masks(word)
         cvm, chm, cb = separator_masks(tuple(n + 1 - x for x in word))
