@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 from . import config, transfer
 from .perms import (
     Permutation,
-    bond_count,
+    bonds,
     children,
     inflate,
     inverse,
@@ -40,13 +40,9 @@ from .separators import (
     encode_marked,
     enumerate_markings,
     has_knight_pair,
-    horizontal_separator_positions,
-    horizontal_separators,
     separator_count,
     separator_masks,
     split_marked,
-    vertical_separator_positions,
-    vertical_separators,
 )
 from .series import bond_gf, coeff, vertical_sep_gf
 
@@ -72,43 +68,52 @@ def iterate_sn(n: int) -> Iterator[Permutation]:
     The cap is checked eagerly, before the stream is consumed.
     """
     _check_cap(n)
-    return (Permutation(word) for word in _words(n, tuple(range(1, n + 1))))
+    return (Permutation(word) for word in _part_words(n, 0, 1))
 
 
 # ---------------------------------------------------------------------------
-# Enumeration and the sweep: S_n split by first entry across worker
-# processes, one pass per permutation over raw words
-
-
-def _words(n: int, firsts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """The words of S_n whose first entry lies in ``firsts``; S_0 has the
-    empty word alone."""
-    if n == 0:
-        yield ()
-        return
-    values = range(1, n + 1)
-    for first in firsts:
-        rest = [v for v in values if v != first]
-        for tail in itertools.permutations(rest):
-            yield (first,) + tail
+# Enumeration and the sweep: S_n split by its first two entries across
+# worker processes, one pass per permutation over raw words
 
 
 def _part_words(n: int, part: int, parts: int) -> Iterator[tuple[int, ...]]:
     """The words of S_n in part ``part`` of ``parts``, in lexicographic
-    order: those whose first entry lies in ``range(1, n + 1)[part::parts]``.
-    S_0's empty word has no first entry and goes to part 0 alone."""
-    if n == 0 and part:
-        return iter(())
-    return _words(n, tuple(range(1, n + 1)[part::parts]))
+    order.
+
+    The prefixes of S_n, its first min(n, 2) entries, are taken in
+    lexicographic order and dealt round-robin: the part holds the words
+    whose prefix lies in ``prefixes[part::parts]``. S_7's 42 prefixes
+    split 21 : 21 between two parts, where its 7 first entries would
+    split 4 : 3. S_0's empty word and S_1's one word go to part 0.
+    """
+    values = range(1, n + 1)
+    for prefix in list(itertools.permutations(values, min(n, 2)))[part::parts]:
+        rest = [v for v in values if v not in prefix]
+        for tail in itertools.permutations(rest):
+            yield prefix + tail
 
 
 def _sweep_chunk(words: Iterable[tuple[int, ...]]) -> dict[str, Counter]:
     """Tally all five statistics over ``words``, permutations of {1..n}.
 
-    Every word is also put to the knight-move test, the separately
-    written oracle for having no separator; a disagreement would mean a
-    bug in one of the two definitions and raises ``VerificationError``.
+    Words are counted by their ``separator_masks`` triple, and the five
+    statistics are read once per distinct triple: S_8's 40,320 words
+    have 4,302 of them. Every word is also put to the knight-move test,
+    the separately written oracle for having no separator; a
+    disagreement would mean a bug in one of the two definitions and
+    raises ``VerificationError``.
     """
+    masks: Counter = Counter()
+    for word in words:
+        key = separator_masks(word)
+        by_sets = key[0] | key[1] == 0
+        if by_sets == has_knight_pair(word):
+            raise VerificationError(
+                f"separator-free oracles disagree on {Permutation(word)}: "
+                f"sets say {by_sets}, knight scan says {not by_sets}",
+                word,
+            )
+        masks[key] += 1
     tallies: dict[str, Counter] = {kind: Counter() for kind in KINDS}
     t_v, t_h, t_b, t_a, t_bonds = (
         tallies["vertical"],
@@ -117,27 +122,18 @@ def _sweep_chunk(words: Iterable[tuple[int, ...]]) -> dict[str, Counter]:
         tallies["any"],
         tallies["bonds"],
     )
-    for word in words:
-        vm, hm, b = separator_masks(word)
-        by_sets = vm | hm == 0
-        if by_sets == has_knight_pair(word):
-            raise VerificationError(
-                f"separator-free oracles disagree on {Permutation(word)}: "
-                f"sets say {by_sets}, knight scan says {not by_sets}",
-                word,
-            )
-        t_bonds[b] += 1
-        t_v[vm.bit_count()] += 1
-        t_h[hm.bit_count()] += 1
-        t_b[(vm & hm).bit_count()] += 1
-        t_a[(vm | hm).bit_count()] += 1
+    for (vm, hm, b), count in masks.items():
+        t_bonds[b] += count
+        t_v[vm.bit_count()] += count
+        t_h[hm.bit_count()] += count
+        t_b[(vm & hm).bit_count()] += count
+        t_a[(vm | hm).bit_count()] += count
     return tallies
 
 
 def _deal(n: int, threads: int | None, fn, *args) -> list:
-    """Run ``fn(*args, part, parts)`` for each part of the first-entry
-    split of S_n (see `_part_words`) and return the results in part
-    order.
+    """Run ``fn(*args, part, parts)`` for each part of the prefix split
+    of S_n (see `_part_words`) and return the results in part order.
 
     There are min(threads, n) parts (``None`` means one per CPU), each
     run in its own worker process. Below 7!, or with one thread, there
@@ -166,8 +162,8 @@ def _merge(tallies: dict[str, Counter], part: dict[str, Counter]) -> None:
 def sweep(n: int, threads: int | None = 1) -> dict[str, Counter]:
     """Exhaustive tallies of all five statistics over S_n.
 
-    ``threads`` > 1 deals the first entries round-robin across at most
-    n worker processes (``None`` means one per CPU); below 7! the whole
+    ``threads`` > 1 deals the two-entry prefixes round-robin across at
+    most n worker processes (``None`` means one per CPU); below 7! the whole
     of S_n is swept in this process. The merge is associative, so the
     result is identical for every worker count.
     """
@@ -364,23 +360,29 @@ def _suite_chunk(n_max: int, part: int, parts: int) -> tuple:
         for word in _part_words(n, part, parts):
             p = Permutation(word)
             checked += 1
-            q = inverse(p)
-            if horizontal_separators(q) != vertical_separator_positions(p):
+            vm, hm, _ = separator_masks(word)
+            # the same separators by position: bit i for the digit p_i
+            vpos = hpos = 0
+            for i, v in enumerate(word, 1):
+                if vm >> v & 1:
+                    vpos |= 1 << i
+                if hm >> v & 1:
+                    hpos |= 1 << i
+            # the values of the inverse are the positions of p
+            qv, qh, _ = separator_masks(inverse(p).entries)
+            if qh != vpos or qv != hpos:
                 dual_ok = False
-            if vertical_separators(q) != horizontal_separator_positions(p):
-                dual_ok = False
-            r = reverse(p)
-            if vertical_separators(p) != vertical_separators(r):
-                rev_ok = False
-            if horizontal_separators(p) != horizontal_separators(r):
+            rv, rh, _ = separator_masks(reverse(p).entries)
+            if rv != vm or rh != hm:
                 rev_ok = False
             if n >= 1:
                 kids = children(p)
-                if len(kids) != n - bond_count(p):
+                n_bonds = len(bonds(p))
+                if len(kids) != n - n_bonds:
                     child_ok = False
-                if is_king(p):
+                if not n_bonds:
                     king_kids = sum(1 for c in kids if is_king(c))
-                    if king_kids != n - separator_count(p):
+                    if king_kids != n - (vm | hm).bit_count():
                         king_ok = False
             if n > marked_n:
                 continue
@@ -388,7 +390,7 @@ def _suite_chunk(n_max: int, part: int, parts: int) -> tuple:
                 comp, sigma = encode_marked(mw)
                 if decode_marked(comp, sigma) != mw:
                     enc_ok = False
-            for subset in _vertical_mark_subsets(p):
+            for subset in _mark_subsets(vpos):
                 msp = MarkedSepPermutation(p, subset)
                 odd, even = split_marked(msp)
                 back = comb_marked(odd, even)
@@ -411,9 +413,12 @@ def run_check_suite(
     marked round-trips at n = 6) regardless of ``n_max``; the sweeps,
     one per n, and the series comparisons run all the way up to
     ``n_max``. The sweeps and the walk over S_<=7 are dealt together
-    by first entry, as one job per part on one pool of at most
-    ``n_max`` workers (none below 7!); the parts' tallies, flags and
-    counts merge into the same result for every worker count.
+    by their first two entries (see `_part_words`), as one job per part
+    on one pool of at most ``n_max`` workers (none below 7!); the parts'
+    tallies, flags and counts merge into the same result for every
+    worker count. The walk reads each permutation's separators once,
+    with one ``separator_masks`` call each for it, its inverse and its
+    reverse, and compares the masks.
 
     Returns the checks together with the sweep tables behind them,
     keyed by n. A sweep that finds the separator-free oracles
@@ -506,8 +511,9 @@ def run_check_suite(
     return results, tables
 
 
-def _vertical_mark_subsets(p: Permutation) -> Iterator[frozenset[int]]:
-    positions = sorted(vertical_separator_positions(p))
+def _mark_subsets(pos_mask: int) -> Iterator[frozenset[int]]:
+    """Every subset of the positions set in ``pos_mask``."""
+    positions = [i for i in range(pos_mask.bit_length()) if pos_mask >> i & 1]
     for mask in range(1 << len(positions)):
         yield frozenset(
             pos for i, pos in enumerate(positions) if mask >> i & 1

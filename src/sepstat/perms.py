@@ -63,7 +63,10 @@ class Permutation:
         n = len(self.entries)
         seen = [False] * (n + 1)
         for v in self.entries:
-            if not isinstance(v, int) or isinstance(v, bool):
+            # the class test passes exactly the plain ints, the common case
+            if v.__class__ is not int and (
+                not isinstance(v, int) or isinstance(v, bool)
+            ):
                 raise ValueError(f"permutation entries must be integers, got {v!r}")
             if not 1 <= v <= n:
                 raise ValueError(f"value {v} outside 1..{n}")
@@ -237,7 +240,7 @@ def delete_and_standardize(p: Permutation, pos: int) -> Permutation:
         raise IndexError(f"position {pos} outside 1..{p.n}")
     removed = p.entries[pos - 1]
     rest = p.entries[: pos - 1] + p.entries[pos:]
-    return Permutation(tuple(v - 1 if v > removed else v for v in rest))
+    return Permutation(tuple([v - 1 if v > removed else v for v in rest]))
 
 
 def deletions(p: Permutation) -> list[Permutation]:

@@ -25,6 +25,7 @@ their comb interleaving.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 from .perms import (
@@ -282,19 +283,22 @@ def decode_marked(comp: ArrowedComposition, sigma: Permutation) -> MarkedWord:
         )
     if comp.num_parts == 0:
         return MarkedWord((), frozenset())
-    blocks = []
-    for size, direction in comp.parts:
-        if direction is Direction.DOWN:
-            blocks.append(Permutation(tuple(range(size, 0, -1))))
-        else:
-            blocks.append(Permutation(tuple(range(1, size + 1))))
-    word = inflate(sigma, blocks)
+    word = inflate(sigma, [_run_block(*part) for part in comp.parts])
     marked: set[int] = set()
     offset = 0
     for size, _ in comp.parts:
         marked.update(range(offset + 1, offset + size))
         offset += size
     return MarkedWord(word.entries, frozenset(marked))
+
+
+@cache
+def _run_block(size: int, direction: Direction) -> Permutation:
+    """The monotone run of ``size`` entries in ``direction``, shared by
+    every decode (a Permutation is immutable)."""
+    if direction is Direction.DOWN:
+        return Permutation(tuple(range(size, 0, -1)))
+    return Permutation(tuple(range(1, size + 1)))
 
 
 def enumerate_markings(p: Permutation) -> list[MarkedWord]:

@@ -311,10 +311,14 @@ GOLDEN_STDOUT = {
         "cb1a725b06c73f41f99581c46c2facbbca75d314374847fdea91ddcf40478b51",
     ("verify", "--n-max", "7", "-v", "--threads", "1", "--format", "json"):
         "7c285dd3a2a250cae65793a6b6e73a4ff6895cea7dcd1bf21976af6c751d53ac",
-    # the same suite dealt over a pool of two workers
+    # the same suite dealt over a pool of two and of three workers
     ("verify", "--n-max", "7", "-v", "--threads", "2"):
         "cb1a725b06c73f41f99581c46c2facbbca75d314374847fdea91ddcf40478b51",
     ("verify", "--n-max", "7", "-v", "--threads", "2", "--format", "json"):
+        "7c285dd3a2a250cae65793a6b6e73a4ff6895cea7dcd1bf21976af6c751d53ac",
+    ("verify", "--n-max", "7", "-v", "--threads", "3"):
+        "cb1a725b06c73f41f99581c46c2facbbca75d314374847fdea91ddcf40478b51",
+    ("verify", "--n-max", "7", "-v", "--threads", "3", "--format", "json"):
         "7c285dd3a2a250cae65793a6b6e73a4ff6895cea7dcd1bf21976af6c751d53ac",
     ("maxsep", "2", "--verify", "--threads", "1"):
         "d545af9c46ac5df420733392fc5b380ac4b296687e023fe918d86c38e6c2b5c6",
@@ -428,7 +432,7 @@ def test_threads_far_above_n_is_bounded():
     one = run("1")
     assert huge.returncode == 0 and one.returncode == 0
     assert huge.stdout == one.stdout
-    # only the n = 7 sweep is pooled: one worker per first entry, no more
+    # only the n = 7 sweep is pooled: at most n = 7 workers, no more
     assert huge.stderr == "workers 7\n"
     assert one.stderr == ""
 

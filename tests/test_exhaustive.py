@@ -1,3 +1,4 @@
+import itertools
 import multiprocessing
 from fractions import Fraction
 from math import factorial
@@ -10,7 +11,6 @@ from sepstat.exhaustive import (
     EXPECTATION_KINDS,
     KINDS,
     _part_words,
-    _words,
     distribution,
     expectation_convergence_ok,
     expectation_empirical,
@@ -22,8 +22,11 @@ from sepstat.exhaustive import (
     separator_free_count,
     sweep,
 )
-from sepstat.perms import Permutation, bond_count
+from sepstat.perms import Direction, Permutation, bond_count
 from sepstat.separators import (
+    ArrowedComposition,
+    MarkedSepPermutation,
+    MarkedWord,
     horizontal_separators,
     separator_count,
     separator_masks,
@@ -92,14 +95,20 @@ def test_parts_split_sn_in_lexicographic_order(n, parts):
     slices = [list(_part_words(n, part, parts)) for part in range(parts)]
     assert all(words == sorted(words) for words in slices)
     assert sorted(w for words in slices for w in words) == list(
-        _words(n, tuple(range(1, n + 1)))
+        itertools.permutations(range(1, n + 1))
     )
-    assert len(slices[0]) == (1 if n == 0 else len(range(1, n + 1, parts)) * factorial(n - 1))
+    # the two-entry prefixes are dealt round-robin, each with its (n - 2)!
+    # words; S_0 and S_1 have one word, in part 0
+    prefixes = n * (n - 1) if n >= 2 else 1
+    size = factorial(n - 2) if n >= 2 else 1
+    assert [len(words) for words in slices] == [
+        len(range(part, prefixes, parts)) * size for part in range(parts)
+    ]
 
 
 @pytest.mark.parametrize("n", range(8))
 def test_sweep_masks_match_separator_sets(n):
-    words = list(_words(n, tuple(range(1, n + 1))))
+    words = list(itertools.permutations(range(1, n + 1)))
     assert len(words) == factorial(n)
     full = []
     for word in words:
@@ -133,6 +142,7 @@ def test_sweep_matches_per_permutation_reports():
 
 def test_sweep_parallel_merge_is_deterministic():
     assert sweep(7, threads=2) == sweep(7, threads=1)
+    assert sweep(7, threads=3) == sweep(7, threads=1)
     assert sweep(7, threads=5) == sweep(7, threads=2)
 
 
@@ -167,10 +177,14 @@ def test_separator_free_parallel():
     reason="the patched oracle reaches pool workers only through fork",
 )
 def test_pooled_suite_reports_the_first_disagreement(monkeypatch):
-    # at n = 4 the two words lie in different parts of a 2-worker split
-    # (first entries 1, 3 and 2, 4); the lexicographically first is named
+    # at n = 4 the two words lie in different parts of a 2-worker split;
+    # the lexicographically first is named
     real = exhaustive.has_knight_pair
     flipped = {(2, 4, 1, 3), (3, 1, 4, 2)}
+    assert [flipped & set(_part_words(4, part, 2)) for part in range(2)] == [
+        {(3, 1, 4, 2)},
+        {(2, 4, 1, 3)},
+    ]
     monkeypatch.setattr(
         exhaustive,
         "has_knight_pair",
@@ -178,6 +192,7 @@ def test_pooled_suite_reports_the_first_disagreement(monkeypatch):
     )
     pooled = run_check_suite(7, threads=2)
     assert pooled == run_check_suite(7, threads=1)
+    assert run_check_suite(7, threads=3) == pooled
     [check], tables = pooled
     assert check.name == "separator-free dual oracle" and not check.passed
     assert check.detail.startswith("separator-free oracles disagree on [2413]")
@@ -200,6 +215,73 @@ def test_separator_free_disagreement_stops_the_suite(monkeypatch):
         ("separator-free dual oracle", False)
     ]
     assert sorted(tables) == [0, 1, 2, 3]
+
+
+_DUAL = "inverse duality of separator sets"
+_REVERSE = "reverse invariance of separator sets"
+_P = Permutation((1, 2, 4, 3))
+# p = [1243], its inverse (itself) and its reverse [3421] all have
+# vertical mask {4} and horizontal mask {3}. [1342] gets the vertical
+# mask right and the horizontal one wrong ({2, 3}), [1423] the other way
+# round ({2, 4}), so each fails exactly one comparison of either check.
+_P_WRONG_HORIZONTAL = Permutation((1, 3, 4, 2))
+_P_WRONG_VERTICAL = Permutation((1, 4, 2, 3))
+
+# Each walk check, and one call of a name it reads from `sepstat.exhaustive`
+# given a wrong answer: (check name, patched name, arguments, wrong result).
+_BROKEN_CALLS = [
+    pytest.param(_DUAL, "inverse", (_P,), _P_WRONG_HORIZONTAL, id="inverse-h"),
+    pytest.param(_DUAL, "inverse", (_P,), _P_WRONG_VERTICAL, id="inverse-v"),
+    pytest.param(_REVERSE, "reverse", (_P,), _P_WRONG_HORIZONTAL, id="reverse-h"),
+    pytest.param(_REVERSE, "reverse", (_P,), _P_WRONG_VERTICAL, id="reverse-v"),
+    pytest.param(
+        "children count is n - bonds",
+        "children",
+        (Permutation((1, 2, 3)),),
+        frozenset(),
+        id="children",
+    ),
+    pytest.param(
+        "marked encode/decode round-trip",
+        "decode_marked",
+        (ArrowedComposition(((3, Direction.UP),)), Permutation((1,))),
+        MarkedWord((1, 2, 3)),
+        id="decode_marked",
+    ),
+    pytest.param(
+        "marked comb/split round-trip",
+        "comb_marked",
+        (MarkedWord((1, 2), frozenset({1})), MarkedWord((3,))),
+        MarkedSepPermutation(Permutation((1, 3, 2))),
+        id="comb_marked",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "n_max, threads",
+    [
+        (5, 1),
+        (5, 2),
+        pytest.param(
+            7,
+            2,
+            marks=pytest.mark.skipif(
+                multiprocessing.get_start_method() != "fork",
+                reason="the patched name reaches pool workers only through fork",
+            ),
+        ),
+    ],
+)
+@pytest.mark.parametrize("check, name, args, wrong", _BROKEN_CALLS)
+def test_each_walk_check_can_fail(monkeypatch, check, name, args, wrong, n_max, threads):
+    real = getattr(exhaustive, name)
+    monkeypatch.setattr(
+        exhaustive, name, lambda *a: wrong if a == args else real(*a)
+    )
+    checks, _ = run_check_suite(n_max, threads=threads)
+    assert [c.name for c in checks if not c.passed] == [check]
+    assert len(checks) == len(run_check_suite(4)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, strategies as st
@@ -38,6 +39,20 @@ def test_make_permutation_accepts_valid_word():
     p = make_permutation([5, 3, 2, 4, 1])
     assert p.entries == (5, 3, 2, 4, 1)
     assert p.n == 5
+
+
+@pytest.mark.parametrize("entries", [(True, 2), (1.0,), ("1",)])
+def test_permutation_rejects_non_integer_entries(entries):
+    with pytest.raises(ValueError, match="permutation entries must be integers"):
+        Permutation(entries)
+
+
+def test_permutation_accepts_int_subclass_entries():
+    class Rank(IntEnum):
+        ONE = 1
+        TWO = 2
+
+    assert Permutation((Rank.TWO, Rank.ONE)).entries == (2, 1)
 
 
 def test_make_permutation_empty():
