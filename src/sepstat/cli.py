@@ -12,8 +12,6 @@ worker count; parallelism only lives inside the exhaustive sweeps, and
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -92,12 +90,10 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False)
 
 
-def _csv_text(header: tuple[str, ...], rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue().rstrip("\n")
+def _csv_text(rows) -> str:
+    """The n,m,count table of (n, m, count) integer rows, as csv.writer
+    renders it without the final newline: no field needs quoting."""
+    return "\n".join(["n,m,count"] + [f"{n},{m},{c}" for n, m, c in rows])
 
 
 def _approx(x: Fraction, digits: int = 12) -> str:
@@ -176,7 +172,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit(_json_dumps(table.to_json()), args.out)
     elif args.format == "csv":
-        _emit(_csv_text(("n", "m", "count"), table.csv_rows()), args.out)
+        _emit(_csv_text(table.csv_rows()), args.out)
     else:
         lines = [f"distribution of {args.kind} over S_{args.n}", "m  count"]
         lines += [f"{m}  {c}" for m, c in sorted(table.counts.items())]
@@ -197,7 +193,7 @@ def cmd_gf(args: argparse.Namespace) -> int:
         payload["series"] = which
         _emit(_json_dumps(payload), args.out)
     elif args.format == "csv":
-        _emit(_csv_text(("n", "m", "count"), series_csv_rows(series)), args.out)
+        _emit(_csv_text(series_csv_rows(series)), args.out)
     else:
         lines = [f"{label} up to z^{args.order}"]
         for e, poly in series:

@@ -62,16 +62,36 @@ class MarkerPoly:
     __rmul__ = __mul__
 
     def shifted(self, offset: int) -> "MarkerPoly":
-        """Substitute marker -> marker + offset, expanded exactly (a
-        Taylor shift by repeated synthetic division)."""
-        if offset == 0 or not self.coeffs:
+        """Substitute marker -> marker + offset, expanded exactly.
+
+        The Taylor shift is one Horner evaluation of the polynomial at
+        X = 2^w + offset: p(X) = sum_j q_j 2^(w j), where q is the
+        shifted polynomial, so its coefficients are the signed base-2^w
+        digits of one integer. For degree d they are bounded by
+        |q_j| <= sum_k |c_k| C(k, j) |offset|^(k - j)
+        <= sum_k |c_k| (1 + |offset|)^k <= M = sum_k |c_k| (1 + |offset|)^d,
+        so a slot of w >= bit_length(M) + 1 bits (rounded up to whole
+        bytes) holds q_j + 2^(w - 1) in 0..2^w - 1. Adding that bias
+        to every slot makes the integer nonnegative and lets the slots
+        be cut out of its bytes.
+        """
+        coeffs = self.coeffs
+        if offset == 0 or not coeffs:
             return self
-        out = list(self.coeffs)
-        d = len(out) - 1
-        for i in range(d):
-            for j in range(d - 1, i - 1, -1):
-                out[j] += offset * out[j + 1]
-        return MarkerPoly(out)
+        d = len(coeffs) - 1
+        bound = sum(abs(c) for c in coeffs) * (1 + abs(offset)) ** d
+        size = (bound.bit_length() + 8) // 8  # bytes per slot
+        width = 8 * size
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc << width) + offset * acc + c
+        half = 1 << (width - 1)
+        bias = int.from_bytes((b"\0" * (size - 1) + b"\x80") * (d + 1), "little")
+        raw = (acc + bias).to_bytes(size * (d + 1), "little")
+        return MarkerPoly([
+            int.from_bytes(raw[i:i + size], "little") - half
+            for i in range(0, len(raw), size)
+        ])
 
     def __repr__(self) -> str:
         return f"MarkerPoly({list(self.coeffs)})"
@@ -191,6 +211,14 @@ def vertical_marked_gf(order: int) -> BiSeries:
     2k + 1 pairs the k + 1 odd-position entries with the k even ones.
     This pairing is the Hadamard product of the two halves' series.
     Only size 0 takes the empty pair, so the constant term is 1.
+
+    With x_a = R[a][longer - a] and y_b = R[b][shorter - b], the
+    coefficient of v^(n - s) is s! sum_{a+b=s} x_a y_b: a convolution,
+    computed as one integer product (Kronecker substitution). x and y
+    are packed into slots of w bits, w >= bit_length(sum x * sum y)
+    rounded up to whole bytes. The terms are nonnegative, so every
+    slot of the product holds a sum of at most sum x * sum y, which
+    fits in w bits and never carries into the next slot.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -200,13 +228,22 @@ def vertical_marked_gf(order: int) -> BiSeries:
     out: dict[int, MarkerPoly] = {}
     for n in range(order + 1):
         longer, shorter = (n + 1) // 2, n // 2
-        row = [0] * (n + 1)
-        for a in range(longer + 1):
-            ra = table[a][longer - a]
-            for b in range(shorter + 1):
-                row[n - a - b] += weight[a + b] * ra * table[b][shorter - b]
-        out[n] = MarkerPoly(row)
+        x = [table[a][longer - a] for a in range(longer + 1)]
+        y = [table[b][shorter - b] for b in range(shorter + 1)]
+        size = ((sum(x) * sum(y)).bit_length() + 7) // 8  # bytes per slot
+        product = _pack(x, size) * _pack(y, size)
+        raw = product.to_bytes(size * (n + 1), "little")
+        out[n] = MarkerPoly([
+            weight[s] * int.from_bytes(raw[s * size:(s + 1) * size], "little")
+            for s in range(n, -1, -1)
+        ])
     return BiSeries(order, out)
+
+
+def _pack(values: list[int], size: int) -> int:
+    """sum_i values[i] * 2^(8 size i) for values in 0..2^(8 size) - 1."""
+    packed = b"".join([v.to_bytes(size, "little") for v in values])
+    return int.from_bytes(packed, "little")
 
 
 def vertical_sep_gf(order: int) -> BiSeries:

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -6,8 +8,9 @@ import sys
 
 import pytest
 
-from sepstat import config
-from sepstat.cli import main
+from sepstat import config, exhaustive
+from sepstat.cli import _SERIES, _csv_text, main
+from sepstat.series import series_csv_rows
 
 
 def run_cli(capsys, *argv):
@@ -338,6 +341,49 @@ def test_golden_stdout(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_STDOUT[argv]
+
+
+def csv_writer_text(rows):
+    """What csv.writer renders for the table, without the final newline."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("n", "m", "count"))
+    writer.writerows(rows)
+    return buf.getvalue().rstrip("\n")
+
+
+def test_csv_text_matches_csv_writer():
+    tables = [[]]
+    tables += [
+        exhaustive.distribution(n, kind).csv_rows()
+        for n in range(10)
+        for kind in exhaustive.KINDS
+    ]
+    tables += [
+        series_csv_rows(builder(64))
+        for _, builder, _ in _SERIES.values()
+    ]
+    for rows in tables:
+        assert _csv_text(rows) == csv_writer_text(rows)
+
+
+# SHA-256 over exit code, stdout and stderr of `gf` for every series,
+# format and order below, recorded before the vertical pairing and the
+# marker shift were computed by packed integer arithmetic.
+GF_DIGEST = "8e06e6a22bc37666a152c098d0288b3fee142fac963dda7a6919b7b8cfaa793e"
+
+
+def test_gf_output_digest(capsys):
+    digest = hashlib.sha256()
+    for which in "hgAB":
+        for fmt in ("plain", "json", "csv"):
+            for order in (0, 1, 2, 3, 8, 31, 32, 63, 64):
+                code, out, err = run_cli(
+                    capsys, "gf", "--which", which, "--order", str(order),
+                    "--format", fmt,
+                )
+                digest.update(f"{which} {fmt} {order}\0{code}\0{out}\0{err}\0".encode())
+    assert digest.hexdigest() == GF_DIGEST
 
 
 def test_byte_identical_reruns(capsys):

@@ -70,6 +70,62 @@ def test_poly_shift_matches_binomial_expansion(p, c):
     assert p.shifted(c) == binomial_shift(p, c)
 
 
+def synthetic_division_shift(poly, offset):
+    """The shift by repeated synthetic division, d(d + 1)/2 steps of
+    one multiply-add each."""
+    out = list(poly.coeffs)
+    d = len(out) - 1
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            out[j] += offset * out[j + 1]
+    return MarkerPoly(out)
+
+
+BIG = 10**400
+WIDTH_CASES = [
+    (),
+    (5,),
+    (-BIG,),
+    # degree 0: the one slot equals the bound, here 2^(8k) - 1, so a
+    # slot with no room for the sign overflows
+    (255,),
+    (-255,),
+    (2**64 - 1,),
+    (-(2**64 - 1),),
+    (BIG, -BIG),
+    (0, 1),
+    (-3, -7),
+    (BIG, 0, 0, -1, 0, BIG),
+    (-1, -BIG, -2, -BIG),
+    tuple(range(1, 66)),
+    tuple(-BIG - k for k in range(65)),
+    tuple((-1) ** k * BIG for k in range(65)),
+    tuple(BIG if k % 7 == 0 else 0 for k in range(65)),
+]
+
+
+@pytest.mark.parametrize("offset", (1, -1, 2, -2, 1000, -1000))
+@pytest.mark.parametrize("coeffs", WIDTH_CASES, ids=range(len(WIDTH_CASES)))
+def test_poly_shift_at_the_slot_width_bound(coeffs, offset):
+    # degrees 0, 1 and 64, huge and all-negative coefficients, interior
+    # zeros: every slot of the packed shift must come back exact
+    p = MarkerPoly(coeffs)
+    assert p.shifted(offset) == binomial_shift(p, offset)
+    assert p.shifted(offset) == synthetic_division_shift(p, offset)
+    assert p.shifted(offset).shifted(-offset) == p
+
+
+@pytest.mark.parametrize("d", range(65))
+def test_poly_shift_of_binomial_power(d):
+    # (1 + t)^d -> (2 + t)^d: every term of the per-slot bound
+    # sum_k |c_k| C(k, j) |offset|^(k - j) is positive, so each slot
+    # meets that bound exactly
+    p = MarkerPoly([comb(d, j) for j in range(d + 1)])
+    expected = MarkerPoly([comb(d, j) * 2 ** (d - j) for j in range(d + 1)])
+    assert p.shifted(1) == expected == binomial_shift(p, 1)
+    assert expected.shifted(-1) == p
+
+
 def test_substitute_marker_matches_binomial_expansion_at_order_64():
     a = vertical_marked_gf(64)
     for offset in (-1, 2, -3, 5):
@@ -202,6 +258,33 @@ def test_vertical_marked_gf_small_rows():
     assert coeff(g, 0) == MarkerPoly((1,))
     assert coeff(g, 2) == MarkerPoly((2,))
     assert coeff(g, 3) == MarkerPoly((6, 4))
+
+
+def paired_vertical_marked_rows(order):
+    """The rows of the marked vertical series by pairing the run-table
+    entries of the two halves directly, one term per pair (a, b)."""
+    table = run_table((order + 1) // 2)
+    rows = []
+    for n in range(order + 1):
+        longer, shorter = (n + 1) // 2, n // 2
+        row = [0] * (n + 1)
+        for a in range(longer + 1):
+            for b in range(shorter + 1):
+                row[n - a - b] += (
+                    factorial(a + b) * table[a][longer - a] * table[b][shorter - b]
+                )
+        rows.append(MarkerPoly(row))
+    return rows
+
+
+def test_vertical_marked_gf_matches_direct_pairing():
+    oracle = paired_vertical_marked_rows(64)
+    for order in range(65):
+        g = vertical_marked_gf(order)
+        assert g.order == order
+        for n in range(order + 1):
+            # every term, the v^k with k >= 2 included
+            assert coeff(g, n) == oracle[n]
 
 
 def test_vertical_sep_gf_small_rows():
