@@ -58,9 +58,7 @@ from .exhaustive import (
     distribution,
     expectation_empirical,
     expectation_formula,
-    iterate_sn,
     max_separator_perms,
-    separator_free_count,
     sweep,
 )
 

@@ -5,8 +5,8 @@ and the verification harness.
 Exit codes: 0 success, 1 verification failure, 2 usage or input error
 (a worker process that dies included).
 Identical inputs produce byte-identical output regardless of the
-worker count; parallelism only lives inside the exhaustive sweeps, and
-`dist` and `expect` (which count without one) ignore --threads.
+worker count. Only `verify` sweeps S_n and deals it over worker
+processes; `dist` accepts --threads and ignores it.
 """
 
 from __future__ import annotations
@@ -239,14 +239,14 @@ def cmd_maxsep(args: argparse.Namespace) -> int:
     if args.k > config.MAX_MAXSEP_K:
         raise ValueError(f"k={args.k} exceeds the cap {config.MAX_MAXSEP_K}")
     n = 4 * args.k
-    cap = config.enumeration_cap()
+    cap = config.MAX_TRANSFER_N
     if args.verify and n > cap:
         raise ValueError(f"exhaustive cross-check needs n={n} <= cap {cap}")
     perms = exhaustive.max_separator_perms(args.k)
     verified = None
     if args.verify:
-        tally = exhaustive.sweep(n, threads=args.threads)["any"]
-        verified = exhaustive.is_all_separating_set(perms, n, tally)
+        counts = exhaustive.distribution(n, "any").counts
+        verified = exhaustive.is_all_separating_set(perms, n, counts)
     if args.format == "json":
         payload = {
             "k": args.k,
@@ -325,17 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default="plain")
         p.add_argument("--out", metavar="PATH", help="write output to a file")
 
-    def with_threads(
-        p: argparse.ArgumentParser,
-        help_text: str = "worker processes for exhaustive sweeps "
-        "(default: machine parallelism)",
-    ) -> None:
+    def with_threads(p: argparse.ArgumentParser, help_text: str) -> None:
         p.add_argument(
             "--threads", type=_thread_count, default=None, metavar="T", help=help_text
         )
-
-    # dist and expect count in one process without enumerating
-    ignored = "accepted and ignored: counted without a sweep"
 
     p = sub.add_parser("report", help="separator/bond/run report for one permutation")
     p.add_argument("perm", help='e.g. "132465879" or "5,3,2,4,1"')
@@ -345,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dist", help="exact distribution of a statistic over S_n")
     p.add_argument("n", type=int)
     p.add_argument("--kind", choices=exhaustive.KINDS, default="vertical")
-    with_threads(p, ignored)
+    with_threads(p, "accepted and ignored: counted without a sweep")
     common(p, ("plain", "json", "csv"))
     p.set_defaults(func=cmd_dist)
 
@@ -365,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--kind", choices=exhaustive.EXPECTATION_KINDS, default="any")
     p.add_argument("--mode", choices=("formula", "empirical", "both"), default="formula")
-    with_threads(p, ignored)
     common(p, ("plain", "json"))
     p.set_defaults(func=cmd_expect)
 
@@ -376,9 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--verify",
         action="store_true",
-        help="cross-check against an exhaustive scan of S_{4k}",
+        help="cross-check against the exact count of S_{4k} in which every "
+        f"digit separates, counted without enumerating "
+        f"(k <= {config.MAX_TRANSFER_N // 4})",
     )
-    with_threads(p)
     common(p, ("plain", "json"))
     p.set_defaults(func=cmd_maxsep)
 
@@ -390,7 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also print the per-n distribution rows behind the series checks",
     )
-    with_threads(p)
+    with_threads(
+        p, "worker processes for exhaustive sweeps (default: machine parallelism)"
+    )
     common(p, ("plain", "json"))
     p.set_defaults(func=cmd_verify)
 

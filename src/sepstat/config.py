@@ -1,23 +1,24 @@
 """Default limits for the command-line tools.
 
 All tunables live here; the one environment override is SEPSTAT_MAX_N
-for the enumeration cap of the sweeps. Nothing else reads the
-environment.
+for the enumeration cap of the sweeps, which only `verify` (and the
+library's reference `sweep`) run. Nothing else reads the environment.
 """
 
 from __future__ import annotations
 
 import os
 
-# Largest n accepted by the exhaustive sweeps (10! permutations is the
-# biggest job a desk run should take on).
+# Largest n accepted by the exhaustive sweeps of `verify` (10!
+# permutations is the biggest job a desk run should take on).
 DEFAULT_MAX_N = 10
 
 # Environment variable overriding DEFAULT_MAX_N.
 ENV_MAX_N = "SEPSTAT_MAX_N"
 
-# Largest n accepted by the exact count behind `dist` and `expect`
-# (sepstat.transfer), which does not enumerate S_n. Measured per command
+# Largest n accepted by the exact count behind `dist`, `expect` and
+# `maxsep --verify` (sepstat.transfer), which does not enumerate S_n;
+# for `maxsep --verify`, n = 4k, so k <= 3. Measured per command
 # (best of 5, interpreter start excluded) on 2 shared vCPUs with Python
 # 3.11: `vertical`, `horizontal` and `bonds` take 5.0-5.6 ms at n = 11
 # and 6.0-6.8 ms at n = 12. Most of that is the window checks (2.8 ms

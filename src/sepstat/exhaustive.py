@@ -4,10 +4,13 @@ formulas.
 The sweep is the brute-force side of a dual-route design: it
 recounts, permutation by permutation, what the series module claims in
 closed form, and `verify` checks the expectation formulas against its
-literal averages. `distribution` and `expectation_empirical` are
-counted by :mod:`sepstat.transfer` instead, without enumerating. Counts
-are exact integers and expectations exact rationals, so agreement is
-equality, never tolerance.
+literal averages, dealing S_n over one process pool. `sweep` is the
+same tally in this process, as a reference for the tests.
+`distribution` and `expectation_empirical` are counted by
+:mod:`sepstat.transfer` instead, without enumerating, and so is the
+count behind `maxsep --verify`. Counts are exact integers and
+expectations exact rationals, so agreement is equality, never
+tolerance.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from . import config, transfer
 from .perms import (
@@ -62,18 +65,9 @@ def _check_cap(n: int) -> None:
         )
 
 
-def iterate_sn(n: int) -> Iterator[Permutation]:
-    """All n! permutations of {1..n}, in lexicographic order.
-
-    The cap is checked eagerly, before the stream is consumed.
-    """
-    _check_cap(n)
-    return (Permutation(word) for word in _part_words(n, 0, 1))
-
-
 # ---------------------------------------------------------------------------
-# Enumeration and the sweep: S_n split by its first two entries across
-# worker processes, one pass per permutation over raw words
+# Enumeration and the sweep: S_n split into parts by its first two
+# entries, one pass per permutation over raw words
 
 
 def _part_words(n: int, part: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -93,8 +87,9 @@ def _part_words(n: int, part: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield prefix + tail
 
 
-def _sweep_chunk(words: Iterable[tuple[int, ...]]) -> dict[str, Counter]:
-    """Tally all five statistics over ``words``, permutations of {1..n}.
+def _sweep_part(n: int, part: int, parts: int) -> dict[str, Counter]:
+    """Tally all five statistics over part ``part`` of ``parts`` of S_n
+    (see `_part_words`).
 
     Words are counted by their ``separator_masks`` triple, and the five
     statistics are read once per distinct triple: S_8's 40,320 words
@@ -104,7 +99,7 @@ def _sweep_chunk(words: Iterable[tuple[int, ...]]) -> dict[str, Counter]:
     raises ``VerificationError``.
     """
     masks: Counter = Counter()
-    for word in words:
+    for word in _part_words(n, part, parts):
         key = separator_masks(word)
         by_sets = key[0] | key[1] == 0
         if by_sets == has_knight_pair(word):
@@ -131,47 +126,11 @@ def _sweep_chunk(words: Iterable[tuple[int, ...]]) -> dict[str, Counter]:
     return tallies
 
 
-def _deal(n: int, threads: int | None, fn, *args) -> list:
-    """Run ``fn(*args, part, parts)`` for each part of the prefix split
-    of S_n (see `_part_words`) and return the results in part order.
-
-    There are min(threads, n) parts (``None`` means one per CPU), each
-    run in its own worker process. Below 7!, or with one thread, there
-    is one part, run in this process, because pool overhead beats tiny
-    jobs. This is the only process pool.
-    """
-    if threads is None:
-        threads = os.cpu_count() or 1
-    if threads <= 1 or factorial(n) < 5040:
-        return [fn(*args, 0, 1)]
-    parts = min(threads, n)
-    with ProcessPoolExecutor(max_workers=parts) as pool:
-        futures = [pool.submit(fn, *args, part, parts) for part in range(parts)]
-        return [future.result() for future in futures]
-
-
-def _sweep_part(n: int, part: int, parts: int) -> dict[str, Counter]:
-    return _sweep_chunk(_part_words(n, part, parts))
-
-
-def _merge(tallies: dict[str, Counter], part: dict[str, Counter]) -> None:
-    for kind in KINDS:
-        tallies[kind].update(part[kind])
-
-
-def sweep(n: int, threads: int | None = 1) -> dict[str, Counter]:
-    """Exhaustive tallies of all five statistics over S_n.
-
-    ``threads`` > 1 deals the two-entry prefixes round-robin across at
-    most n worker processes (``None`` means one per CPU); below 7! the whole
-    of S_n is swept in this process. The merge is associative, so the
-    result is identical for every worker count.
-    """
+def sweep(n: int) -> dict[str, Counter]:
+    """Exhaustive tallies of all five statistics over S_n, in this
+    process: the per-part tally of `verify` over the whole of S_n."""
     _check_cap(n)
-    merged: dict[str, Counter] = {kind: Counter() for kind in KINDS}
-    for part in _deal(n, threads, _sweep_part, n):
-        _merge(merged, part)
-    return merged
+    return _sweep_part(n, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -209,16 +168,6 @@ def distribution(n: int, kind: str) -> DistTable:
     return DistTable(n=n, kind=kind, counts=dict(sorted(table.items())))
 
 
-def separator_free_count(n: int, threads: int | None = 1) -> int:
-    """Number of permutations of S_n with no separator of any type.
-
-    The sweep counts them by the separator sets and checks every word
-    against the knight-move test (non-attacking empresses) as well; a
-    disagreement raises ``VerificationError``.
-    """
-    return sweep(n, threads)["any"].get(0, 0)
-
-
 # ---------------------------------------------------------------------------
 # Permutations in which every digit separates
 
@@ -247,12 +196,13 @@ def max_separator_perms(k: int) -> list[Permutation]:
 
 
 def is_all_separating_set(
-    perms: list[Permutation], n: int, any_counts: Counter
+    perms: list[Permutation], n: int, any_counts: dict[int, int]
 ) -> bool:
     """True iff ``perms`` are exactly the permutations of S_n in which
-    every digit separates, given the sweep's ``any`` tally of S_n: each
-    one is such a permutation, and there are as many distinct ones as
-    the sweep counted, so the subset is the whole set.
+    every digit separates, given an exact ``any`` distribution of S_n
+    (the flag pass of :mod:`sepstat.transfer` or a sweep): each one is
+    such a permutation, and there are as many distinct ones as that
+    distribution counts, so the subset is the whole set.
     """
     return all(separator_count(p) == n for p in perms) and (
         len({p.entries for p in perms}) == len(perms) == any_counts.get(n, 0)
@@ -404,6 +354,25 @@ def _suite_chunk(n_max: int, part: int, parts: int) -> tuple:
     return tables, None, flags, checked
 
 
+def _deal(n: int, threads: int | None, fn, *args) -> list:
+    """Run ``fn(*args, part, parts)`` for each part of the prefix split
+    of S_n (see `_part_words`) and return the results in part order.
+
+    There are min(threads, n) parts (``None`` means one per CPU), each
+    run in its own worker process. Below 7!, or with one thread, there
+    is one part, run in this process, because pool overhead beats tiny
+    jobs. This is the only process pool, and the suite its only user.
+    """
+    if threads is None:
+        threads = os.cpu_count() or 1
+    if threads <= 1 or factorial(n) < 5040:
+        return [fn(*args, 0, 1)]
+    parts = min(threads, n)
+    with ProcessPoolExecutor(max_workers=parts) as pool:
+        futures = [pool.submit(fn, *args, part, parts) for part in range(parts)]
+        return [future.result() for future in futures]
+
+
 def run_check_suite(
     n_max: int, threads: int | None = 1
 ) -> tuple[list[CheckResult], dict[int, dict[str, Counter]]]:
@@ -439,7 +408,8 @@ def run_check_suite(
     tables = {n: {kind: Counter() for kind in KINDS} for n in range(reach)}
     for part_tables, *_ in parts:
         for n in range(reach):
-            _merge(tables[n], part_tables[n])
+            for kind in KINDS:
+                tables[n][kind].update(part_tables[n][kind])
     if failure:
         add("separator-free dual oracle", False, failure[2])
         return results, tables

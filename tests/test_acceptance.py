@@ -13,12 +13,11 @@ from sepstat.exhaustive import (
     EXPECTATION_KINDS,
     expectation_empirical,
     expectation_formula,
-    iterate_sn,
     max_separator_perms,
-    separator_free_count,
     sweep,
 )
 from sepstat.perms import (
+    Permutation,
     bond_count,
     children,
     inverse,
@@ -31,6 +30,7 @@ from sepstat.separators import (
     decode_marked,
     encode_marked,
     enumerate_markings,
+    has_knight_pair,
     horizontal_separator_positions,
     horizontal_separators,
     separator_count,
@@ -44,6 +44,11 @@ from sepstat.series import MarkerPoly, bond_gf, coeff, vertical_sep_gf
 def _criterion(label: str, ok: bool) -> None:
     print(f"ACCEPTANCE {label}: {'PASS' if ok else 'FAIL'}")
     assert ok, label
+
+
+def _sn(n):
+    """The n! permutations of {1..n}, in lexicographic order."""
+    return (Permutation(w) for w in itertools.permutations(range(1, n + 1)))
 
 
 def _series_row(series, n):
@@ -70,7 +75,7 @@ def test_criterion_2_bond_gf_equivalence():
 def test_criterion_3_max_separator_theorem():
     ok = True
     for n in range(1, 9):
-        full = {p.entries for p in iterate_sn(n) if separator_count(p) == n}
+        full = {p.entries for p in _sn(n) if separator_count(p) == n}
         if n % 4:
             ok = ok and not full
         else:
@@ -101,7 +106,7 @@ def test_criterion_4_expectation_theorems():
 def test_criterion_5_duality_suite():
     ok = True
     for n in range(8):
-        for p in iterate_sn(n):
+        for p in _sn(n):
             q = inverse(p)
             ok = ok and horizontal_separators(q) == vertical_separator_positions(p)
             ok = ok and vertical_separators(q) == horizontal_separator_positions(p)
@@ -114,7 +119,7 @@ def test_criterion_5_duality_suite():
 def test_criterion_6_king_downset():
     ok = True
     for n in range(1, 8):
-        for p in iterate_sn(n):
+        for p in _sn(n):
             kids = children(p)
             ok = ok and len(kids) == n - bond_count(p)
             if is_king(p):
@@ -126,7 +131,7 @@ def test_criterion_6_king_downset():
 def test_criterion_7_marked_round_trips():
     ok = True
     for n in range(7):
-        for p in iterate_sn(n):
+        for p in _sn(n):
             for mw in enumerate_markings(p):
                 comp, sigma = encode_marked(mw)
                 ok = ok and decode_marked(comp, sigma) == mw
@@ -143,10 +148,11 @@ def test_criterion_7_marked_round_trips():
 
 
 def test_criterion_8_dual_oracle_separator_free():
-    counts = {n: separator_free_count(n) for n in range(9)}
+    counts = {n: sweep(n)["any"].get(0, 0) for n in range(9)}
     ok = counts[1] == 1 and counts[3] == 2
     for n in range(9):
-        ok = ok and counts[n] == sweep(n)["any"].get(0, 0)
+        words = itertools.permutations(range(1, n + 1))
+        ok = ok and counts[n] == sum(1 for w in words if not has_knight_pair(w))
     _criterion("8 separator-free dual-oracle agreement (n <= 8)", ok)
 
 

@@ -228,16 +228,63 @@ def test_maxsep_k_capped_before_generating(capsys, monkeypatch):
     assert err == "error: k=7 exceeds the cap 6\n"
 
 
-def test_maxsep_verify_threads_byte_identical(capsys):
-    one = run_cli(capsys, "maxsep", "2", "--verify", "--threads", "1")
-    two = run_cli(capsys, "maxsep", "2", "--verify", "--threads", "2")
-    assert one[0] == 0 and one == two
-
-
 def test_maxsep_verify_needs_cap(capsys, monkeypatch):
+    # the count behind --verify is the transfer pass, capped at n = 12,
+    # and the cap is checked before anything is generated
+    def refuse(k):
+        raise AssertionError("generator started")
+
+    monkeypatch.setattr("sepstat.exhaustive.max_separator_perms", refuse)
+    code, out, err = run_cli(capsys, "maxsep", "4", "--verify")
+    assert code == 2 and out == ""
+    assert err == "error: exhaustive cross-check needs n=16 <= cap 12\n"
+
+
+def test_maxsep_verify_ignores_the_sweep_cap(capsys, monkeypatch):
     monkeypatch.setenv(config.ENV_MAX_N, "7")
-    code, _, err = run_cli(capsys, "maxsep", "2", "--verify")
-    assert code == 2 and "cap" in err
+    code, out, _ = run_cli(capsys, "maxsep", "2", "--verify")
+    assert code == 0 and out.endswith("exhaustive cross-check: PASS\n")
+
+
+def test_maxsep_verify_k3(capsys):
+    code, out, _ = run_cli(capsys, "maxsep", "3", "--verify")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 1 + 48 + 1
+    assert lines[0] == "48 permutations of S_12 in which every digit separates"
+    assert lines[-1] == "exhaustive cross-check: PASS"
+
+
+def test_maxsep_verify_fails_on_a_wrong_count(capsys, monkeypatch):
+    from sepstat import transfer
+
+    real = transfer.distribution
+
+    def seven(n, kind):
+        counts = real(n, kind)
+        if kind == "any":
+            counts[n] = 7  # 2^2 * 2! = 8 at n = 8
+        return counts
+
+    monkeypatch.setattr(transfer, "distribution", seven)
+    code, out, err = run_cli(capsys, "maxsep", "2", "--verify")
+    assert code == 1 and err == ""
+    assert out.endswith("exhaustive cross-check: FAIL\n")
+    code, out, _ = run_cli(capsys, "maxsep", "2", "--verify", "--format", "json")
+    assert code == 1 and json.loads(out)["verified"] is False
+
+
+def test_maxsep_verify_checks_every_window(capsys, monkeypatch):
+    from sepstat import transfer
+
+    real = transfer.has_knight_pair
+    monkeypatch.setattr(
+        transfer,
+        "has_knight_pair",
+        lambda window: real(window) != (tuple(window) == (2, 4, 1)),
+    )
+    code, out, err = run_cli(capsys, "maxsep", "1", "--verify")
+    assert code == 1 and out == ""
+    assert err == "error: separator-free oracles disagree on window (2, 4, 1)\n"
 
 
 # ---------------------------------------------------------------------------
@@ -276,16 +323,24 @@ def test_csv_rejected_outside_tabular_commands(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [("dist", "3"), ("expect", "4", "--mode", "both"), ("maxsep", "1", "--verify"),
-     ("verify", "--n-max", "3")],
-    ids=lambda argv: argv[0],
+    "argv", [("dist", "3"), ("verify", "--n-max", "3")], ids=lambda argv: argv[0]
 )
 @pytest.mark.parametrize("threads", ["0", "-4"])
 def test_threads_below_one_rejected(capsys, argv, threads):
     code, out, err = run_cli(capsys, *argv, "--threads", threads)
     assert code == 2 and out == ""
     assert f"argument --threads: must be at least 1, got {threads}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("expect", "4"), ("maxsep", "1", "--verify")],
+    ids=lambda argv: argv[0],
+)
+def test_threads_rejected_where_nothing_is_dealt(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--threads", "2")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --threads 2" in err
 
 
 def test_out_writes_file(tmp_path, capsys):
@@ -306,9 +361,10 @@ def test_out_write_error_is_input_error(tmp_path, capsys):
 
 
 # SHA-256 of stdout. The verify and maxsep digests were recorded before
-# the verification pass was merged into one sweep, the gf digests before
-# the vertical series was rebuilt from the bond series' run factor; the
-# output must not change.
+# the verification pass was merged into one sweep (the maxsep one also
+# before its count moved from a sweep to the transfer pass), the gf
+# digests before the vertical series was rebuilt from the bond series'
+# run factor; the output must not change.
 GOLDEN_STDOUT = {
     ("verify", "--n-max", "7", "-v", "--threads", "1"):
         "cb1a725b06c73f41f99581c46c2facbbca75d314374847fdea91ddcf40478b51",
@@ -323,7 +379,7 @@ GOLDEN_STDOUT = {
         "cb1a725b06c73f41f99581c46c2facbbca75d314374847fdea91ddcf40478b51",
     ("verify", "--n-max", "7", "-v", "--threads", "3", "--format", "json"):
         "7c285dd3a2a250cae65793a6b6e73a4ff6895cea7dcd1bf21976af6c751d53ac",
-    ("maxsep", "2", "--verify", "--threads", "1"):
+    ("maxsep", "2", "--verify"):
         "d545af9c46ac5df420733392fc5b380ac4b296687e023fe918d86c38e6c2b5c6",
     ("gf", "--which", "h", "--order", "64", "--format", "csv"):
         "1cb274abc4910fac3f590a15f97fe2057f7f3f6ddf23fdfd9e4e864d305ac711",
@@ -533,10 +589,7 @@ def test_dist_reports_oracle_disagreement(capsys, monkeypatch):
     assert err == "error: separator-free oracles disagree on window (2, 4, 1)\n"
 
 
-@pytest.mark.parametrize(
-    "argv", [("maxsep", "2", "--verify"), ("verify", "--n-max", "3")]
-)
-def test_dead_pool_worker_is_an_error_not_a_failed_check(capsys, monkeypatch, argv):
+def test_dead_pool_worker_is_an_error_not_a_failed_check(capsys, monkeypatch):
     from concurrent.futures.process import BrokenProcessPool
 
     from sepstat import exhaustive
@@ -545,6 +598,6 @@ def test_dead_pool_worker_is_an_error_not_a_failed_check(capsys, monkeypatch, ar
         raise BrokenProcessPool("A process in the process pool was terminated")
 
     monkeypatch.setattr(exhaustive, "_deal", dead_pool)
-    code, out, err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, "verify", "--n-max", "3")
     assert code == 2 and out == ""
     assert err == "error: A process in the process pool was terminated\n"

@@ -1,5 +1,6 @@
 import itertools
 import multiprocessing
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -11,15 +12,14 @@ from sepstat.exhaustive import (
     EXPECTATION_KINDS,
     KINDS,
     _part_words,
+    _sweep_part,
     distribution,
     expectation_convergence_ok,
     expectation_empirical,
     expectation_formula,
     is_all_separating_set,
-    iterate_sn,
     max_separator_perms,
     run_check_suite,
-    separator_free_count,
     sweep,
 )
 from sepstat.perms import Direction, Permutation, bond_count
@@ -27,6 +27,7 @@ from sepstat.separators import (
     ArrowedComposition,
     MarkedSepPermutation,
     MarkedWord,
+    has_knight_pair,
     horizontal_separators,
     separator_count,
     separator_masks,
@@ -35,29 +36,29 @@ from sepstat.separators import (
 )
 
 
+def _words(n):
+    return itertools.permutations(range(1, n + 1))
+
+
 # ---------------------------------------------------------------------------
-# Enumeration stream
+# The sweep
 
 
-def test_iterate_sn_counts():
-    assert len(list(iterate_sn(3))) == 6
-    empty = list(iterate_sn(0))
-    assert len(empty) == 1 and empty[0].n == 0
+def test_sweep_respects_cap(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("sweep started")
 
-
-def test_iterate_sn_distinct_at_8():
-    seen = {p.entries for p in iterate_sn(8)}
-    assert len(seen) == factorial(8)
-
-
-def test_iterate_sn_respects_cap(monkeypatch):
-    with pytest.raises(ValueError, match="cap"):
-        list(iterate_sn(11))
+    monkeypatch.setattr(exhaustive, "_part_words", refuse)
+    with pytest.raises(ValueError, match="cap 10"):
+        sweep(11)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        sweep(-1)
     monkeypatch.setenv(config.ENV_MAX_N, "5")
-    with pytest.raises(ValueError, match="cap"):
-        list(iterate_sn(6))
+    with pytest.raises(ValueError, match="cap 5"):
+        sweep(6)
     monkeypatch.setenv(config.ENV_MAX_N, "11")
-    iterate_sn(11)  # raising the cap is allowed; don't consume the stream
+    with pytest.raises(AssertionError, match="sweep started"):
+        sweep(11)  # raising the cap is allowed
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +126,8 @@ def test_sweep_matches_per_permutation_reports():
     # the fast scan and the definitional sets must tally identically
     for n in range(6):
         expected = {kind: {} for kind in KINDS}
-        for p in iterate_sn(n):
+        for word in _words(n):
+            p = Permutation(word)
             rep = separator_report(p)
             for kind, m in (
                 ("vertical", len(rep.vertical)),
@@ -141,9 +143,15 @@ def test_sweep_matches_per_permutation_reports():
 
 
 def test_sweep_parallel_merge_is_deterministic():
-    assert sweep(7, threads=2) == sweep(7, threads=1)
-    assert sweep(7, threads=3) == sweep(7, threads=1)
-    assert sweep(7, threads=5) == sweep(7, threads=2)
+    # the per-part tallies that verify deals over its pool merge to the
+    # whole sweep
+    whole = sweep(7)
+    for parts in (2, 3, 5):
+        merged = {kind: Counter() for kind in KINDS}
+        for part in range(parts):
+            for kind, tally in _sweep_part(7, part, parts).items():
+                merged[kind].update(tally)
+        assert merged == whole, parts
 
 
 def test_dist_table_helpers():
@@ -159,17 +167,21 @@ def test_dist_table_helpers():
 
 
 def test_separator_free_small_values():
-    assert separator_free_count(1) == 1
-    assert separator_free_count(3) == 2
+    assert sweep(1)["any"][0] == 1
+    assert sweep(3)["any"][0] == 2
 
 
 @pytest.mark.parametrize("n", range(8))
 def test_separator_free_matches_sweep(n):
-    assert separator_free_count(n) == sweep(n)["any"].get(0, 0)
+    # the knight-move scan counted on its own, against the sets' count
+    knight_free = sum(1 for word in _words(n) if not has_knight_pair(word))
+    assert sweep(n)["any"].get(0, 0) == knight_free
 
 
 def test_separator_free_parallel():
-    assert separator_free_count(7, threads=2) == separator_free_count(7)
+    # verify's tables, dealt over a pool of two, against the sweep
+    _, tables = run_check_suite(7, threads=2)
+    assert tables[7]["any"][0] == sweep(7)["any"][0]
 
 
 @pytest.mark.skipif(
@@ -209,7 +221,7 @@ def test_separator_free_disagreement_stops_the_suite(monkeypatch):
         lambda word: real(word) != (tuple(word) == (2, 4, 1, 3)),
     )
     with pytest.raises(RuntimeError, match=r"disagree on \[2413\]"):
-        separator_free_count(4)
+        sweep(4)
     checks, tables = run_check_suite(5)
     assert [(c.name, c.passed) for c in checks] == [
         ("separator-free dual oracle", False)
@@ -307,7 +319,7 @@ def test_max_separator_k3_count_and_property():
 
 def test_max_separator_exhaustive_cross_check_n4():
     want = {p.entries for p in max_separator_perms(1)}
-    got = {p.entries for p in iterate_sn(4) if separator_count(p) == 4}
+    got = {word for word in _words(4) if separator_count(Permutation(word)) == 4}
     assert want == got
 
 
