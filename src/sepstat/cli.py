@@ -5,8 +5,10 @@ and the verification harness.
 Exit codes: 0 success, 1 verification failure, 2 usage or input error
 (a worker process that dies included).
 Identical inputs produce byte-identical output regardless of the
-worker count. Only `verify` sweeps S_n and deals it over worker
-processes; `dist` accepts --threads and ignores it.
+worker count and of earlier calls in the process: `main` builds its
+parser once and looks up cmd_<command> by name on each call, while
+`build_parser()` returns a new parser. Only `verify` sweeps S_n and
+deals it over worker processes; `dist` accepts --threads and ignores it.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ _SERIES_ALIASES = {
     "marked-bonds": "A",
     "bonds": "B",
 }
+_parser: argparse.ArgumentParser | None = None  # main's, built on its first call
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -333,14 +336,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="separator/bond/run report for one permutation")
     p.add_argument("perm", help='e.g. "132465879" or "5,3,2,4,1"')
     common(p, ("plain", "json"))
-    p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("dist", help="exact distribution of a statistic over S_n")
     p.add_argument("n", type=int)
     p.add_argument("--kind", choices=exhaustive.KINDS, default="vertical")
     with_threads(p, "accepted and ignored: counted without a sweep")
     common(p, ("plain", "json", "csv"))
-    p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("gf", help="series coefficients up to z^order")
     p.add_argument(
@@ -352,14 +353,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--order", type=int, default=config.DEFAULT_ORDER)
     common(p, ("plain", "json", "csv"))
-    p.set_defaults(func=cmd_gf)
 
     p = sub.add_parser("expect", help="expected number of separators")
     p.add_argument("n", type=int)
     p.add_argument("--kind", choices=exhaustive.EXPECTATION_KINDS, default="any")
     p.add_argument("--mode", choices=("formula", "empirical", "both"), default="formula")
     common(p, ("plain", "json"))
-    p.set_defaults(func=cmd_expect)
 
     p = sub.add_parser(
         "maxsep", help="permutations of S_{4k} in which every digit separates"
@@ -373,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
         f"(k <= {config.MAX_TRANSFER_N // 4})",
     )
     common(p, ("plain", "json"))
-    p.set_defaults(func=cmd_maxsep)
 
     p = sub.add_parser("verify", help="run the full invariant suite")
     p.add_argument("--n-max", type=int, default=config.DEFAULT_VERIFY_N)
@@ -387,19 +385,20 @@ def build_parser() -> argparse.ArgumentParser:
         p, "worker processes for exhaustive sweeps (default: machine parallelism)"
     )
     common(p, ("plain", "json"))
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except exhaustive.VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

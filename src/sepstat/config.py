@@ -19,18 +19,20 @@ ENV_MAX_N = "SEPSTAT_MAX_N"
 # Largest n accepted by the exact count behind `dist`, `expect` and
 # `maxsep --verify` (sepstat.transfer), which does not enumerate S_n;
 # for `maxsep --verify`, n = 4k, so k <= 3. Measured per command
-# (best of 5, interpreter start excluded) on 2 shared vCPUs with Python
-# 3.11: `vertical`, `horizontal` and `bonds` take 5.0-5.6 ms at n = 11
-# and 6.0-6.8 ms at n = 12. Most of that is the window checks (2.8 ms
-# and 3.6 ms), which put every pair and triple of 1..n to
+# through cli.main with its parser built (best of 20 in two runs,
+# interpreter start excluded) on 2 shared vCPUs with Python 3.11:
+# `vertical`, `horizontal` and `bonds` take 2.2-3.4 ms at n = 11 and
+# 2.8-4.8 ms at n = 12. Most of that is the window checks (1.4-2.7 ms
+# and 2.5-4.1 ms), which put every pair and triple of 1..n to
 # separator_masks and the knight oracle and so grow as n^3; the
-# insertion row takes about 0.5 ms. `both` and `any`, whose states carry the used values
-# and the values waiting for a second flag (folded by the complement),
-# take 0.6-0.9 s (+8-9 MB) at n = 11 and 2.2-3.5 s (+26-31 MB) at
-# n = 12, and each n costs them about 3x the one before. No environment
-# override: SEPSTAT_MAX_N bounds the sweeps only. The `both`/`any` pass
-# packs each entry into 4 bits of its state keys, so for them the cap
-# can never pass 15.
+# insertion row takes 0.2-0.6 ms. The first command in a process also
+# builds the parser (1.3-1.7 ms). `both` and `any`, whose states carry
+# the used values and the values waiting for a second flag (folded by
+# the complement), take 0.6-0.9 s (+8-9 MB) at n = 11 and 2.2-3.5 s
+# (+26-31 MB) at n = 12, and each n costs them about 3x the one
+# before. No environment override: SEPSTAT_MAX_N bounds the sweeps
+# only. The `both`/`any` pass packs each entry into 4 bits of its
+# state keys, so for them the cap can never pass 15.
 MAX_TRANSFER_N = 12
 
 # Default z-truncation order for the series commands, and the largest

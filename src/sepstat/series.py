@@ -67,9 +67,9 @@ class MarkerPoly:
         The Taylor shift is one Horner evaluation of the polynomial at
         X = 2^w + offset: p(X) = sum_j q_j 2^(w j), where q is the
         shifted polynomial, so its coefficients are the signed base-2^w
-        digits of one integer. For degree d they are bounded by
+        digits of one integer. They are bounded by
         |q_j| <= sum_k |c_k| C(k, j) |offset|^(k - j)
-        <= sum_k |c_k| (1 + |offset|)^k <= M = sum_k |c_k| (1 + |offset|)^d,
+        <= M = sum_k |c_k| (1 + |offset|)^k, itself a Horner evaluation,
         so a slot of w >= bit_length(M) + 1 bits (rounded up to whole
         bytes) holds q_j + 2^(w - 1) in 0..2^w - 1. Adding that bias
         to every slot makes the integer nonnegative and lets the slots
@@ -78,16 +78,18 @@ class MarkerPoly:
         coeffs = self.coeffs
         if offset == 0 or not coeffs:
             return self
-        d = len(coeffs) - 1
-        bound = sum(abs(c) for c in coeffs) * (1 + abs(offset)) ** d
+        base = 1 + abs(offset)
+        bound = 0
+        for c in reversed(coeffs):
+            bound = bound * base + abs(c)
         size = (bound.bit_length() + 8) // 8  # bytes per slot
         width = 8 * size
         acc = 0
         for c in reversed(coeffs):
             acc = (acc << width) + offset * acc + c
         half = 1 << (width - 1)
-        bias = int.from_bytes((b"\0" * (size - 1) + b"\x80") * (d + 1), "little")
-        raw = (acc + bias).to_bytes(size * (d + 1), "little")
+        bias = int.from_bytes((b"\0" * (size - 1) + b"\x80") * len(coeffs), "little")
+        raw = (acc + bias).to_bytes(size * len(coeffs), "little")
         return MarkerPoly([
             int.from_bytes(raw[i:i + size], "little") - half
             for i in range(0, len(raw), size)

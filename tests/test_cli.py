@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from sepstat import config, exhaustive
+from sepstat import cli, config, exhaustive
 from sepstat.cli import _SERIES, _csv_text, main
 from sepstat.series import series_csv_rows
 
@@ -498,6 +498,75 @@ def test_verify_verbose_shows_rows(capsys):
     code, out, _ = run_cli(capsys, "verify", "--n-max", "3", "--verbose")
     assert code == 0
     assert "vertical row n=3: {0: 2, 1: 4}" in out
+
+
+# ---------------------------------------------------------------------------
+# One parser per process
+
+
+def test_parser_built_once_over_many_calls(capsys, monkeypatch):
+    calls = []
+    build = cli.build_parser
+
+    def counted():
+        calls.append(None)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    monkeypatch.setattr(cli, "_parser", None)  # as if no command had run yet
+    for argv in [("dist", "5"), ("gf", "--order", "3"), ("report", "1"),
+                 ("nope",), ("--help",), ()] * 3:
+        run_cli(capsys, *argv)
+    assert len(calls) == 1
+
+
+def test_mixed_sequence_equals_fresh_parsers(capsys, monkeypatch, tmp_path):
+    target = tmp_path / "out.txt"
+    sequence = [
+        ("report", "31524", "--format", "json"),
+        ("dist", "6", "--kind", "bonds", "--format", "csv"),
+        ("gf", "--which", "A", "--order", "5"),
+        ("expect", "5", "--kind", "both", "--mode", "both"),
+        ("maxsep", "1", "--verify"),
+        ("verify", "--n-max", "4", "--threads", "1"),
+        ("--help",),
+        (),
+        ("nope",),
+        ("dist", "9", "--kind", "nope"),
+        ("verify", "--threads", "0"),
+        ("dist", "4", "--kind", "any", "--out", str(target)),
+        ("gf", "--help"),
+    ]
+
+    def run(argv):
+        result = run_cli(capsys, *argv)
+        written = target.read_text() if target.exists() else None
+        target.unlink(missing_ok=True)
+        return result + (written,)
+
+    monkeypatch.setattr(cli, "_parser", None)
+    kept = [run(argv) for argv in sequence * 2]
+    fresh = []
+    for argv in sequence * 2:
+        cli._parser = None
+        fresh.append(run(argv))
+    assert kept == fresh
+    codes = [code for code, *_ in kept[:len(sequence)]]
+    assert codes == [0] * 7 + [2] * 4 + [0, 0]
+    assert kept[11][1] == "" and kept[11][3].startswith("distribution of any over S_4\n")
+
+
+def test_handler_rebound_after_a_call_is_used(capsys, monkeypatch):
+    assert run_cli(capsys, "dist", "3")[0] == 0
+    seen = []
+
+    def fake(args):
+        seen.append(args.n)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_dist", fake)
+    assert run_cli(capsys, "dist", "4") == (0, "", "")
+    assert seen == [4]
 
 
 # ---------------------------------------------------------------------------
