@@ -10,18 +10,15 @@ from .perms import (
     Direction,
     Permutation,
     Run,
-    bond_count,
     bonds,
     children,
     comb,
     comb_split,
     delete_and_standardize,
-    deletions,
     format_permutation,
     inflate,
     inverse,
     is_king,
-    make_permutation,
     maximal_runs,
     parse_permutation,
     reverse,
@@ -54,13 +51,12 @@ from .series import (
     vertical_sep_gf,
 )
 from .exhaustive import (
-    DistTable,
-    distribution,
     expectation_empirical,
     expectation_formula,
     max_separator_perms,
     sweep,
 )
+from .transfer import distribution
 
 __version__ = "0.1.0"
 

@@ -22,11 +22,10 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
-from . import config, exhaustive
+from . import config, exhaustive, transfer
 from .perms import (
     ARROW,
     Permutation,
-    bond_count,
     bonds,
     format_permutation,
     is_king,
@@ -60,7 +59,7 @@ _parser: argparse.ArgumentParser | None = None  # main's, built on its first cal
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if out is not None:
         try:
             Path(out).write_text(text + "\n", encoding="utf-8")
         except OSError as exc:
@@ -147,7 +146,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             "both": sorted(rep.both),
             "sep_count": rep.sep_count,
             "bonds": sorted(bonds(p)),
-            "bond_count": bond_count(p),
+            "bond_count": len(bonds(p)),
             "runs": [
                 {"start": r.start, "length": r.length, "direction": r.direction.value}
                 for r in runs
@@ -162,7 +161,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             f"horizontal:   {_value_set(rep.horizontal)}",
             f"both:         {_value_set(rep.both)}",
             f"separators:   {rep.sep_count}",
-            f"bonds:        {_value_set(bonds(p))} (count {bond_count(p)})",
+            f"bonds:        {_value_set(bonds(p))} (count {len(bonds(p))})",
             f"runs:         {' '.join(_run_str(p, r) for r in runs)}",
             f"king:         {'yes' if is_king(p) else 'no'}",
         ]
@@ -171,14 +170,16 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_dist(args: argparse.Namespace) -> int:
-    table = exhaustive.distribution(args.n, args.kind)
+    counts = sorted(transfer.distribution(args.n, args.kind).items())
     if args.format == "json":
-        _emit(_json_dumps(table.to_json()), args.out)
+        by_m = {str(m): c for m, c in counts}
+        payload = {"n": args.n, "kind": args.kind, "counts": by_m}
+        _emit(_json_dumps(payload), args.out)
     elif args.format == "csv":
-        _emit(_csv_text(table.csv_rows()), args.out)
+        _emit(_csv_text((args.n, m, c) for m, c in counts), args.out)
     else:
         lines = [f"distribution of {args.kind} over S_{args.n}", "m  count"]
-        lines += [f"{m}  {c}" for m, c in sorted(table.counts.items())]
+        lines += [f"{m}  {c}" for m, c in counts]
         _emit("\n".join(lines), args.out)
     return 0
 
@@ -248,7 +249,7 @@ def cmd_maxsep(args: argparse.Namespace) -> int:
     perms = exhaustive.max_separator_perms(args.k)
     verified = None
     if args.verify:
-        counts = exhaustive.distribution(n, "any").counts
+        counts = transfer.distribution(n, "any")
         verified = exhaustive.is_all_separating_set(perms, n, counts)
     if args.format == "json":
         payload = {
@@ -398,6 +399,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.out == "":  # checked before the command does any work
+            raise ValueError("--out needs a file path, got ''")
         return globals()[f"cmd_{args.command}"](args)
     except exhaustive.VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)

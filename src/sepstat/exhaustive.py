@@ -6,11 +6,11 @@ recounts, permutation by permutation, what the series module claims in
 closed form, and `verify` checks the expectation formulas against its
 literal averages, dealing S_n over one process pool. `sweep` is the
 same tally in this process, as a reference for the tests.
-`distribution` and `expectation_empirical` are counted by
-:mod:`sepstat.transfer` instead, without enumerating, and so is the
-count behind `maxsep --verify`. Counts are exact integers and
-expectations exact rationals, so agreement is equality, never
-tolerance.
+`expectation_empirical` averages the exact distribution that
+:mod:`sepstat.transfer` counts without enumerating; `dist` and the
+count behind `maxsep --verify` read that module directly. Counts are
+exact integers and expectations exact rationals, so agreement is
+equality, never tolerance.
 """
 
 from __future__ import annotations
@@ -133,41 +133,6 @@ def sweep(n: int) -> dict[str, Counter]:
     return _sweep_part(n, 0, 1)
 
 
-@dataclass(frozen=True)
-class DistTable:
-    """Exact distribution of one statistic over S_n."""
-
-    n: int
-    kind: str
-    counts: dict[int, int]
-
-    def mean(self) -> Fraction:
-        return Fraction(
-            sum(m * c for m, c in self.counts.items()), factorial(self.n)
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "kind": self.kind,
-            "counts": {str(m): c for m, c in sorted(self.counts.items())},
-        }
-
-    def csv_rows(self) -> list[tuple[int, int, int]]:
-        return [(self.n, m, c) for m, c in sorted(self.counts.items())]
-
-
-def distribution(n: int, kind: str) -> DistTable:
-    """Exact distribution of one statistic, counted without enumerating
-    (:mod:`sepstat.transfer`), not by a sweep.
-
-    >>> distribution(3, "vertical").counts
-    {0: 2, 1: 4}
-    """
-    table = transfer.distribution(n, kind)
-    return DistTable(n=n, kind=kind, counts=dict(sorted(table.items())))
-
-
 # ---------------------------------------------------------------------------
 # Permutations in which every digit separates
 
@@ -234,13 +199,18 @@ def expectation_formula(n: int, kind: str) -> Fraction:
     return Fraction(4 * (n**3 - 6 * n**2 + 14 * n - 13), n * (n - 1) * (n - 2))
 
 
+def _mean(n: int, counts: dict[int, int]) -> Fraction:
+    """The mean of a distribution over S_n, given as {value: count}."""
+    return Fraction(sum(m * c for m, c in counts.items()), factorial(n))
+
+
 def expectation_empirical(n: int, kind: str) -> Fraction:
     """The mean of the statistic's exact distribution over S_n, counted
     by :mod:`sepstat.transfer`: a route to the expectation independent
     of the closed form."""
     if kind not in EXPECTATION_KINDS:
         raise ValueError(f"unknown kind {kind!r}; choose from {EXPECTATION_KINDS}")
-    return distribution(n, kind).mean()
+    return _mean(n, transfer.distribution(n, kind))
 
 
 def expectation_convergence_ok(n: int) -> bool:
@@ -451,8 +421,7 @@ def run_check_suite(
     exp_ok = True
     for n in range(3, n_max + 1):
         for kind in EXPECTATION_KINDS:
-            empirical = DistTable(n, kind, tables[n][kind]).mean()
-            if empirical != expectation_formula(n, kind):
+            if _mean(n, tables[n][kind]) != expectation_formula(n, kind):
                 exp_ok = False
     add("expectation formulas match averages", exp_ok, f"3 <= n <= {n_max}")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Iterable, NamedTuple, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 
 class Direction(Enum):
@@ -48,8 +48,7 @@ class Permutation:
     """A permutation of {1..n}, stored as its one-line word.
 
     Construction validates the bijection invariant; use
-    :func:`make_permutation` or :func:`parse_permutation` for the
-    friendlier entry points.
+    :func:`parse_permutation` to read one from text.
 
     >>> Permutation((5, 3, 2, 4, 1)).n
     5
@@ -85,17 +84,6 @@ class Permutation:
         return f"Permutation({list(self.entries)})"
 
 
-def make_permutation(values: Iterable[int]) -> Permutation:
-    """Validate ``values`` as a bijection on {1..n} and wrap it.
-
-    >>> make_permutation([5, 3, 2, 4, 1])
-    Permutation([5, 3, 2, 4, 1])
-    >>> make_permutation([])
-    Permutation([])
-    """
-    return Permutation(tuple(values))
-
-
 def format_permutation(p: Permutation) -> str:
     """One-line rendering: compact digits for n <= 9, spaced otherwise."""
     if p.n == 0:
@@ -110,7 +98,8 @@ def parse_permutation(text: str) -> Permutation:
 
     Accepts compact digit strings ("53241", n <= 9 only), delimited
     forms ("5 3 2 4 1", "5,3,2,4,1"), and JSON-ish bracketed arrays.
-    The presence of a delimiter selects the delimited reading.
+    The presence of a delimiter selects the delimited reading. Each
+    entry is ASCII digits 0-9 alone: no sign, underscore or other digits.
 
     >>> parse_permutation("53241").entries
     (5, 3, 2, 4, 1)
@@ -126,11 +115,9 @@ def parse_permutation(text: str) -> Permutation:
         pieces = [piece for piece in s.replace(",", " ").split() if piece]
     else:
         pieces = list(s)
-    try:
-        values = [int(piece) for piece in pieces]
-    except ValueError:
-        raise ValueError(f"cannot parse permutation from {text!r}") from None
-    return make_permutation(values)
+    if not all(piece.isascii() and piece.isdigit() for piece in pieces):
+        raise ValueError(f"cannot parse permutation from {text!r}")
+    return Permutation(tuple(int(piece) for piece in pieces))
 
 
 def standardize(values: Sequence[int]) -> Permutation:
@@ -160,10 +147,6 @@ def bonds(word: Permutation | Sequence[int]) -> frozenset[int]:
     """
     e = word.entries if isinstance(word, Permutation) else word
     return frozenset(i + 1 for i in range(len(e) - 1) if abs(e[i] - e[i + 1]) == 1)
-
-
-def bond_count(p: Permutation) -> int:
-    return len(bonds(p))
 
 
 def split_runs(word: Sequence[int], joined: Collection[int]) -> list[Run]:
@@ -201,7 +184,7 @@ def maximal_runs(p: Permutation) -> list[Run]:
 
 def is_king(p: Permutation) -> bool:
     """True iff the permutation has no bonds (non-attacking kings)."""
-    return bond_count(p) == 0
+    return not bonds(p)
 
 
 # ---------------------------------------------------------------------------
@@ -243,25 +226,17 @@ def delete_and_standardize(p: Permutation, pos: int) -> Permutation:
     return Permutation(tuple([v - 1 if v > removed else v for v in rest]))
 
 
-def deletions(p: Permutation) -> list[Permutation]:
-    """All one-entry deletions in position order, duplicates kept.
-
-    Duplicates arise exactly at bonds: deleting either end of a bond
-    yields the same child.
-    """
-    return [delete_and_standardize(p, i) for i in range(1, p.n + 1)]
-
-
 def children(p: Permutation) -> frozenset[Permutation]:
     """The distinct permutations one level down in the containment
-    order; there are exactly n - (number of bonds) of them.
+    order; there are exactly n - (number of bonds) of them, since
+    deleting either end of a bond yields the same child.
 
     >>> sorted(str(c) for c in children(Permutation((5, 3, 2, 4, 1))))
     ['[3241]', '[4213]', '[4231]', '[4321]']
     """
     if p.n < 1:
         raise ValueError("the empty permutation has no children")
-    return frozenset(deletions(p))
+    return frozenset(delete_and_standardize(p, i) for i in range(1, p.n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +295,7 @@ def comb(odd: Sequence[int], even: Sequence[int]) -> Permutation:
         out.append(even[i])
     if len(odd) > len(even):
         out.append(odd[-1])
-    return make_permutation(out)
+    return Permutation(tuple(out))
 
 
 def comb_split(p: Permutation) -> tuple[tuple[int, ...], tuple[int, ...]]:

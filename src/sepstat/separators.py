@@ -153,9 +153,9 @@ def separator_count(p: Permutation) -> int:
     return (v | h).bit_count()
 
 
-def has_knight_pair(word: Permutation | Sequence[int]) -> bool:
-    """True iff two entries of a permutation or word sit a knight's
-    move apart.
+def has_knight_pair(word: Sequence[int]) -> bool:
+    """True iff two entries of a one-line word sit a knight's move
+    apart.
 
     Rook attacks are impossible in a permutation matrix, so this is
     the whole empress-attack test: offsets (1, 2) and (2, 1) in
@@ -164,12 +164,11 @@ def has_knight_pair(word: Permutation | Sequence[int]) -> bool:
     + knight), that is iff this is False; it is written independently
     of :func:`separator_masks` so that each checks the other.
     """
-    e = word.entries if isinstance(word, Permutation) else word
-    n = len(e)
+    n = len(word)
     for i in range(n - 1):
-        if abs(e[i] - e[i + 1]) == 2:
+        if abs(word[i] - word[i + 1]) == 2:
             return True
-        if i + 2 < n and abs(e[i] - e[i + 2]) == 1:
+        if i + 2 < n and abs(word[i] - word[i + 2]) == 1:
             return True
     return False
 
@@ -215,10 +214,6 @@ class ArrowedComposition:
                 raise ValueError(
                     f"part of size {size} must carry an arrow iff size > 1"
                 )
-
-    @property
-    def num_parts(self) -> int:
-        return len(self.parts)
 
     def compact(self) -> str:
         """Render as e.g. "1,2↑,1,1,3↓,1"."""
@@ -276,12 +271,12 @@ def decode_marked(comp: ArrowedComposition, sigma: Permutation) -> MarkedWord:
     >>> mw.values, sorted(mw.marked)
     ((3, 6, 5, 4, 2, 1, 7, 8), [2, 3, 7])
     """
-    if sigma.n != comp.num_parts:
+    if sigma.n != len(comp.parts):
         raise ValueError(
             f"permutation of {sigma.n} runs does not match "
-            f"{comp.num_parts} composition parts"
+            f"{len(comp.parts)} composition parts"
         )
-    if comp.num_parts == 0:
+    if not comp.parts:
         return MarkedWord((), frozenset())
     word = inflate(sigma, [_run_block(*part) for part in comp.parts])
     marked: set[int] = set()

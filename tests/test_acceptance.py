@@ -18,7 +18,7 @@ from sepstat.exhaustive import (
 )
 from sepstat.perms import (
     Permutation,
-    bond_count,
+    bonds,
     children,
     inverse,
     is_king,
@@ -121,7 +121,7 @@ def test_criterion_6_king_downset():
     for n in range(1, 8):
         for p in _sn(n):
             kids = children(p)
-            ok = ok and len(kids) == n - bond_count(p)
+            ok = ok and len(kids) == n - len(bonds(p))
             if is_king(p):
                 kings = sum(1 for c in kids if is_king(c))
                 ok = ok and kings == n - separator_count(p)

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from sepstat import cli, config, exhaustive
+from sepstat import cli, config, exhaustive, transfer
 from sepstat.cli import _SERIES, _csv_text, main
 from sepstat.series import series_csv_rows
 
@@ -53,6 +53,10 @@ def test_report_invalid_permutation(capsys):
     code, _, err = run_cli(capsys, "report", "1,1,2")
     assert code == 2
     assert "duplicate value 1" in err
+    # int("1_0") is 10, but an entry is ASCII decimal digits alone
+    code, out, err = run_cli(capsys, "report", "1_0,2,3,4,5,6,7,8,9,1")
+    assert code == 2 and out == ""
+    assert err == "error: cannot parse permutation from '1_0,2,3,4,5,6,7,8,9,1'\n"
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +71,12 @@ def test_dist_plain_and_csv(capsys):
     )
     assert code == 0
     assert out.splitlines() == ["n,m,count", "3,0,2", "3,1,4"]
+
+
+def test_dist_json(capsys):
+    code, out, _ = run_cli(capsys, "dist", "3", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"n": 3, "kind": "vertical", "counts": {"0": 2, "1": 4}}
 
 
 def test_dist_empty_group(capsys):
@@ -255,8 +265,6 @@ def test_maxsep_verify_k3(capsys):
 
 
 def test_maxsep_verify_fails_on_a_wrong_count(capsys, monkeypatch):
-    from sepstat import transfer
-
     real = transfer.distribution
 
     def seven(n, kind):
@@ -274,8 +282,6 @@ def test_maxsep_verify_fails_on_a_wrong_count(capsys, monkeypatch):
 
 
 def test_maxsep_verify_checks_every_window(capsys, monkeypatch):
-    from sepstat import transfer
-
     real = transfer.has_knight_pair
     monkeypatch.setattr(
         transfer,
@@ -352,6 +358,16 @@ def test_out_writes_file(tmp_path, capsys):
     assert target.read_text().splitlines()[0] == "n,m,count"
 
 
+def test_empty_out_path_is_input_error(capsys, monkeypatch):
+    def refuse(n, kind):
+        raise AssertionError("counting started")
+
+    monkeypatch.setattr(transfer, "distribution", refuse)
+    code, out, err = run_cli(capsys, "dist", "3", "--out", "")
+    assert code == 2 and out == ""
+    assert err == "error: --out needs a file path, got ''\n"
+
+
 def test_out_write_error_is_input_error(tmp_path, capsys):
     target = tmp_path / "missing" / "x.txt"
     code, out, err = run_cli(capsys, "report", "123", "--out", str(target))
@@ -411,7 +427,7 @@ def csv_writer_text(rows):
 def test_csv_text_matches_csv_writer():
     tables = [[]]
     tables += [
-        exhaustive.distribution(n, kind).csv_rows()
+        [(n, m, c) for m, c in sorted(transfer.distribution(n, kind).items())]
         for n in range(10)
         for kind in exhaustive.KINDS
     ]
@@ -440,6 +456,39 @@ def test_gf_output_digest(capsys):
                 )
                 digest.update(f"{which} {fmt} {order}\0{code}\0{out}\0{err}\0".encode())
     assert digest.hexdigest() == GF_DIGEST
+
+
+# SHA-256 over exit code, stdout and stderr of `dist`, `expect` and
+# `maxsep --verify` below, recorded before `dist` formatted the transfer
+# counts itself and the expectations shared one mean.
+COUNTS_DIGEST = "48cab254c2eca86fe0f392c9dae54c1c2e2a46bc6e5734e9111fac775f3fab17"
+
+
+def test_counts_output_digest(capsys):
+    argvs = [
+        ("dist", str(n), "--kind", kind, "--format", fmt)
+        for n in range(-1, 10)
+        for kind in exhaustive.KINDS
+        for fmt in ("plain", "json", "csv")
+    ]
+    argvs += [
+        ("dist", "12", "--kind", kind, "--format", fmt)
+        for kind in ("vertical", "horizontal", "bonds")
+        for fmt in ("plain", "json", "csv")
+    ]
+    argvs += [
+        ("expect", str(n), "--kind", kind, "--mode", mode, "--format", fmt)
+        for n in range(-1, 10)
+        for kind in exhaustive.EXPECTATION_KINDS
+        for mode in ("formula", "empirical", "both")
+        for fmt in ("plain", "json")
+    ]
+    argvs += [("maxsep", str(k), "--verify") for k in range(4)]
+    digest = hashlib.sha256()
+    for argv in argvs:
+        code, out, err = run_cli(capsys, *argv)
+        digest.update(f"{' '.join(argv)}\0{code}\0{out}\0{err}\0".encode())
+    assert digest.hexdigest() == COUNTS_DIGEST
 
 
 def test_byte_identical_reruns(capsys):
@@ -645,8 +694,6 @@ def test_verify_reports_oracle_disagreement(capsys, extra):
 
 
 def test_dist_reports_oracle_disagreement(capsys, monkeypatch):
-    from sepstat import transfer
-
     real = transfer.has_knight_pair
     monkeypatch.setattr(
         transfer,

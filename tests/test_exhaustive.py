@@ -11,9 +11,9 @@ from sepstat import config, exhaustive
 from sepstat.exhaustive import (
     EXPECTATION_KINDS,
     KINDS,
+    _mean,
     _part_words,
     _sweep_part,
-    distribution,
     expectation_convergence_ok,
     expectation_empirical,
     expectation_formula,
@@ -22,7 +22,7 @@ from sepstat.exhaustive import (
     run_check_suite,
     sweep,
 )
-from sepstat.perms import Direction, Permutation, bond_count
+from sepstat.perms import Direction, Permutation, bonds
 from sepstat.separators import (
     ArrowedComposition,
     MarkedSepPermutation,
@@ -34,6 +34,7 @@ from sepstat.separators import (
     separator_report,
     vertical_separators,
 )
+from sepstat.transfer import distribution
 
 
 def _words(n):
@@ -66,10 +67,10 @@ def test_sweep_respects_cap(monkeypatch):
 
 
 def test_distribution_small_tables():
-    assert distribution(3, "vertical").counts == {0: 2, 1: 4}
-    assert distribution(3, "both").counts == {0: 6}
-    assert distribution(0, "any").counts == {0: 1}
-    assert distribution(3, "bonds").counts == {1: 4, 2: 2}
+    assert distribution(3, "vertical") == {0: 2, 1: 4}
+    assert distribution(3, "both") == {0: 6}
+    assert distribution(0, "any") == {0: 1}
+    assert distribution(3, "bonds") == {1: 4, 2: 2}
 
 
 def test_distribution_rejects_unknown_kind():
@@ -134,7 +135,7 @@ def test_sweep_matches_per_permutation_reports():
                 ("horizontal", len(rep.horizontal)),
                 ("both", len(rep.both)),
                 ("any", rep.sep_count),
-                ("bonds", bond_count(p)),
+                ("bonds", len(bonds(p))),
             ):
                 expected[kind][m] = expected[kind].get(m, 0) + 1
         tables = sweep(n)
@@ -155,11 +156,11 @@ def test_sweep_parallel_merge_is_deterministic():
 
 
 def test_dist_table_helpers():
-    table = distribution(3, "vertical")
-    assert sum(table.counts.values()) == 6
-    assert table.mean() == Fraction(2, 3)
-    assert table.to_json() == {"n": 3, "kind": "vertical", "counts": {"0": 2, "1": 4}}
-    assert table.csv_rows() == [(3, 0, 2), (3, 1, 4)]
+    # the mean that `expect --mode empirical` and the suite take of a table
+    counts = distribution(3, "vertical")
+    assert sum(counts.values()) == 6
+    assert _mean(3, counts) == Fraction(2, 3)
+    assert _mean(0, {0: 1}) == 0
 
 
 # ---------------------------------------------------------------------------
