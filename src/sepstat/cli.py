@@ -401,6 +401,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.out == "":  # checked before the command does any work
             raise ValueError("--out needs a file path, got ''")
+        if args.out is not None:  # and so is the directory it names
+            try:
+                os.stat(os.path.join(os.path.dirname(args.out) or ".", ""))
+            except OSError as exc:
+                raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
         return globals()[f"cmd_{args.command}"](args)
     except exhaustive.VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)

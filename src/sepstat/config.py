@@ -27,12 +27,13 @@ ENV_MAX_N = "SEPSTAT_MAX_N"
 # separator_masks and the knight oracle and so grow as n^3; the
 # insertion row takes 0.2-0.6 ms. The first command in a process also
 # builds the parser (1.3-1.7 ms). `both` and `any`, whose states carry
-# the used values and the values waiting for a second flag (folded by
-# the complement), take 0.6-0.9 s (+8-9 MB) at n = 11 and 2.2-3.5 s
-# (+26-31 MB) at n = 12, and each n costs them about 3x the one
+# the used values and the values waiting for a second flag (grouped by
+# position, folded by the complement), take 0.26-0.49 s (+6-8 MB peak
+# RSS) at n = 11 and 1.0-1.6 s (+16-22 MB) at n = 12 (distribution()
+# alone, 5 fresh processes each), and each n costs them 3-4x the one
 # before. No environment override: SEPSTAT_MAX_N bounds the sweeps
 # only. The `both`/`any` pass packs each entry into 4 bits of its
-# state keys, so for them the cap can never pass 15.
+# position keys, so for them the cap can never pass 15.
 MAX_TRANSFER_N = 12
 
 # Default z-truncation order for the series commands, and the largest

@@ -29,14 +29,23 @@ still receive the other:
 * a value flagged horizontal waits while it is unused or is the last
   entry (the entry after it decides its vertical flag).
 
+Each layer groups its states by position, the used values and the last
+two entries, and keeps one table of waiting sets per position, so what
+a position allows next is worked out once for all its states. A next
+entry that flags nothing (most of them) maps every waiting set of a
+position the same way, so its successor receives one projected table;
+only the others walk the waiting sets one by one.
+
 The complement x -> n + 1 - x preserves all five statistics and maps
 this pass's transitions onto each other, so a state and its complement
 lead to the same counts. The pass starts from the first entries up to
 (n + 1) / 2 in one layer, each weighted by 2 except a middle one, and at
-the end of every layer it folds each state onto the smaller of itself
-and its complement. States reached from different first entries, or
-from complementary prefixes, then merge. It first checks that every
-window's event is the complement of its complement window's.
+the end of every layer it folds each position onto the smaller of itself
+and its complement, complementing its waiting sets with it; a position
+that is its own complement folds each waiting set on its own. States
+reached from different first entries, or from complementary prefixes,
+then merge. It first checks that every window's event is the
+complement of its complement window's.
 
 Each state's counts are one packed int, coefficient m in slot m of
 ``factorial(n).bit_length() + 1`` bits, so a transition is one exact
@@ -144,15 +153,18 @@ def _distance_rule(n, kind, vflag, mid, bond) -> None:
             )
 
 
-# Keys pack the used-value mask (bit v for value v) in the low n + 1
-# bits, then the last entry b and the one before it, a, in 4 bits each
-# (values are at most 12), then the two waiting sets of `both` and `any`.
-# The entry before the last only decides whether the last is vertical,
-# which needs the next entry to be a value neighbour of it; once both
-# value neighbours are used it is stored as 0, which merges states. The
-# complement of a key reverses the three value sets over 1..n and maps
-# b -> n + 1 - b and a -> n + 1 - a, keeping a = 0; each layer is
-# stored with every key folded onto the smaller of it and its complement.
+# A layer maps position keys to tables that map waiting keys to counts.
+# Position keys pack the used-value mask (bit v for value v) in the low
+# n + 1 bits, then the last entry b and the one before it, a, in 4 bits
+# each (values are at most 12). Waiting keys pack the values flagged
+# vertical, waiting for horizontal, in the low n + 1 bits and the values
+# flagged horizontal, waiting for vertical, above them. The entry before
+# the last only decides whether the last is vertical, which needs the
+# next entry to be a value neighbour of it; once both value neighbours
+# are used it is stored as 0, which merges positions. The complement of
+# a key reverses its value sets over 1..n and maps b -> n + 1 - b and
+# a -> n + 1 - a, keeping a = 0; each layer is stored with every
+# position folded onto the smaller of it and its complement.
 
 
 def _complement_check(n, kind, vflag, mid) -> None:
@@ -178,8 +190,8 @@ def _complement_check(n, kind, vflag, mid) -> None:
 
 
 def _flag_pass(n, width, kind, vflag, mid) -> int:
-    """Counts for `both` or `any` over S_n, with the waiting sets in the
-    state and every layer folded by the complement."""
+    """Counts for `both` or `any` over S_n, with the states grouped by
+    position and every layer folded by the complement."""
     _complement_check(n, kind, vflag, mid)
     size = n + 1
     full = (1 << size) - 2
@@ -200,65 +212,82 @@ def _flag_pass(n, width, kind, vflag, mid) -> int:
     flip = [(size - b if b else 0) | (size - a if a else 0) << 4
             for a in range(16) for b in range(16)]
     first_flag, second_flag = (width, 0) if kind == "any" else (0, width)
-    pv_at = size + 8  # values flagged vertical, waiting for horizontal
-    ph_at = 2 * size + 8  # values flagged horizontal, waiting for vertical
-    cur = {1 << f | f << size: 1 if 2 * f == size else 2
+    cur = {1 << f | f << size: {0: 1 if 2 * f == size else 2}
            for f in range(1, size // 2 + 1)}
     for step in range(2, n + 1):
         keymask = -1 if step < n else 0
-        nxt: dict[int, int] = {}
+        nxt: dict[int, dict[int, int]] = {}
         while cur:
-            key, poly = cur.popitem()
-            used = key & full
-            b = key >> size & 15
-            erow = events[key >> size + 4 & 15][b]
-            pv = key >> pv_at & full
-            ph = key >> ph_at
+            pos, table = cur.popitem()
+            used = pos & full
+            b = pos >> size & 15
+            erow = events[pos >> size + 4 & 15][b]
             # A flag waits only while the values it needs are unused now
-            # (c, the new last entry, among them); `quiet` is the next key
-            # without c's own fields when c flags nothing.
+            # (c, the new last entry, among them): `wmask` keeps those of
+            # a waiting key, the same for every c.
             avail = full ^ used
-            pair = avail << 1 & avail >> 1
-            quiet = used | (pv & pair) << pv_at | (ph & avail) << ph_at
+            wmask = avail << 1 & avail >> 1 | avail << size
             # b is kept as the entry before the last while a value
             # neighbour of it other than c is unused.
             waiting = near[b] & ~used
             keep = b << size + 4 if waiting else 0
             lone = waiting.bit_length() - 1 if waiting & waiting - 1 == 0 else 0
+            quiet = {}
+            for w, poly in table.items():
+                w &= wmask
+                quiet[w] = quiet.get(w, 0) + poly
             for c in free[used]:
+                p2 = (used | 1 << c | c << size | (0 if c == lone else keep)) & keymask
+                dest = nxt.get(p2)
                 e = erow[c]
-                if e:
-                    v2, h2, inc = pv, ph, 0
-                    if e & 1:
-                        if h2 >> b & 1:
-                            h2 ^= 1 << b
+                if not e:  # c flags nothing: add the projected table
+                    if dest is None:
+                        nxt[p2] = quiet.copy()
+                    else:
+                        for w, poly in quiet.items():
+                            dest[w] = dest.get(w, 0) + poly
+                    continue
+                if dest is None:
+                    dest = nxt[p2] = {}
+                vb = (e & 1) << b  # b flagged vertical
+                hb = 1 << (e >> 1) & ~1  # the value flagged horizontal
+                for w, poly in table.items():
+                    inc = 0
+                    if vb:
+                        if w >> size & vb:
+                            w ^= vb << size
                             inc = second_flag
                         else:
-                            v2 |= 1 << b
+                            w |= vb
                             inc = first_flag
-                    m = e >> 1
-                    if m:
-                        if v2 >> m & 1:
-                            v2 ^= 1 << m
+                    if hb:
+                        if w & hb:
+                            w ^= hb
                             inc += second_flag
                         else:
-                            h2 |= 1 << m
+                            w |= hb << size
                             inc += first_flag
-                    k2 = used | (v2 & pair) << pv_at | (h2 & avail) << ph_at
-                    add = poly << inc
-                else:
-                    k2, add = quiet, poly
-                k2 = (k2 | 1 << c | c << size | (0 if c == lone else keep)) & keymask
-                nxt[k2] = nxt.get(k2, 0) + add
+                    w &= wmask
+                    dest[w] = dest.get(w, 0) + (poly << inc)
         if keymask:
             while nxt:
-                key, poly = nxt.popitem()
-                twin = (rev[key & full] | flip[key >> size & 255] << size
-                        | rev[key >> pv_at & full] << pv_at
-                        | rev[key >> ph_at] << ph_at)
-                if twin < key:
-                    key = twin
-                cur[key] = cur.get(key, 0) + poly
+                pos, table = nxt.popitem()
+                twin = rev[pos & full] | flip[pos >> size & 255] << size
+                if twin <= pos:
+                    # the waiting keys are complemented with the position;
+                    # a self-complementary one folds each key on its own
+                    whole, pos, table, folded = twin < pos, twin, {}, table
+                    for w, poly in folded.items():
+                        t = rev[w & full] | rev[w >> size] << size
+                        if whole or t < w:
+                            w = t
+                        table[w] = table.get(w, 0) + poly
+                dest = cur.get(pos)
+                if dest is None:
+                    cur[pos] = table
+                else:
+                    for w, poly in table.items():
+                        dest[w] = dest.get(w, 0) + poly
         else:
             cur = nxt
-    return cur.popitem()[1]
+    return sum(cur.popitem()[1].values())

@@ -376,6 +376,25 @@ def test_out_write_error_is_input_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("file_parent", [False, True])
+def test_out_to_a_missing_directory_fails_before_any_work(
+    tmp_path, capsys, monkeypatch, file_parent
+):
+    def refuse(n, kind):
+        raise AssertionError("counting started")
+
+    monkeypatch.setattr(transfer, "distribution", refuse)
+    parent = tmp_path / "missing"
+    if file_parent:
+        parent.write_text("")
+    target = parent / "x.csv"
+    code, out, err = run_cli(capsys, "dist", "11", "--kind", "any", "--out", str(target))
+    reason = "Not a directory" if file_parent else "No such file or directory"
+    assert (code, out, err) == (2, "", f"error: cannot write {target}: {reason}\n")
+    assert not target.exists()
+    assert parent.exists() == file_parent
+
+
 # SHA-256 of stdout. The verify and maxsep digests were recorded before
 # the verification pass was merged into one sweep (the maxsep one also
 # before its count moved from a sweep to the transfer pass), the gf
@@ -489,6 +508,22 @@ def test_counts_output_digest(capsys):
         code, out, err = run_cli(capsys, *argv)
         digest.update(f"{' '.join(argv)}\0{code}\0{out}\0{err}\0".encode())
     assert digest.hexdigest() == COUNTS_DIGEST
+
+
+# SHA-256 over exit code, stdout and stderr of `dist N --kind K --format
+# csv` for `both` and `any` past the sweep's default cap, recorded before
+# the flag pass grouped its states by position.
+FLAG_PASS_DIGEST = "1430f85b0aed68f6a82bdddd752606cc8e96f84648e1d952a98083289aaa3f74"
+
+
+def test_flag_pass_output_digest(capsys):
+    digest = hashlib.sha256()
+    for n in (10, 11, 12):
+        for kind in ("both", "any"):
+            argv = ("dist", str(n), "--kind", kind, "--format", "csv")
+            code, out, err = run_cli(capsys, *argv)
+            digest.update(f"{' '.join(argv)}\0{code}\0{out}\0{err}\0".encode())
+    assert digest.hexdigest() == FLAG_PASS_DIGEST
 
 
 def test_byte_identical_reruns(capsys):

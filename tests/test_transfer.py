@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 
 import pytest
@@ -33,10 +34,110 @@ def test_transfer_rows_equal_series_rows():
         assert transfer.distribution(n, "bonds") == b_row, n
 
 
-@pytest.mark.parametrize("n", [9, 10])
+@pytest.mark.parametrize("n", [9, 10, 11])
 @pytest.mark.parametrize("kind", EXPECTATION_KINDS)
 def test_transfer_means_equal_formulas_past_the_sweep(n, kind):
     assert _mean(n, transfer.distribution(n, kind)) == expectation_formula(n, kind)
+
+
+@pytest.mark.parametrize("kind", ["both", "any"])
+def test_flag_pass_equals_the_keyed_pass(kind):
+    for n in range(2, 11):
+        width = math.factorial(n).bit_length() + 1
+        vflag, mid, _ = transfer._window_events(n)
+        expected = _keyed_flag_pass(n, width, kind, vflag, mid)
+        assert transfer._flag_pass(n, width, kind, vflag, mid) == expected, n
+
+
+# Keys pack the used-value mask (bit v for value v) in the low n + 1
+# bits, then the last entry b and the one before it, a, in 4 bits each,
+# then the two waiting sets; the complement fold orients each whole key.
+def _keyed_flag_pass(n, width, kind, vflag, mid) -> int:
+    """The flag pass with one flat table per layer: each key packs the
+    used values, the last two entries and both waiting sets, and each
+    state is set up on its own. The reference for the grouped
+    :func:`transfer._flag_pass`; it makes no window checks of its own."""
+    size = n + 1
+    full = (1 << size) - 2
+    vals = range(1, size)
+    # bit mask of the value neighbours v - 1 and v + 1 in 1..n of each v
+    near = [0] + [(1 << v - 1 | 1 << v + 1) & full for v in vals]
+    # the unused values of each used mask
+    free = [[c for c in vals if not used >> c & 1] for used in range(1 << size)]
+    # the events of each window: bit 0 flags b vertical, the rest is the
+    # value the window flags horizontal
+    events = [[[vflag[a][b][c] | mid[b][c] << 1 for c in range(size)]
+               for b in range(size)] for a in range(size)]
+    # each value set reversed over 1..n, and the (b, a) byte complemented
+    rev = [0] * (1 << size)
+    for mask in range(2, 1 << size, 2):
+        low = mask & -mask
+        rev[mask] = rev[mask ^ low] | (1 << size) // low
+    flip = [(size - b if b else 0) | (size - a if a else 0) << 4
+            for a in range(16) for b in range(16)]
+    first_flag, second_flag = (width, 0) if kind == "any" else (0, width)
+    pv_at = size + 8  # values flagged vertical, waiting for horizontal
+    ph_at = 2 * size + 8  # values flagged horizontal, waiting for vertical
+    cur = {1 << f | f << size: 1 if 2 * f == size else 2
+           for f in range(1, size // 2 + 1)}
+    for step in range(2, n + 1):
+        keymask = -1 if step < n else 0
+        nxt: dict[int, int] = {}
+        while cur:
+            key, poly = cur.popitem()
+            used = key & full
+            b = key >> size & 15
+            erow = events[key >> size + 4 & 15][b]
+            pv = key >> pv_at & full
+            ph = key >> ph_at
+            # A flag waits only while the values it needs are unused now
+            # (c, the new last entry, among them); `quiet` is the next key
+            # without c's own fields when c flags nothing.
+            avail = full ^ used
+            pair = avail << 1 & avail >> 1
+            quiet = used | (pv & pair) << pv_at | (ph & avail) << ph_at
+            # b is kept as the entry before the last while a value
+            # neighbour of it other than c is unused.
+            waiting = near[b] & ~used
+            keep = b << size + 4 if waiting else 0
+            lone = waiting.bit_length() - 1 if waiting & waiting - 1 == 0 else 0
+            for c in free[used]:
+                e = erow[c]
+                if e:
+                    v2, h2, inc = pv, ph, 0
+                    if e & 1:
+                        if h2 >> b & 1:
+                            h2 ^= 1 << b
+                            inc = second_flag
+                        else:
+                            v2 |= 1 << b
+                            inc = first_flag
+                    m = e >> 1
+                    if m:
+                        if v2 >> m & 1:
+                            v2 ^= 1 << m
+                            inc += second_flag
+                        else:
+                            h2 |= 1 << m
+                            inc += first_flag
+                    k2 = used | (v2 & pair) << pv_at | (h2 & avail) << ph_at
+                    add = poly << inc
+                else:
+                    k2, add = quiet, poly
+                k2 = (k2 | 1 << c | c << size | (0 if c == lone else keep)) & keymask
+                nxt[k2] = nxt.get(k2, 0) + add
+        if keymask:
+            while nxt:
+                key, poly = nxt.popitem()
+                twin = (rev[key & full] | flip[key >> size & 255] << size
+                        | rev[key >> pv_at & full] << pv_at
+                        | rev[key >> ph_at] << ph_at)
+                if twin < key:
+                    key = twin
+                cur[key] = cur.get(key, 0) + poly
+        else:
+            cur = nxt
+    return cur.popitem()[1]
 
 
 def test_transfer_cap_is_checked_before_any_work(monkeypatch):
