@@ -14,6 +14,7 @@ deals it over worker processes; `dist` accepts --threads and ignores it.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -404,6 +405,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.out is not None:  # and so is the directory it names
             try:
                 os.stat(os.path.join(os.path.dirname(args.out) or ".", ""))
+                if os.path.isdir(args.out):
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
             except OSError as exc:
                 raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
         return globals()[f"cmd_{args.command}"](args)

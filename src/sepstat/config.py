@@ -18,21 +18,21 @@ ENV_MAX_N = "SEPSTAT_MAX_N"
 
 # Largest n accepted by the exact count behind `dist`, `expect` and
 # `maxsep --verify` (sepstat.transfer), which does not enumerate S_n;
-# for `maxsep --verify`, n = 4k, so k <= 3. Measured per command
-# through cli.main with its parser built (best of 20 in two runs,
-# interpreter start excluded) on 2 shared vCPUs with Python 3.11:
-# `vertical`, `horizontal` and `bonds` take 2.2-3.4 ms at n = 11 and
-# 2.8-4.8 ms at n = 12. Most of that is the window checks (1.4-2.7 ms
-# and 2.5-4.1 ms), which put every pair and triple of 1..n to
-# separator_masks and the knight oracle and so grow as n^3; the
-# insertion row takes 0.2-0.6 ms. The first command in a process also
-# builds the parser (1.3-1.7 ms). `both` and `any`, whose states carry
-# the used values and the values waiting for a second flag (grouped by
-# position, folded by the complement), take 0.26-0.49 s (+6-8 MB peak
-# RSS) at n = 11 and 1.0-1.6 s (+16-22 MB) at n = 12 (distribution()
-# alone, 5 fresh processes each), and each n costs them 3-4x the one
-# before. No environment override: SEPSTAT_MAX_N bounds the sweeps
-# only. The `both`/`any` pass packs each entry into 4 bits of its
+# for `maxsep --verify`, n = 4k, so k <= 3. Measured per command through
+# cli.main with its parser built (best of 20, six times, interpreter
+# start excluded) on 2 shared vCPUs with Python 3.11: `vertical`,
+# `horizontal` and `bonds` take 1.7-3.2 ms at n = 11 and 2.3-4.4 ms at
+# n = 12. Most of that is the window check (1.4-2.7 ms and 1.9-3.4 ms),
+# which puts every pair and triple of 1..n to separator_masks, against
+# the value-distance rule, and to the knight oracle, for every kind, and
+# so grows as n^3; the insertion row takes 0.2-0.4 ms. The first command
+# in a process also builds the parser (1.3-1.7 ms). `both` and `any`,
+# whose states carry the used values and the values waiting for a second
+# flag (grouped by position, folded by the complement), take 0.26-0.49 s
+# (+6-8 MB peak RSS) at n = 11 and 1.0-1.6 s (+16-22 MB) at n = 12
+# (distribution() alone, 5 fresh processes each), and each n costs them
+# 3-4x the one before. No environment override: SEPSTAT_MAX_N bounds the
+# sweeps only. The `both`/`any` pass packs each entry into 4 bits of its
 # position keys, so for them the cap can never pass 15.
 MAX_TRANSFER_N = 12
 

@@ -4,16 +4,16 @@ enumerating S_n.
 Every statistic is read off windows of at most three adjacent entries:
 placing the next entry c after the last two entries (a, b) can flag b
 vertical (when a and c differ by 1), flag the midpoint of (b, c)
-horizontal (when b and c differ by 2) and add the bond (b, c). The
-events of every window of 1..n are read off `separator_masks`, and each
-window is put to the knight oracle too, before any counting.
+horizontal (when b and c differ by 2) and add the bond (b, c). Before
+any counting, for every kind, each window of 1..n is put to
+`separator_masks`, whose masks must be what this value-distance rule
+gives, and to the knight oracle.
 
 `vertical`, `horizontal` and `bonds` count events, and each event is
 fixed by one value distance: |c - a| = 1, |c - b| = 2 and |c - b| = 1.
-Once every window is checked against its rule, row n of the insertion
-recurrences (:mod:`sepstat.insertion`) is the distribution: the bond
-rows for `bonds`, and the horizontal rows for `horizontal` and, by the
-inverse symmetry, for `vertical`.
+So row n of the insertion recurrences (:mod:`sepstat.insertion`) is
+the distribution: the bond rows for `bonds`, and the horizontal rows
+for `horizontal` and, by the inverse symmetry, for `vertical`.
 
 `both` and `any` count values, not events: a value is flagged at most
 once vertical and at most once horizontal, and its first flag adds 1 to
@@ -44,8 +44,9 @@ the end of every layer it folds each position onto the smaller of itself
 and its complement, complementing its waiting sets with it; a position
 that is its own complement folds each waiting set on its own. States
 reached from different first entries, or from complementary prefixes,
-then merge. It first checks that every window's event is the
-complement of its complement window's.
+then merge. The rule keeps its form under the complement: |c - a| is
+unchanged and a midpoint m maps to n + 1 - m, so the checked events
+commute with it.
 
 Each state's counts are one packed int, coefficient m in slot m of
 ``factorial(n).bit_length() + 1`` bits, so a transition is one exact
@@ -55,7 +56,6 @@ big-int add.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, permutations
 from math import factorial
 
 from . import config
@@ -63,42 +63,64 @@ from .insertion import bond_rows, horizontal_rows
 from .separators import KINDS, VerificationError, has_knight_pair, separator_masks
 
 
-def _window_events(n: int) -> tuple[list, list, list]:
-    """Event tables over every ordered pair (b, c) and triple (a, b, c)
-    of distinct values in 1..n: ``vflag[a][b][c]`` (b is vertical),
-    ``mid[b][c]`` (the value flagged horizontal, or 0) and
-    ``bond[b][c]``; index 0 stands for "no entry" and has no events.
+def _check_windows(n: int) -> list:
+    """Check every ordered pair (b, c) and triple (a, b, c) of distinct
+    values in 1..n, and return the event of each as ``events[a][b][c]``:
+    bit 0 flags b vertical, the rest is the horizontal mask of (b, c);
+    index 0 of a stands for "no entry" and flags no vertical.
 
-    The events are read off :func:`separator_masks`, and every window is
-    put to :func:`has_knight_pair` as well. Both are window-local, so
-    agreement on every window is agreement on every word; a
-    disagreement raises ``VerificationError``.
+    Each window's :func:`separator_masks` must be what the value-distance
+    rule gives: b vertical exactly when |c - a| = 1, the midpoint of
+    each adjacent pair that differs by 2 horizontal, and a bond for each
+    adjacent pair that differs by 1. It is put to :func:`has_knight_pair`
+    as well. All three are window-local, so agreement on every window is
+    agreement on every word; a disagreement raises ``VerificationError``
+    naming the window.
     """
     size = n + 1
-    vflag = [[[False] * size for _ in range(size)] for _ in range(size)]
-    mid = [[0] * size for _ in range(size)]
-    bond = [[0] * size for _ in range(size)]
-
-    def events(window: tuple[int, ...]) -> tuple[int, int, int]:
-        vm, hm, bonds = separator_masks(window)
-        if (vm | hm != 0) != has_knight_pair(window):
-            raise VerificationError(
-                f"separator-free oracles disagree on window {window}"
-            )
-        return vm, hm, bonds
-
     values = range(1, size)
+    # the rule for the adjacent pair (x, y): its horizontal mask and bonds
+    pair = [[(1 << (x + y >> 1) if abs(x - y) == 2 else 0, int(abs(x - y) == 1))
+             for y in range(size)] for x in range(size)]
+    events = [[[0] * size for _ in range(size)] for _ in range(size)]
+    # the knight oracle must find a pair exactly when a mask is nonempty
     for b in values:
+        rule, row = pair[b], events[0][b]
         for c in values:
-            if c == b:
+            if c != b:
+                hm, bonds = rule[c]
+                window, masks = (b, c), (0, hm, bonds)
+                if separator_masks(window) != masks or has_knight_pair(window) != (hm != 0):
+                    _window_fault(window, masks)
+                row[c] = hm
+    for a in values:
+        for b in values:
+            if b == a:
                 continue
-            _, hm, bonds = events((b, c))
-            mid[b][c] = hm.bit_length() - 1 if hm else 0
-            bond[b][c] = bonds
-            for a in values:
-                if a != b and a != c:
-                    vflag[a][b][c] = events((a, b, c))[0] != 0
-    return vflag, mid, bond
+            ha, ba = pair[a][b]
+            rule, row = pair[b], events[a][b]
+            for c in values:
+                if c != a and c != b:
+                    vertical = abs(c - a) == 1
+                    hm, bonds = rule[c]
+                    window, masks = (a, b, c), (vertical << b, ha | hm, ba + bonds)
+                    if (separator_masks(window) != masks
+                            or has_knight_pair(window) != (vertical or ha | hm != 0)):
+                        _window_fault(window, masks)
+                    row[c] = vertical | hm
+    return events
+
+
+def _window_fault(window: tuple[int, ...], masks: tuple[int, int, int]) -> None:
+    """Raise ``VerificationError`` for a window that :func:`_check_windows`
+    rejected, given the masks of the value-distance rule."""
+    found = separator_masks(window)
+    if found != masks:
+        raise VerificationError(
+            f"separator_masks breaks the value-distance rule on window "
+            f"{window}: {found}, not {masks}"
+        )
+    raise VerificationError(f"separator-free oracles disagree on window {window}")
 
 
 def distribution(n: int, kind: str) -> Counter:
@@ -114,15 +136,14 @@ def distribution(n: int, kind: str) -> Counter:
         raise ValueError(f"n must be >= 0, got {n}")
     if n > config.MAX_TRANSFER_N:
         raise ValueError(f"n={n} exceeds the transfer cap {config.MAX_TRANSFER_N}")
-    vflag, mid, bond = _window_events(n)
     if kind not in ("both", "any"):
-        _distance_rule(n, kind, vflag, mid, bond)
+        _check_windows(n)
         rows = bond_rows(n) if kind == "bonds" else horizontal_rows(n)
         return Counter(rows[n])
     if n < 2:
         return Counter({0: 1})
     width = factorial(n).bit_length() + 1
-    total = _flag_pass(n, width, kind, vflag, mid)
+    total = _flag_pass(n, width, kind)
     slot = (1 << width) - 1
     counts = Counter()
     for m in range(n + 1):
@@ -130,27 +151,6 @@ def distribution(n: int, kind: str) -> Counter:
         if count:
             counts[m] = count
     return counts
-
-
-def _distance_rule(n, kind, vflag, mid, bond) -> None:
-    """Raise ``VerificationError`` naming the first window whose event
-    breaks the rule the insertion recurrences count: b vertical in
-    (a, b, c) exactly when |c - a| = 1, a horizontal event in (b, c)
-    exactly when |c - b| = 2, a bond exactly when |c - b| = 1."""
-    values = range(1, n + 1)
-    if kind == "vertical":
-        windows = (((a, b, c), abs(c - a) == 1, vflag[a][b][c])
-                   for a, b, c in permutations(values, 3))
-    else:
-        table, distance = (mid, 2) if kind == "horizontal" else (bond, 1)
-        windows = (((b, c), abs(c - b) == distance, table[b][c] != 0)
-                   for b, c in permutations(values, 2))
-    for window, rule, event in windows:
-        if event != rule:
-            raise VerificationError(
-                f"{kind} events do not follow the value-distance rule: "
-                f"window {window}"
-            )
 
 
 # A layer maps position keys to tables that map waiting keys to counts.
@@ -167,43 +167,19 @@ def _distance_rule(n, kind, vflag, mid, bond) -> None:
 # position folded onto the smaller of it and its complement.
 
 
-def _complement_check(n, kind, vflag, mid) -> None:
-    """Raise ``VerificationError`` naming a window whose event is not
-    the complement of its complement window's: b vertical in (a, b, c)
-    exactly when n + 1 - b is in the complement, and value m flagged
-    horizontal by (b, c) exactly when n + 1 - m is by its complement.
-    The fold of :func:`_flag_pass` would miscount such tables."""
-    size = n + 1
-    values = range(1, size)
-    windows = chain(
-        (((a, b, c), vflag[a][b][c], vflag[size - a][size - b][size - c])
-         for a, b, c in permutations(values, 3)),
-        (((b, c), mid[b][c] and size - mid[b][c], mid[size - b][size - c])
-         for b, c in permutations(values, 2)),
-    )
-    for window, event, twin in windows:
-        if event != twin:
-            raise VerificationError(
-                f"{kind} events are not symmetric under the complement: window "
-                f"{window} against window {tuple(size - v for v in window)}"
-            )
-
-
-def _flag_pass(n, width, kind, vflag, mid) -> int:
+def _flag_pass(n, width, kind) -> int:
     """Counts for `both` or `any` over S_n, with the states grouped by
-    position and every layer folded by the complement."""
-    _complement_check(n, kind, vflag, mid)
+    position and every layer folded by the complement, after every
+    window is checked."""
+    events = _check_windows(n)
     size = n + 1
     full = (1 << size) - 2
     vals = range(1, size)
     # bit mask of the value neighbours v - 1 and v + 1 in 1..n of each v
     near = [0] + [(1 << v - 1 | 1 << v + 1) & full for v in vals]
-    # the unused values of each used mask
-    free = [[c for c in vals if not used >> c & 1] for used in range(1 << size)]
-    # the events of each window: bit 0 flags b vertical, the rest is the
-    # value the window flags horizontal
-    events = [[[vflag[a][b][c] | mid[b][c] << 1 for c in range(size)]
-               for b in range(size)] for a in range(size)]
+    # the unused values of each used mask, which never holds bit 0, at
+    # index used >> 1
+    free = [[c for c in vals if not used >> c & 1] for used in range(0, 1 << size, 2)]
     # each value set reversed over 1..n, and the (b, a) byte complemented
     rev = [0] * (1 << size)
     for mask in range(2, 1 << size, 2):
@@ -236,7 +212,7 @@ def _flag_pass(n, width, kind, vflag, mid) -> int:
             for w, poly in table.items():
                 w &= wmask
                 quiet[w] = quiet.get(w, 0) + poly
-            for c in free[used]:
+            for c in free[used >> 1]:
                 p2 = (used | 1 << c | c << size | (0 if c == lone else keep)) & keymask
                 dest = nxt.get(p2)
                 e = erow[c]
@@ -250,7 +226,7 @@ def _flag_pass(n, width, kind, vflag, mid) -> int:
                 if dest is None:
                     dest = nxt[p2] = {}
                 vb = (e & 1) << b  # b flagged vertical
-                hb = 1 << (e >> 1) & ~1  # the value flagged horizontal
+                hb = e & ~1  # the bit of the value flagged horizontal
                 for w, poly in table.items():
                     inc = 0
                     if vb:

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -17,6 +19,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@functools.cache
+def cli_output(*argv):
+    """Exit code, stdout and stderr of one unpatched `main` call, run once
+    per test session: `maxsep 3 --verify` counts `dist 12 --kind any`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +268,8 @@ def test_maxsep_verify_ignores_the_sweep_cap(capsys, monkeypatch):
     assert code == 0 and out.endswith("exhaustive cross-check: PASS\n")
 
 
-def test_maxsep_verify_k3(capsys):
-    code, out, _ = run_cli(capsys, "maxsep", "3", "--verify")
+def test_maxsep_verify_k3():
+    code, out, _ = cli_output("maxsep", "3", "--verify")
     lines = out.splitlines()
     assert code == 0 and len(lines) == 1 + 48 + 1
     assert lines[0] == "48 permutations of S_12 in which every digit separates"
@@ -393,6 +405,11 @@ def test_out_to_a_missing_directory_fails_before_any_work(
     assert (code, out, err) == (2, "", f"error: cannot write {target}: {reason}\n")
     assert not target.exists()
     assert parent.exists() == file_parent
+    # and so is a path that names a directory, with or without a slash
+    for path in (str(tmp_path), f"{tmp_path}/"):
+        code, out, err = run_cli(capsys, "dist", "11", "--kind", "any", "--out", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {path}: Is a directory\n"
 
 
 # SHA-256 of stdout. The verify and maxsep digests were recorded before
@@ -483,7 +500,7 @@ def test_gf_output_digest(capsys):
 COUNTS_DIGEST = "48cab254c2eca86fe0f392c9dae54c1c2e2a46bc6e5734e9111fac775f3fab17"
 
 
-def test_counts_output_digest(capsys):
+def test_counts_output_digest():
     argvs = [
         ("dist", str(n), "--kind", kind, "--format", fmt)
         for n in range(-1, 10)
@@ -505,7 +522,7 @@ def test_counts_output_digest(capsys):
     argvs += [("maxsep", str(k), "--verify") for k in range(4)]
     digest = hashlib.sha256()
     for argv in argvs:
-        code, out, err = run_cli(capsys, *argv)
+        code, out, err = cli_output(*argv)
         digest.update(f"{' '.join(argv)}\0{code}\0{out}\0{err}\0".encode())
     assert digest.hexdigest() == COUNTS_DIGEST
 

@@ -44,15 +44,30 @@ def test_transfer_means_equal_formulas_past_the_sweep(n, kind):
 def test_flag_pass_equals_the_keyed_pass(kind):
     for n in range(2, 11):
         width = math.factorial(n).bit_length() + 1
-        vflag, mid, _ = transfer._window_events(n)
-        expected = _keyed_flag_pass(n, width, kind, vflag, mid)
-        assert transfer._flag_pass(n, width, kind, vflag, mid) == expected, n
+        expected = _keyed_flag_pass(n, width, kind, _masks_events(n))
+        assert transfer._flag_pass(n, width, kind) == expected, n
+
+
+def _masks_events(n):
+    """``events[a][b][c]`` as :func:`transfer._flag_pass` reads them, but
+    read off :func:`separator_masks` window by window rather than built
+    from the value-distance rule: bit 0 flags b vertical in (a, b, c),
+    the rest is the horizontal mask of (b, c); a = 0 is "no entry"."""
+    size = n + 1
+    events = [[[0] * size for _ in range(size)] for _ in range(size)]
+    for b, c in itertools.permutations(range(1, size), 2):
+        hm = separator_masks((b, c))[1]
+        events[0][b][c] = hm
+        for a in range(1, size):
+            if a != b and a != c:
+                events[a][b][c] = (separator_masks((a, b, c))[0] != 0) | hm
+    return events
 
 
 # Keys pack the used-value mask (bit v for value v) in the low n + 1
 # bits, then the last entry b and the one before it, a, in 4 bits each,
 # then the two waiting sets; the complement fold orients each whole key.
-def _keyed_flag_pass(n, width, kind, vflag, mid) -> int:
+def _keyed_flag_pass(n, width, kind, events) -> int:
     """The flag pass with one flat table per layer: each key packs the
     used values, the last two entries and both waiting sets, and each
     state is set up on its own. The reference for the grouped
@@ -64,10 +79,6 @@ def _keyed_flag_pass(n, width, kind, vflag, mid) -> int:
     near = [0] + [(1 << v - 1 | 1 << v + 1) & full for v in vals]
     # the unused values of each used mask
     free = [[c for c in vals if not used >> c & 1] for used in range(1 << size)]
-    # the events of each window: bit 0 flags b vertical, the rest is the
-    # value the window flags horizontal
-    events = [[[vflag[a][b][c] | mid[b][c] << 1 for c in range(size)]
-               for b in range(size)] for a in range(size)]
     # each value set reversed over 1..n, and the (b, a) byte complemented
     rev = [0] * (1 << size)
     for mask in range(2, 1 << size, 2):
@@ -112,13 +123,13 @@ def _keyed_flag_pass(n, width, kind, vflag, mid) -> int:
                         else:
                             v2 |= 1 << b
                             inc = first_flag
-                    m = e >> 1
-                    if m:
-                        if v2 >> m & 1:
-                            v2 ^= 1 << m
+                    hb = e & ~1
+                    if hb:
+                        if v2 & hb:
+                            v2 ^= hb
                             inc += second_flag
                         else:
-                            h2 |= 1 << m
+                            h2 |= hb
                             inc += first_flag
                     k2 = used | (v2 & pair) << pv_at | (h2 & avail) << ph_at
                     add = poly << inc
@@ -142,9 +153,9 @@ def _keyed_flag_pass(n, width, kind, vflag, mid) -> int:
 
 def test_transfer_cap_is_checked_before_any_work(monkeypatch):
     def no_work(n):
-        raise AssertionError("the window tables were built")
+        raise AssertionError("the windows were checked")
 
-    monkeypatch.setattr(transfer, "_window_events", no_work)
+    monkeypatch.setattr(transfer, "_check_windows", no_work)
     with pytest.raises(ValueError, match=f"cap {config.MAX_TRANSFER_N}"):
         transfer.distribution(config.MAX_TRANSFER_N + 1, "vertical")
     with pytest.raises(ValueError, match="n must be >= 0"):
@@ -171,52 +182,71 @@ def test_transfer_checks_every_window_against_the_knight_oracle(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "kind, table, window",
+    "field, window",
     [
-        ("bonds", 2, (2, 3)),  # the bond (1, 2) is an event, (2, 3) is not
-        ("bonds", 2, (1, 3)),  # an event past the clamp at distance 2
-        ("horizontal", 1, (2, 4)),
-        ("vertical", 0, (2, 4, 3)),
+        (2, (2, 3)),  # the bond (1, 2) is an event, (2, 3) is not
+        (2, (1, 3)),  # an event past the clamp at distance 2
+        (1, (2, 4)),
+        (0, (2, 4, 3)),
     ],
 )
+@pytest.mark.parametrize("kind", KINDS)
 def test_transfer_rejects_events_that_are_not_translation_invariant(
-    monkeypatch, kind, table, window
+    monkeypatch, kind, field, window
 ):
-    _flip_window(monkeypatch, table, window)
+    _flip_window(monkeypatch, field, window)
     with pytest.raises(VerificationError, match=rf"window {re.escape(str(window))}"):
         transfer.distribution(5, kind)
 
 
 @pytest.mark.parametrize("kind", ["both", "any"])
 @pytest.mark.parametrize(
-    "table, window",
+    "field, window",
     [
         (0, (2, 4, 3)),  # 4 is vertical here but not in (4, 2, 3)
         (1, (2, 4)),  # 3 is horizontal here but not 3 by (4, 2)
     ],
 )
 def test_flag_pass_rejects_events_that_break_the_complement_symmetry(
-    monkeypatch, kind, table, window
+    monkeypatch, kind, field, window
 ):
-    _flip_window(monkeypatch, table, window)
+    # the fold of the flag pass would miscount these; the test above
+    # puts the same faults to every kind
+    _flip_window(monkeypatch, field, window)
     with pytest.raises(VerificationError, match=rf"window {re.escape(str(window))}"):
         transfer.distribution(5, kind)
 
 
-def _flip_window(monkeypatch, table, window):
-    """Patch ``_window_events`` to flip the event of one window in the
-    table at index ``table`` (0 vflag, 1 mid, 2 bond)."""
-    real = transfer._window_events
+@pytest.mark.parametrize("kind", KINDS)
+def test_transfer_rejects_a_wrong_midpoint_the_complement_keeps(monkeypatch, kind):
+    # (2, 4) flags 2 and (4, 2) flags 4, not 3: the same windows flag
+    # something and the fault is its own complement in S_5, so only the
+    # midpoint's value is wrong
+    real = transfer.separator_masks
+    wrong = {(2, 4): 1 << 2, (4, 2): 1 << 4}
 
-    def flipped(n):
-        tables = real(n)
-        row = tables[table]
-        for v in window[:-1]:
-            row = row[v]
-        row[window[-1]] = not row[window[-1]]
-        return tables
+    def patched(word):
+        vm, hm, bonds = real(word)
+        return vm, wrong.get(tuple(word), hm), bonds
 
-    monkeypatch.setattr(transfer, "_window_events", flipped)
+    monkeypatch.setattr(transfer, "separator_masks", patched)
+    with pytest.raises(VerificationError, match=r"window \(2, 4\)"):
+        transfer.distribution(5, kind)
+
+
+def _flip_window(monkeypatch, field, window):
+    """Patch ``transfer.separator_masks`` so that one field (0 vertical,
+    1 horizontal, 2 bonds) of one window is wrong: 0 where it is set,
+    1 where it is 0."""
+    real = transfer.separator_masks
+
+    def flipped(word):
+        masks = list(real(word))
+        if tuple(word) == window:
+            masks[field] = int(not masks[field])
+        return tuple(masks)
+
+    monkeypatch.setattr(transfer, "separator_masks", flipped)
 
 
 def _complement_mask(mask: int, n: int) -> int:
