@@ -91,24 +91,23 @@ def _sweep_part(n: int, part: int, parts: int) -> dict[str, Counter]:
     """Tally all five statistics over part ``part`` of ``parts`` of S_n
     (see `_part_words`).
 
-    Words are counted by their ``separator_masks`` triple, and the five
-    statistics are read once per distinct triple: S_8's 40,320 words
-    have 4,302 of them. Every word is also put to the knight-move test,
-    the separately written oracle for having no separator; a
-    disagreement would mean a bug in one of the two definitions and
-    raises ``VerificationError``.
+    Each word is put to ``separator_masks`` and to the knight-move test,
+    the separately written oracle for having no separator, and the words
+    are counted by the pair of answers: S_8's 40,320 words give 4,302
+    distinct pairs. A pair whose masks find no separator where the
+    knight scan finds a knight's move, or the other way round, would
+    mean a bug in one of the two definitions: the part is then scanned
+    again for the first word giving such a pair, which raises
+    ``VerificationError``. Otherwise the five statistics are read once
+    per distinct masks triple.
     """
+    words, again = itertools.tee(_part_words(n, part, parts))
+    pairs = Counter(zip(map(separator_masks, words), map(has_knight_pair, again)))
     masks: Counter = Counter()
-    for word in _part_words(n, part, parts):
-        key = separator_masks(word)
-        by_sets = key[0] | key[1] == 0
-        if by_sets == has_knight_pair(word):
-            raise VerificationError(
-                f"separator-free oracles disagree on {Permutation(word)}: "
-                f"sets say {by_sets}, knight scan says {not by_sets}",
-                word,
-            )
-        masks[key] += 1
+    for (key, knight), count in pairs.items():
+        if (key[0] | key[1] == 0) == knight:
+            _first_disagreement(n, part, parts)
+        masks[key] += count
     tallies: dict[str, Counter] = {kind: Counter() for kind in KINDS}
     t_v, t_h, t_b, t_a, t_bonds = (
         tallies["vertical"],
@@ -124,6 +123,24 @@ def _sweep_part(n: int, part: int, parts: int) -> dict[str, Counter]:
         t_b[(vm & hm).bit_count()] += count
         t_a[(vm | hm).bit_count()] += count
     return tallies
+
+
+def _first_disagreement(n: int, part: int, parts: int) -> None:
+    """Raise ``VerificationError`` on the first word of the part on which
+    the separator-free oracles disagree (or, should a second scan find
+    none, on the part)."""
+    for word in _part_words(n, part, parts):
+        vm, hm, _ = separator_masks(word)
+        by_sets = vm | hm == 0
+        if by_sets == has_knight_pair(word):
+            raise VerificationError(
+                f"separator-free oracles disagree on {Permutation(word)}: "
+                f"sets say {by_sets}, knight scan says {not by_sets}",
+                word,
+            )
+    raise VerificationError(
+        f"separator-free oracles disagree on S_{n}, but not on a second scan"
+    )
 
 
 def sweep(n: int) -> dict[str, Counter]:
@@ -282,12 +299,8 @@ def _suite_chunk(n_max: int, part: int, parts: int) -> tuple:
             checked += 1
             vm, hm, _ = separator_masks(word)
             # the same separators by position: bit i for the digit p_i
-            vpos = hpos = 0
-            for i, v in enumerate(word, 1):
-                if vm >> v & 1:
-                    vpos |= 1 << i
-                if hm >> v & 1:
-                    hpos |= 1 << i
+            vpos = sum([1 << i for i, v in enumerate(word, 1) if vm >> v & 1])
+            hpos = sum([1 << i for i, v in enumerate(word, 1) if hm >> v & 1])
             # the values of the inverse are the positions of p
             qv, qh, _ = separator_masks(inverse(p).entries)
             if qh != vpos or qv != hpos:
@@ -301,7 +314,7 @@ def _suite_chunk(n_max: int, part: int, parts: int) -> tuple:
                 if len(kids) != n - n_bonds:
                     child_ok = False
                 if not n_bonds:
-                    king_kids = sum(1 for c in kids if is_king(c))
+                    king_kids = sum(map(is_king, kids))
                     if king_kids != n - (vm | hm).bit_count():
                         king_ok = False
             if n > marked_n:
@@ -450,10 +463,10 @@ def run_check_suite(
     return results, tables
 
 
-def _mark_subsets(pos_mask: int) -> Iterator[frozenset[int]]:
+def _mark_subsets(pos_mask: int) -> list[frozenset[int]]:
     """Every subset of the positions set in ``pos_mask``."""
-    positions = [i for i in range(pos_mask.bit_length()) if pos_mask >> i & 1]
-    for mask in range(1 << len(positions)):
-        yield frozenset(
-            pos for i, pos in enumerate(positions) if mask >> i & 1
-        )
+    subsets = [frozenset()]
+    for pos in range(pos_mask.bit_length()):
+        if pos_mask >> pos & 1:
+            subsets += [s | {pos} for s in subsets]
+    return subsets

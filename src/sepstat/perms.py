@@ -47,8 +47,9 @@ class Run(NamedTuple):
 class Permutation:
     """A permutation of {1..n}, stored as its one-line word.
 
-    Construction validates the bijection invariant; use
-    :func:`parse_permutation` to read one from text.
+    Construction validates the bijection invariant and stores the
+    entries as a tuple; use :func:`parse_permutation` to read one from
+    text.
 
     >>> Permutation((5, 3, 2, 4, 1)).n
     5
@@ -59,9 +60,15 @@ class Permutation:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.entries)
+        entries = self.entries
+        if entries.__class__ is not tuple:
+            # so that Permutation([3, 1, 2]), the form the repr prints,
+            # hashes and equals Permutation((3, 1, 2))
+            entries = tuple(entries)
+            object.__setattr__(self, "entries", entries)
+        n = len(entries)
         seen = [False] * (n + 1)
-        for v in self.entries:
+        for v in entries:
             # the class test passes exactly the plain ints, the common case
             if v.__class__ is not int and (
                 not isinstance(v, int) or isinstance(v, bool)
@@ -129,7 +136,7 @@ def standardize(values: Sequence[int]) -> Permutation:
     if len(set(values)) != len(values):
         raise ValueError("standardization requires distinct values")
     rank = {v: r for r, v in enumerate(sorted(values), start=1)}
-    return Permutation(tuple(rank[v] for v in values))
+    return Permutation(tuple([rank[v] for v in values]))
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +153,7 @@ def bonds(word: Permutation | Sequence[int]) -> frozenset[int]:
     [1, 3]
     """
     e = word.entries if isinstance(word, Permutation) else word
-    return frozenset(i + 1 for i in range(len(e) - 1) if abs(e[i] - e[i + 1]) == 1)
+    return frozenset([i for i in range(1, len(e)) if abs(e[i - 1] - e[i]) == 1])
 
 
 def split_runs(word: Sequence[int], joined: Collection[int]) -> list[Run]:
@@ -221,9 +228,14 @@ def delete_and_standardize(p: Permutation, pos: int) -> Permutation:
         raise ValueError("cannot delete from the empty permutation")
     if not 1 <= pos <= p.n:
         raise IndexError(f"position {pos} outside 1..{p.n}")
-    removed = p.entries[pos - 1]
-    rest = p.entries[: pos - 1] + p.entries[pos:]
-    return Permutation(tuple([v - 1 if v > removed else v for v in rest]))
+    return Permutation(_delete(p.entries, pos))
+
+
+def _delete(e: tuple[int, ...], pos: int) -> tuple[int, ...]:
+    """The word ``e`` without its entry at 1-indexed ``pos``, standardized:
+    the one deletion behind `delete_and_standardize` and `children`."""
+    removed = e[pos - 1]
+    return tuple([v - 1 if v > removed else v for v in e if v != removed])
 
 
 def children(p: Permutation) -> frozenset[Permutation]:
@@ -231,12 +243,17 @@ def children(p: Permutation) -> frozenset[Permutation]:
     order; there are exactly n - (number of bonds) of them, since
     deleting either end of a bond yields the same child.
 
+    All n deletions are made as raw words, and one `Permutation` is
+    built for each distinct word among them.
+
     >>> sorted(str(c) for c in children(Permutation((5, 3, 2, 4, 1))))
     ['[3241]', '[4213]', '[4231]', '[4321]']
     """
-    if p.n < 1:
+    e = p.entries
+    if not e:
         raise ValueError("the empty permutation has no children")
-    return frozenset(delete_and_standardize(p, i) for i in range(1, p.n + 1))
+    words = {_delete(e, i) for i in range(1, len(e) + 1)}
+    return frozenset(map(Permutation, words))
 
 
 # ---------------------------------------------------------------------------
@@ -257,22 +274,23 @@ def inflate(pattern: Permutation, blocks: Sequence[Permutation]) -> Permutation:
         raise ValueError("inflation requires a nonempty pattern and block list")
     if len(blocks) != k:
         raise ValueError(f"pattern has {k} entries but {len(blocks)} blocks given")
-    if any(b.n == 0 for b in blocks):
+    words = [b.entries for b in blocks]
+    if () in words:
         raise ValueError("inflation blocks must be nonempty")
     # value interval of the block in slot i is the pattern.entries[i]-th
     # lowest; its base offset is the total size of lower-ranked blocks
     size_by_rank = [0] * (k + 1)
-    for i, r in enumerate(pattern.entries):
-        size_by_rank[r] = blocks[i].n
+    for r, w in zip(pattern.entries, words):
+        size_by_rank[r] = len(w)
     base_by_rank = [0] * (k + 1)
     acc = 0
     for r in range(1, k + 1):
         base_by_rank[r] = acc
         acc += size_by_rank[r]
     out: list[int] = []
-    for i, r in enumerate(pattern.entries):
+    for r, w in zip(pattern.entries, words):
         base = base_by_rank[r]
-        out.extend(base + v for v in blocks[i].entries)
+        out += [base + v for v in w]
     return Permutation(tuple(out))
 
 

@@ -93,10 +93,7 @@ def _values(mask: int) -> frozenset[int]:
 
 
 def _positions(p: Permutation, mask: int) -> frozenset[int]:
-    where = [0] * (len(p.entries) + 1)  # where[v] is the position of value v
-    for i, v in enumerate(p.entries, 1):
-        where[v] = i
-    return frozenset(where[v] for v in _values(mask))
+    return frozenset([i for i, v in enumerate(p.entries, 1) if mask >> v & 1])
 
 
 def vertical_separators(p: Permutation) -> frozenset[int]:
@@ -186,14 +183,16 @@ class MarkedWord:
     marked: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
-        if len(set(self.values)) != len(self.values):
+        values = self.values
+        if len(set(values)) != len(values):
             raise ValueError("marked word values must be distinct")
-        if any(v < 1 for v in self.values):
+        if values and min(values) < 1:
             raise ValueError("marked word values must be positive")
-        legal = bonds(self.values)
-        for i in self.marked:
-            if i not in legal:
-                raise ValueError(f"marked index {i} is not a bond of the word")
+        if self.marked:
+            legal = bonds(values)
+            for i in self.marked:
+                if i not in legal:
+                    raise ValueError(f"marked index {i} is not a bond of the word")
 
 
 @dataclass(frozen=True)
@@ -229,6 +228,8 @@ class MarkedSepPermutation:
     marked_sep_positions: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
+        if not self.marked_sep_positions:
+            return
         legal = vertical_separator_positions(self.perm)
         for i in self.marked_sep_positions:
             if i not in legal:
@@ -256,7 +257,7 @@ def encode_marked(mw: MarkedWord) -> tuple[ArrowedComposition, Permutation]:
     """
     e = Permutation(mw.values).entries  # must be a permutation of {1..n}
     runs = split_runs(e, mw.marked)
-    comp = ArrowedComposition(tuple((r.length, r.direction) for r in runs))
+    comp = ArrowedComposition(tuple([(r.length, r.direction) for r in runs]))
     return comp, standardize([e[r.start - 1] for r in runs])
 
 
@@ -299,14 +300,11 @@ def _run_block(size: int, direction: Direction) -> Permutation:
 def enumerate_markings(p: Permutation) -> list[MarkedWord]:
     """All 2^(number of bonds) markings of a permutation's bonds,
     in a deterministic order."""
-    bond_list = sorted(bonds(p))
-    out = []
-    for mask in range(1 << len(bond_list)):
-        chosen = frozenset(
-            b for pos, b in enumerate(bond_list) if mask >> pos & 1
-        )
-        out.append(MarkedWord(p.entries, chosen))
-    return out
+    # subsets[mask] holds the bonds at the set bits of mask
+    subsets = [frozenset()]
+    for b in sorted(bonds(p)):
+        subsets += [s | {b} for s in subsets]
+    return [MarkedWord(p.entries, s) for s in subsets]
 
 
 # ---------------------------------------------------------------------------

@@ -255,6 +255,20 @@ _BROKEN_CALLS = [
         id="children",
     ),
     pytest.param(
+        "king children count is n - separators",
+        "is_king",
+        (Permutation(()),),
+        False,
+        id="is_king",
+    ),
+    pytest.param(
+        "marked encode/decode round-trip",
+        "encode_marked",
+        (MarkedWord((1, 2, 3)),),
+        (ArrowedComposition(((3, Direction.UP),)), Permutation((1,))),
+        id="encode_marked",
+    ),
+    pytest.param(
         "marked encode/decode round-trip",
         "decode_marked",
         (ArrowedComposition(((3, Direction.UP),)), Permutation((1,))),

@@ -52,6 +52,16 @@ def test_permutation_accepts_int_subclass_entries():
     assert Permutation((Rank.TWO, Rank.ONE)).entries == (2, 1)
 
 
+def test_permutation_from_a_list_is_its_tuple_twin():
+    # the repr shows a list, and reading it back gives an equal, hashable value
+    p = Permutation([3, 1, 2])
+    q = Permutation((3, 1, 2))
+    assert p.entries == (3, 1, 2)
+    assert p == q and hash(p) == hash(q)
+    assert {p, q} == {q}
+    assert repr(p) == "Permutation([3, 1, 2])" and eval(repr(p)) == p
+
+
 def test_permutation_empty():
     assert Permutation(()).n == 0
 
@@ -222,6 +232,15 @@ def test_children_examples():
     }
     assert children(parse_permutation("12")) == {parse_permutation("1")}
     assert len(children(parse_permutation("2413"))) == 4
+
+
+@given(st.integers(min_value=1, max_value=12).flatmap(
+    lambda n: st.permutations(list(range(1, n + 1)))))
+def test_children_are_the_distinct_deletions(word):
+    p = Permutation(tuple(word))
+    assert children(p) == frozenset(
+        delete_and_standardize(p, i) for i in range(1, p.n + 1)
+    )
 
 
 def test_children_of_empty_rejected():
