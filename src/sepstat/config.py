@@ -20,13 +20,14 @@ ENV_MAX_N = "SEPSTAT_MAX_N"
 # `maxsep --verify` (sepstat.transfer), which does not enumerate S_n;
 # for `maxsep --verify`, n = 4k, so k <= 3. Measured per command through
 # cli.main with its parser built (best of 20, six times, interpreter
-# start excluded) on 2 shared vCPUs with Python 3.11: `vertical`,
-# `horizontal` and `bonds` take 1.7-3.2 ms at n = 11 and 2.3-4.4 ms at
-# n = 12. Most of that is the window check (1.4-2.7 ms and 1.9-3.4 ms),
-# which puts every pair and triple of 1..n to separator_masks, against
-# the value-distance rule, and to the knight oracle, for every kind, and
-# so grows as n^3; the insertion row takes 0.2-0.4 ms. The first command
-# in a process also builds the parser (1.3-1.7 ms). `both` and `any`,
+# start excluded) on 2 shared vCPUs with Python 3.11, where speed swings
+# by up to 2x: `vertical`, `horizontal` and `bonds` take 1.4-1.5 ms at
+# n = 11 and 1.7-1.9 ms at n = 12. Nearly all of that is the window
+# check (1.3 ms and 1.6-1.7 ms), which puts every pair and triple of
+# 1..n to separator_masks, against the value-distance rule, and to the
+# knight oracle, for every kind, and so grows as n^3; the closed-form
+# row takes 0.03-0.05 ms. The first command in a process also builds
+# the parser (1.3-1.7 ms). `both` and `any`,
 # whose states carry the used values and the values waiting for a second
 # flag (grouped by position, folded by the complement), take 0.26-0.49 s
 # (+6-8 MB peak RSS) at n = 11 and 1.0-1.6 s (+16-22 MB) at n = 12
@@ -42,11 +43,13 @@ MAX_TRANSFER_N = 12
 # Python 3.11) the builders take 1.6-1.7 / 1.7 ms for g, 1.1 / 1.1 ms
 # for A, 4.8-5.0 / 5.2-9.0 ms for h and 4.4-4.5 / 4.7 ms for B; h and B
 # are g and A plus one marker shift of all 65 rows. Whole rows of h and
-# B equal the sweep for n <= 8 (`verify`) and the insertion recurrences
-# (sepstat.insertion) at every n up to this cap (the tests, which read
-# it), and the v^1 term of g equals n! times the vertical expectation at
-# every n <= 64. The recurrences reach order 64 in about 0.05 s, so
-# raising the cap needs only the build cost at the new order measured.
+# B equal the sweep for n <= 8 (`verify`) and the closed-form rows
+# (transfer.event_row, which shares no code with the series) at every n
+# up to this cap (the tests, which read it), and the v^1 term of g
+# equals n! times the vertical expectation at every n <= 64. The
+# closed form builds every B and H row up to 64 in about 0.05 s (1.0 ms
+# for H and 1.3 ms for B at n = 64), so raising the cap needs only the
+# build cost at the new order measured.
 DEFAULT_ORDER = 12
 MAX_ORDER = 64
 

@@ -11,9 +11,40 @@ gives, and to the knight oracle.
 
 `vertical`, `horizontal` and `bonds` count events, and each event is
 fixed by one value distance: |c - a| = 1, |c - b| = 2 and |c - b| = 1.
-So row n of the insertion recurrences (:mod:`sepstat.insertion`) is
-the distribution: the bond rows for `bonds`, and the horizontal rows
-for `horizontal` and, by the inverse symmetry, for `vertical`.
+A bond is a pair {v, v + 1} of values in adjacent positions, a
+horizontal separator at u is the pair {u - 1, u + 1} in adjacent
+positions, and the inverse of a permutation turns each vertical
+separator into a horizontal one. So each row counts S_n by how many
+pairs of a fixed set stand side by side, and :func:`event_row` writes
+it in closed form by inclusion-exclusion (Kaplansky, Ann. Math.
+Statist. 16, 1945):
+
+* Chosen pairs that share a value chain into runs. If every pair of a
+  run of j pairs is adjacent, its j + 1 values stand together in one of
+  2 monotone orders and act as one entry. So for a set S of e pairs
+  in r runs, 2^r (n - e)! permutations make every pair of S adjacent.
+* Summed over the sets S of size e this is (n - e)! c_e, where c_e
+  counts the e-sets with weight 2 per run. A permutation with k
+  adjacent pairs is counted C(k, e) times, so
+  (n - e)! c_e = sum_k C(k, e) count_k, and inverting gives
+  count_k = sum_e (-1)^(e - k) C(e, k) (n - e)! c_e.
+* The bond pairs form one line of values, 1..n. The horizontal pairs
+  form two, the odd values and the even values; a set of them splits
+  into one set on each line, its runs into the runs of each, so c is the
+  convolution of the lines of ceil(n/2) and floor(n/2) values.
+
+For n = 4 the horizontal lines are 1, 3 and 2, 4, each with c = (1, 2),
+so c = (1, 4, 4), the terms (n - e)! c_e are 24, 24 and 8, and the row
+is 24 - 24 + 8, 24 - 2 * 8 and 8:
+
+>>> sorted(event_row(4, "horizontal").items())
+[(0, 8), (1, 8), (2, 8)]
+
+The bond rows are OEIS A001100, and their row 0 is Hertzsprung's
+problem, A002464. c_e for a line of m values is R[m - e][e] of the run
+table off which :mod:`sepstat.series` reads its coefficients. It is
+written here again, importing nothing from there, so that comparing the
+rows with the series compares two pieces of code.
 
 `both` and `any` count values, not events: a value is flagged at most
 once vertical and at most once horizontal, and its first flag adds 1 to
@@ -56,10 +87,9 @@ big-int add.
 from __future__ import annotations
 
 from collections import Counter
-from math import factorial
+from math import comb, factorial
 
 from . import config
-from .insertion import bond_rows, horizontal_rows
 from .separators import KINDS, VerificationError, has_knight_pair, separator_masks
 
 
@@ -138,8 +168,7 @@ def distribution(n: int, kind: str) -> Counter:
         raise ValueError(f"n={n} exceeds the transfer cap {config.MAX_TRANSFER_N}")
     if kind not in ("both", "any"):
         _check_windows(n)
-        rows = bond_rows(n) if kind == "bonds" else horizontal_rows(n)
-        return Counter(rows[n])
+        return Counter(event_row(n, kind))
     if n < 2:
         return Counter({0: 1})
     width = factorial(n).bit_length() + 1
@@ -151,6 +180,42 @@ def distribution(n: int, kind: str) -> Counter:
         if count:
             counts[m] = count
     return counts
+
+
+def _line(m: int) -> list[int]:
+    """c_e for a line of m values, e = 0..m - 1 ([1] when m <= 1): the
+    ways to choose e of its m - 1 pairs (v, v + 1) and orient each
+    maximal run of chosen pairs, 2 ways per run. The r runs of e chosen
+    pairs are a composition of e into r parts, C(e - 1, r - 1) ways, set
+    among the m - 1 - e other pairs, C(m - e, r) ways."""
+    return [1] + [sum(2 ** r * comb(e - 1, r - 1) * comb(m - e, r)
+                      for r in range(1, e + 1)) for e in range(1, m)]
+
+
+def event_row(n: int, kind: str) -> dict[int, int]:
+    """Row n of `vertical`, `horizontal` or `bonds` in closed form, as
+    {value: count} with only nonzero counts, for any n >= 0. It makes
+    no window check and has no cap; :func:`distribution` adds both.
+
+    >>> sorted(event_row(4, "bonds").items())
+    [(0, 2), (1, 10), (2, 10), (3, 2)]
+    """
+    if kind == "bonds":
+        c = _line(n)
+    else:
+        odd, even = _line((n + 1) // 2), _line(n // 2)
+        c = [0] * (len(odd) + len(even) - 1)
+        for i, x in enumerate(odd):
+            for j, y in enumerate(even):
+                c[i + j] += x * y
+    terms = [factorial(n - e) * ce for e, ce in enumerate(c)]
+    row = {}
+    for k in range(len(terms)):
+        count = sum((-1) ** (e - k) * comb(e, k) * terms[e]
+                    for e in range(k, len(terms)))
+        if count:
+            row[k] = count
+    return row
 
 
 # A layer maps position keys to tables that map waiting keys to counts.
