@@ -62,11 +62,12 @@ DEFAULT_VERIFY_N = 8
 
 
 def enumeration_cap() -> int:
-    """The current cap on exhaustive enumeration size."""
+    """The current cap on exhaustive enumeration size. SEPSTAT_MAX_N is
+    read as ASCII digits 0-9 alone, as an entry of a permutation is: no
+    sign, underscore, space or other digits."""
     raw = os.environ.get(ENV_MAX_N)
     if raw is None:
         return DEFAULT_MAX_N
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_MAX_N} must be an integer, got {raw!r}") from None
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError(f"{ENV_MAX_N} must be ASCII digits 0-9, got {raw!r}")
+    return int(raw)

@@ -69,15 +69,16 @@ only the others walk the waiting sets one by one.
 
 The complement x -> n + 1 - x preserves all five statistics and maps
 this pass's transitions onto each other, so a state and its complement
-lead to the same counts. The pass starts from the first entries up to
-(n + 1) / 2 in one layer, each weighted by 2 except a middle one, and at
-the end of every layer it folds each position onto the smaller of itself
-and its complement, complementing its waiting sets with it; a position
-that is its own complement folds each waiting set on its own. States
-reached from different first entries, or from complementary prefixes,
-then merge. The rule keeps its form under the complement: |c - a| is
-unchanged and a midpoint m maps to n + 1 - m, so the checked events
-commute with it.
+lead to the same counts. The pass starts from the empty prefix, and
+each of its n steps folds the layer and then places one more entry; the
+counts are the sum of the last layer's tables. The fold moves each
+position onto the smaller of itself and its complement, complementing
+its waiting sets with it; a position that is its own complement folds
+each waiting set on its own. Complementary prefixes then merge: the
+one-entry prefixes fold onto the first entries up to (n + 1) / 2, each
+but a middle one counted twice. The rule keeps its form under the
+complement: |c - a| is unchanged and a midpoint m maps to n + 1 - m, so
+the checked events commute with it.
 
 Each state's counts are one packed int, coefficient m in slot m of
 ``factorial(n).bit_length() + 1`` bits, so a transition is one exact
@@ -94,10 +95,12 @@ from .separators import KINDS, VerificationError, has_knight_pair, separator_mas
 
 
 def _check_windows(n: int) -> list:
-    """Check every ordered pair (b, c) and triple (a, b, c) of distinct
-    values in 1..n, and return the event of each as ``events[a][b][c]``:
-    bit 0 flags b vertical, the rest is the horizontal mask of (b, c);
-    index 0 of a stands for "no entry" and flags no vertical.
+    """Check every window of distinct values in 1..n, in one loop over
+    a = 0..n: a = 0 stands for "no entry" and gives the pairs (b, c),
+    which flag no vertical and form no pair (a, b); the others give the
+    triples (a, b, c). Return the event of each as ``events[a][b][c]``:
+    bit 0 flags b vertical, the rest is the horizontal mask of (b, c).
+    ``events[0][0]``, where b is "no entry" as well, is all 0.
 
     Each window's :func:`separator_masks` must be what the value-distance
     rule gives: b vertical exactly when |c - a| = 1, the midpoint of
@@ -109,21 +112,14 @@ def _check_windows(n: int) -> list:
     """
     size = n + 1
     values = range(1, size)
-    # the rule for the adjacent pair (x, y): its horizontal mask and bonds
-    pair = [[(1 << (x + y >> 1) if abs(x - y) == 2 else 0, int(abs(x - y) == 1))
-             for y in range(size)] for x in range(size)]
+    # the rule for the adjacent pair (x, y): its horizontal mask and bonds;
+    # row 0 is "no entry", which forms no pair
+    pair = [[(0, 0)] * size] + [
+        [(1 << (x + y >> 1) if abs(x - y) == 2 else 0, int(abs(x - y) == 1))
+         for y in range(size)] for x in values]
     events = [[[0] * size for _ in range(size)] for _ in range(size)]
     # the knight oracle must find a pair exactly when a mask is nonempty
-    for b in values:
-        rule, row = pair[b], events[0][b]
-        for c in values:
-            if c != b:
-                hm, bonds = rule[c]
-                window, masks = (b, c), (0, hm, bonds)
-                if separator_masks(window) != masks or has_knight_pair(window) != (hm != 0):
-                    _window_fault(window, masks)
-                row[c] = hm
-    for a in values:
+    for a in range(size):
         for b in values:
             if b == a:
                 continue
@@ -131,9 +127,10 @@ def _check_windows(n: int) -> list:
             rule, row = pair[b], events[a][b]
             for c in values:
                 if c != a and c != b:
-                    vertical = abs(c - a) == 1
+                    vertical = a and abs(c - a) == 1
                     hm, bonds = rule[c]
-                    window, masks = (a, b, c), (vertical << b, ha | hm, ba + bonds)
+                    window = (a, b, c) if a else (b, c)
+                    masks = (vertical << b, ha | hm, ba + bonds)
                     if (separator_masks(window) != masks
                             or has_knight_pair(window) != (vertical or ha | hm != 0)):
                         _window_fault(window, masks)
@@ -169,8 +166,6 @@ def distribution(n: int, kind: str) -> Counter:
     if kind not in ("both", "any"):
         _check_windows(n)
         return Counter(event_row(n, kind))
-    if n < 2:
-        return Counter({0: 1})
     width = factorial(n).bit_length() + 1
     total = _flag_pass(n, width, kind)
     slot = (1 << width) - 1
@@ -228,14 +223,16 @@ def event_row(n: int, kind: str) -> dict[int, int]:
 # next entry to be a value neighbour of it; once both value neighbours
 # are used it is stored as 0, which merges positions. The complement of
 # a key reverses its value sets over 1..n and maps b -> n + 1 - b and
-# a -> n + 1 - a, keeping a = 0; each layer is stored with every
-# position folded onto the smaller of it and its complement.
+# a -> n + 1 - a, keeping a = 0 and b = 0. Position 0 is the empty
+# prefix: no value used and no entries.
 
 
 def _flag_pass(n, width, kind) -> int:
-    """Counts for `both` or `any` over S_n, with the states grouped by
-    position and every layer folded by the complement, after every
-    window is checked."""
+    """Counts for `both` or `any` over S_n, packed ``width`` bits per
+    slot, after every window is checked. From the empty prefix, each of
+    the n steps folds the layer by the complement and places one more
+    entry after every position; the counts are the sum of the last
+    layer's tables."""
     events = _check_windows(n)
     size = n + 1
     full = (1 << size) - 2
@@ -253,13 +250,30 @@ def _flag_pass(n, width, kind) -> int:
     flip = [(size - b if b else 0) | (size - a if a else 0) << 4
             for a in range(16) for b in range(16)]
     first_flag, second_flag = (width, 0) if kind == "any" else (0, width)
-    cur = {1 << f | f << size: {0: 1 if 2 * f == size else 2}
-           for f in range(1, size // 2 + 1)}
-    for step in range(2, n + 1):
-        keymask = -1 if step < n else 0
-        nxt: dict[int, dict[int, int]] = {}
-        while cur:
-            pos, table = cur.popitem()
+    layer = {0: {0: 1}}  # the empty prefix: no value used, no entries
+    for _ in range(n):
+        folded: dict[int, dict[int, int]] = {}
+        while layer:
+            pos, table = layer.popitem()
+            twin = rev[pos & full] | flip[pos >> size & 255] << size
+            if twin <= pos:
+                # the waiting keys are complemented with the position;
+                # a self-complementary one folds each key on its own
+                whole, pos, table, own = twin < pos, twin, {}, table
+                for w, poly in own.items():
+                    t = rev[w & full] | rev[w >> size] << size
+                    if whole or t < w:
+                        w = t
+                    table[w] = table.get(w, 0) + poly
+            dest = folded.get(pos)
+            if dest is None:
+                folded[pos] = table
+            else:
+                for w, poly in table.items():
+                    dest[w] = dest.get(w, 0) + poly
+        layer = {}
+        while folded:
+            pos, table = folded.popitem()
             used = pos & full
             b = pos >> size & 15
             erow = events[pos >> size + 4 & 15][b]
@@ -278,18 +292,18 @@ def _flag_pass(n, width, kind) -> int:
                 w &= wmask
                 quiet[w] = quiet.get(w, 0) + poly
             for c in free[used >> 1]:
-                p2 = (used | 1 << c | c << size | (0 if c == lone else keep)) & keymask
-                dest = nxt.get(p2)
+                p2 = used | 1 << c | c << size | (0 if c == lone else keep)
+                dest = layer.get(p2)
                 e = erow[c]
                 if not e:  # c flags nothing: add the projected table
                     if dest is None:
-                        nxt[p2] = quiet.copy()
+                        layer[p2] = quiet.copy()
                     else:
                         for w, poly in quiet.items():
                             dest[w] = dest.get(w, 0) + poly
                     continue
                 if dest is None:
-                    dest = nxt[p2] = {}
+                    dest = layer[p2] = {}
                 vb = (e & 1) << b  # b flagged vertical
                 hb = e & ~1  # the bit of the value flagged horizontal
                 for w, poly in table.items():
@@ -310,25 +324,4 @@ def _flag_pass(n, width, kind) -> int:
                             inc += first_flag
                     w &= wmask
                     dest[w] = dest.get(w, 0) + (poly << inc)
-        if keymask:
-            while nxt:
-                pos, table = nxt.popitem()
-                twin = rev[pos & full] | flip[pos >> size & 255] << size
-                if twin <= pos:
-                    # the waiting keys are complemented with the position;
-                    # a self-complementary one folds each key on its own
-                    whole, pos, table, folded = twin < pos, twin, {}, table
-                    for w, poly in folded.items():
-                        t = rev[w & full] | rev[w >> size] << size
-                        if whole or t < w:
-                            w = t
-                        table[w] = table.get(w, 0) + poly
-                dest = cur.get(pos)
-                if dest is None:
-                    cur[pos] = table
-                else:
-                    for w, poly in table.items():
-                        dest[w] = dest.get(w, 0) + poly
-        else:
-            cur = nxt
-    return sum(cur.popitem()[1].values())
+    return sum(sum(table.values()) for table in layer.values())

@@ -60,6 +60,11 @@ def test_sweep_respects_cap(monkeypatch):
     monkeypatch.setenv(config.ENV_MAX_N, "11")
     with pytest.raises(AssertionError, match="sweep started"):
         sweep(11)  # raising the cap is allowed
+    # the cap is ASCII digits alone, though int() reads all of these
+    for raw in ("1_0", "٣", " 7", "7 ", "+7", "-1", ""):
+        monkeypatch.setenv(config.ENV_MAX_N, raw)
+        with pytest.raises(ValueError, match=f"^{config.ENV_MAX_N} must be ASCII digits"):
+            sweep(3)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,15 @@ def test_flag_pass_equals_the_keyed_pass(kind):
         assert transfer._flag_pass(n, width, kind) == expected, n
 
 
+@pytest.mark.parametrize("kind", ["both", "any"])
+@pytest.mark.parametrize("n", [0, 1])
+def test_flag_pass_counts_the_empty_and_the_one_entry_prefix(n, kind):
+    # from the empty prefix, with no special case for small n: count 1
+    # in slot 0
+    width = math.factorial(n).bit_length() + 1
+    assert transfer._flag_pass(n, width, kind) == 1
+
+
 def _masks_events(n):
     """``events[a][b][c]`` as :func:`transfer._flag_pass` reads them, but
     read off :func:`separator_masks` window by window rather than built
@@ -234,6 +243,21 @@ def test_transfer_rejects_a_wrong_midpoint_the_complement_keeps(monkeypatch, kin
         transfer.distribution(5, kind)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_transfer_names_a_two_entry_window_before_a_three_entry_one(monkeypatch, kind):
+    # one loop checks every window, the pairs (a = 0, "no entry") before
+    # the triples, though (1, 2, 3) sorts before (5, 4)
+    real = transfer.separator_masks
+
+    def patched(word):
+        vm, hm, bonds = real(word)
+        return vm, hm, bonds + (tuple(word) in ((1, 2, 3), (5, 4)))
+
+    monkeypatch.setattr(transfer, "separator_masks", patched)
+    with pytest.raises(VerificationError, match=r"window \(5, 4\)"):
+        transfer.distribution(5, kind)
+
+
 def _flip_window(monkeypatch, field, window):
     """Patch ``transfer.separator_masks`` so that one field (0 vertical,
     1 horizontal, 2 bonds) of one window is wrong: 0 where it is set,
@@ -255,10 +279,11 @@ def _complement_mask(mask: int, n: int) -> int:
 
 @pytest.mark.parametrize("n", range(7))
 def test_complement_symmetry_behind_the_halved_pass(n):
-    # the `both`/`any` pass starts from first entries up to (n + 1) / 2
-    # and folds every layer onto the smaller of each state and its
-    # complement; on whole words, the complement x -> n + 1 - x keeps
-    # every statistic (the pass checks the window tables itself)
+    # every step of the `both`/`any` pass folds its layer onto the
+    # smaller of each state and its complement, which halves the first
+    # entries to those up to (n + 1) / 2; on whole words, the complement
+    # x -> n + 1 - x keeps every statistic (the pass checks the window
+    # tables itself)
     for word in itertools.permutations(range(1, n + 1)):
         vm, hm, b = separator_masks(word)
         cvm, chm, cb = separator_masks(tuple(n + 1 - x for x in word))
