@@ -33,12 +33,10 @@ from .separators import (
     decode_marked,
     encode_marked,
     has_knight_pair,
-    horizontal_separators,
     separator_count,
     separator_masks,
     separator_report,
     split_marked,
-    vertical_separators,
 )
 from .series import (
     BiSeries,

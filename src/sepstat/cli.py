@@ -110,8 +110,6 @@ def _value_set(values) -> str:
 
 
 def _poly_str(poly, var: str) -> str:
-    if not poly:
-        return "0"
     terms = []
     for m, c in enumerate(poly.coeffs):
         if not c:

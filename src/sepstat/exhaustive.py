@@ -43,9 +43,11 @@ from .separators import (
     encode_marked,
     enumerate_markings,
     has_knight_pair,
+    position_mask,
     separator_count,
     separator_masks,
     split_marked,
+    subsets,
 )
 from .series import bond_gf, coeff, vertical_sep_gf
 
@@ -245,16 +247,17 @@ def expectation_convergence_ok(n: int) -> bool:
 # The full check suite behind `sepstat verify`
 
 
-def _row_mismatches(
-    name: str, n: int, row: dict[int, int], poly_row: dict[int, int]
-) -> list[tuple[str, int, int, int, int]]:
-    out = []
-    for m in range(max(max(row, default=0), max(poly_row, default=0)) + 1):
-        want = row.get(m, 0)
-        got = poly_row.get(m, 0)
-        if want != got:
-            out.append((name, n, m, want, got))
-    return out
+def _first_mismatch(kind: str, series, tables: dict) -> tuple | None:
+    """The first (kind, n, m, want, got), in the order of n and then m,
+    where the tables count ``want`` permutations of S_n with statistic
+    m and ``series`` has ``got`` at z^n t^m; None when they all agree."""
+    for n, by_kind in tables.items():
+        want, got = by_kind[kind], coeff(series, n).coeffs
+        for m in range(max(len(got), max(want, default=0) + 1)):
+            have = got[m] if m < len(got) else 0
+            if want[m] != have:
+                return kind, n, m, want[m], have
+    return None
 
 
 @dataclass(frozen=True)
@@ -264,76 +267,78 @@ class CheckResult:
     detail: str
 
 
+# The walk covers S_<=7, and its marked checks S_<=6, whatever n_max is.
+_WALK_N = 7
+_MARKED_N = 6
+# The names of the walk's checks.
+_DUAL = "inverse duality of separator sets"
+_REVERSE = "reverse invariance of separator sets"
+_CHILDREN = "children count is n - bonds"
+_KING = "king children count is n - separators"
+_ENCODE = "marked encode/decode round-trip"
+_COMB = "marked comb/split round-trip"
+_CONSERVED = "mark conservation across comb"
+
+
 def _suite_chunk(n_max: int, part: int, parts: int) -> tuple:
     """One part of the suite's exhaustive work: the sweep of part
     ``part`` of every S_n, n <= n_max, then the per-permutation checks
     over its part of S_<=7 (the marked round-trips over S_<=6).
 
-    Returns ``(tables, failure, flags)``. ``failure`` is None,
+    Returns ``(tables, failure, broken)``. ``failure`` is None,
     or ``(n, word, message)`` for the first word of the part on which
     the separator-free oracles disagree; the part stops there and
-    ``tables`` holds the n before it. ``flags`` are the seven walk
-    checks (inverse duality, reverse invariance, children, king
-    children, encode/decode, comb/split, mark conservation). The
-    number of permutations walked is fixed by ``n_max`` alone, so the
-    caller counts it.
+    ``tables`` holds the n before it. ``broken`` is the set of the
+    names of the walk checks that some permutation of the part fails.
+    The number of permutations walked is fixed by ``n_max`` alone, so
+    the caller counts it.
     """
     tables: dict[int, dict[str, Counter]] = {}
+    broken: set[str] = set()
     for n in range(n_max + 1):
         try:
             tables[n] = _sweep_part(n, part, parts)
         except VerificationError as exc:
-            return tables, (n, exc.word, str(exc)), ()
+            return tables, (n, exc.word, str(exc)), broken
 
-    marked_n = min(n_max, 6)
-    dual_ok = True
-    rev_ok = True
-    child_ok = True
-    king_ok = True
-    enc_ok = True
-    comb_ok = True
-    conserved_ok = True
-    for n in range(min(n_max, 7) + 1):
+    for n in range(min(n_max, _WALK_N) + 1):
         for word in _part_words(n, part, parts):
             p = Permutation(word)
             vm, hm, _ = separator_masks(word)
-            # the same separators by position: bit i for the digit p_i
-            vpos = sum([1 << i for i, v in enumerate(word, 1) if vm >> v & 1])
-            hpos = sum([1 << i for i, v in enumerate(word, 1) if hm >> v & 1])
+            vpos = position_mask(word, vm)
             # the values of the inverse are the positions of p
             qv, qh, _ = separator_masks(inverse(p).entries)
-            if qh != vpos or qv != hpos:
-                dual_ok = False
+            if qh != vpos or qv != position_mask(word, hm):
+                broken.add(_DUAL)
             rv, rh, _ = separator_masks(reverse(p).entries)
             if rv != vm or rh != hm:
-                rev_ok = False
+                broken.add(_REVERSE)
             if n >= 1:
                 kids = children(p)
                 n_bonds = len(bonds(p))
                 if len(kids) != n - n_bonds:
-                    child_ok = False
+                    broken.add(_CHILDREN)
                 if not n_bonds:
                     king_kids = sum(map(is_king, kids))
                     if king_kids != n - (vm | hm).bit_count():
-                        king_ok = False
-            if n > marked_n:
+                        broken.add(_KING)
+            if n > _MARKED_N:
                 continue
             for mw in enumerate_markings(p):
                 comp, sigma = encode_marked(mw)
                 if decode_marked(comp, sigma) != mw:
-                    enc_ok = False
-            for subset in _mark_subsets(vpos):
+                    broken.add(_ENCODE)
+            for subset in subsets(vpos):
                 msp = MarkedSepPermutation(p, subset)
                 odd, even = split_marked(msp)
                 back = comb_marked(odd, even)
                 if back != msp:
-                    comb_ok = False
+                    broken.add(_COMB)
                 if len(msp.marked_sep_positions) != len(odd.marked) + len(
                     even.marked
                 ):
-                    conserved_ok = False
-    flags = (dual_ok, rev_ok, child_ok, king_ok, enc_ok, comb_ok, conserved_ok)
-    return tables, None, flags
+                    broken.add(_CONSERVED)
+    return tables, None, broken
 
 
 def _deal(n: int, threads: int | None, fn, *args) -> list:
@@ -366,8 +371,8 @@ def run_check_suite(
     ``n_max``. The sweeps and the walk over S_<=7 are dealt together
     by their first two entries (see `_part_words`), as one job per part
     on one pool of at most ``n_max`` workers (none below 7!); the parts'
-    tallies and flags merge into the same result for every worker
-    count. The walk reads each permutation's separators once,
+    tallies and broken walk checks merge into the same result for every
+    worker count. The walk reads each permutation's separators once,
     with one ``separator_masks`` call each for it, its inverse and its
     reverse, and compares the masks.
 
@@ -395,23 +400,21 @@ def run_check_suite(
     if failure:
         add("separator-free dual oracle", False, failure[2])
         return results, tables
-    dual_ok, rev_ok, child_ok, king_ok, enc_ok, comb_ok, conserved_ok = (
-        all(flag) for flag in zip(*(part[2] for part in parts))
-    )
+    broken = set().union(*(part[2] for part in parts))
+
+    def add_walk(name: str, detail: str) -> None:
+        add(name, name not in broken, detail)
 
     # series rows against the exhaustive tables
     for kind, label, series in (
         ("vertical", "vertical separators", vertical_sep_gf(n_max)),
         ("bonds", "bonds", bond_gf(n_max)),
     ):
-        bad: list[tuple] = []
-        for n in range(n_max + 1):
-            row = {m: c for m, c in enumerate(coeff(series, n).coeffs) if c}
-            bad.extend(_row_mismatches(kind, n, dict(tables[n][kind]), row))
+        bad = _first_mismatch(kind, series, tables)
         add(
             f"series-vs-enumeration ({label})",
-            not bad,
-            f"n <= {n_max}" if not bad else f"first mismatch {bad[0]}",
+            bad is None,
+            f"n <= {n_max}" if bad is None else f"first mismatch {bad}",
         )
 
     sym_ok = all(
@@ -419,13 +422,13 @@ def run_check_suite(
     )
     add("vertical/horizontal distributions identical", sym_ok, f"n <= {n_max}")
 
-    small = min(n_max, 7)
-    marked_n = min(n_max, 6)
+    small = min(n_max, _WALK_N)
+    marked_n = min(n_max, _MARKED_N)
     checked = sum(factorial(n) for n in range(small + 1))  # the walk's S_<=7
-    add("inverse duality of separator sets", dual_ok, f"{checked} permutations")
-    add("reverse invariance of separator sets", rev_ok, f"{checked} permutations")
-    add("children count is n - bonds", child_ok, f"n <= {small}")
-    add("king children count is n - separators", king_ok, f"n <= {small}")
+    add_walk(_DUAL, f"{checked} permutations")
+    add_walk(_REVERSE, f"{checked} permutations")
+    add_walk(_CHILDREN, f"n <= {small}")
+    add_walk(_KING, f"n <= {small}")
 
     # every sweep above checked each word against the knight-move test
     add("separator-free dual oracle", True, f"n <= {n_max}")
@@ -455,17 +458,8 @@ def run_check_suite(
     conv_ok = all(expectation_convergence_ok(n) for n in ladder)
     add("expectation convergence (formula level)", conv_ok, f"n in {ladder}")
 
-    add("marked encode/decode round-trip", enc_ok, f"n <= {marked_n}")
-    add("marked comb/split round-trip", comb_ok, f"n <= {marked_n}")
-    add("mark conservation across comb", conserved_ok, f"n <= {marked_n}")
+    add_walk(_ENCODE, f"n <= {marked_n}")
+    add_walk(_COMB, f"n <= {marked_n}")
+    add_walk(_CONSERVED, f"n <= {marked_n}")
 
     return results, tables
-
-
-def _mark_subsets(pos_mask: int) -> list[frozenset[int]]:
-    """Every subset of the positions set in ``pos_mask``."""
-    subsets = [frozenset()]
-    for pos in range(pos_mask.bit_length()):
-        if pos_mask >> pos & 1:
-            subsets += [s | {pos} for s in subsets]
-    return subsets

@@ -93,8 +93,6 @@ class Permutation:
 
 def format_permutation(p: Permutation) -> str:
     """One-line rendering: compact digits for n <= 9, spaced otherwise."""
-    if p.n == 0:
-        return "[]"
     if p.n <= 9:
         return "[" + "".join(str(v) for v in p.entries) + "]"
     return "[" + " ".join(str(v) for v in p.entries) + "]"

@@ -92,36 +92,30 @@ def _values(mask: int) -> frozenset[int]:
     return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
-def _positions(p: Permutation, mask: int) -> frozenset[int]:
-    return frozenset([i for i, v in enumerate(p.entries, 1) if mask >> v & 1])
+def position_mask(word: Sequence[int], mask: int) -> int:
+    """The positions of the values set in ``mask``: bit i is set when
+    bit word[i - 1] is (positions count from 1).
 
-
-def vertical_separators(p: Permutation) -> frozenset[int]:
-    """Values p_i (2 <= i <= n-1) whose positional neighbours differ by 1.
-
-    >>> sorted(vertical_separators(Permutation((1, 3, 2, 4, 6, 5, 8, 7, 9))))
-    [2, 3, 6, 7]
+    >>> vm, hm, _ = separator_masks((3, 1, 5, 2, 4))
+    >>> bin(vm), bin(position_mask((3, 1, 5, 2, 4), vm))
+    ('0b100100', '0b11000')
     """
-    return _values(separator_masks(p.entries)[0])
+    return sum([1 << i for i, v in enumerate(word, 1) if mask >> v & 1])
 
 
-def vertical_separator_positions(p: Permutation) -> frozenset[int]:
-    """Positions of the vertical separators (the comb machinery is
-    positional, so this view is provided alongside the value set)."""
-    return _positions(p, separator_masks(p.entries)[0])
+def subsets(mask: int) -> list[frozenset[int]]:
+    """Every subset of the bits set in ``mask``, doubling the list at
+    each bit from the lowest: entry k holds the bits of ``mask`` picked
+    by the set bits of k.
 
-
-def horizontal_separators(p: Permutation) -> frozenset[int]:
-    """Values a (2 <= a <= n-1) with a-1 and a+1 in adjacent positions.
-
-    >>> sorted(horizontal_separators(Permutation((1, 3, 2, 4, 6, 5, 8, 7, 9))))
-    [2, 3, 5, 8]
+    >>> [sorted(s) for s in subsets(0b100110)]
+    [[], [1], [2], [1, 2], [5], [1, 5], [2, 5], [1, 2, 5]]
     """
-    return _values(separator_masks(p.entries)[1])
-
-
-def horizontal_separator_positions(p: Permutation) -> frozenset[int]:
-    return _positions(p, separator_masks(p.entries)[1])
+    out = [frozenset()]
+    for bit in range(mask.bit_length()):
+        if mask >> bit & 1:
+            out += [s | {bit} for s in out]
+    return out
 
 
 @dataclass(frozen=True)
@@ -135,7 +129,26 @@ class SeparatorReport:
     sep_count: int
 
 
+def vertical_separators(p: Permutation) -> frozenset[int]:
+    """Values p_i (2 <= i <= n-1) whose positional neighbours differ by 1.
+
+    >>> sorted(vertical_separators(Permutation((1, 3, 2, 4, 6, 5, 8, 7, 9))))
+    [2, 3, 6, 7]
+    """
+    return _values(separator_masks(p.entries)[0])
+
+
+def horizontal_separators(p: Permutation) -> frozenset[int]:
+    """Values a (2 <= a <= n-1) with a-1 and a+1 in adjacent positions.
+
+    >>> sorted(horizontal_separators(Permutation((1, 3, 2, 4, 6, 5, 8, 7, 9))))
+    [2, 3, 5, 8]
+    """
+    return _values(separator_masks(p.entries)[1])
+
+
 def separator_report(p: Permutation) -> SeparatorReport:
+    """All four figures of both separator types from one mask scan."""
     v, h, _ = separator_masks(p.entries)
     return SeparatorReport(
         vertical=_values(v),
@@ -230,9 +243,10 @@ class MarkedSepPermutation:
     def __post_init__(self) -> None:
         if not self.marked_sep_positions:
             return
-        legal = vertical_separator_positions(self.perm)
+        word = self.perm.entries
+        legal = position_mask(word, separator_masks(word)[0])
         for i in self.marked_sep_positions:
-            if i not in legal:
+            if i < 0 or not legal >> i & 1:
                 raise ValueError(
                     f"position {i} is not a vertical separator position"
                 )
@@ -300,11 +314,8 @@ def _run_block(size: int, direction: Direction) -> Permutation:
 def enumerate_markings(p: Permutation) -> list[MarkedWord]:
     """All 2^(number of bonds) markings of a permutation's bonds,
     in a deterministic order."""
-    # subsets[mask] holds the bonds at the set bits of mask
-    subsets = [frozenset()]
-    for b in sorted(bonds(p)):
-        subsets += [s | {b} for s in subsets]
-    return [MarkedWord(p.entries, s) for s in subsets]
+    bond_mask = sum([1 << i for i in bonds(p)])
+    return [MarkedWord(p.entries, s) for s in subsets(bond_mask)]
 
 
 # ---------------------------------------------------------------------------

@@ -31,12 +31,11 @@ from sepstat.separators import (
     encode_marked,
     enumerate_markings,
     has_knight_pair,
-    horizontal_separator_positions,
-    horizontal_separators,
+    position_mask,
     separator_count,
+    separator_masks,
+    separator_report,
     split_marked,
-    vertical_separator_positions,
-    vertical_separators,
 )
 from sepstat.series import MarkerPoly, bond_gf, coeff, vertical_sep_gf
 
@@ -107,12 +106,16 @@ def test_criterion_5_duality_suite():
     ok = True
     for n in range(8):
         for p in _sn(n):
-            q = inverse(p)
-            ok = ok and horizontal_separators(q) == vertical_separator_positions(p)
-            ok = ok and vertical_separators(q) == horizontal_separator_positions(p)
-            r = reverse(p)
-            ok = ok and vertical_separators(p) == vertical_separators(r)
-            ok = ok and horizontal_separators(p) == horizontal_separators(r)
+            vm, hm, _ = separator_masks(p.entries)
+            rep = separator_report(p)
+            # the values of the inverse are the positions of p
+            dual = separator_report(inverse(p))
+            vpos, hpos = position_mask(p.entries, vm), position_mask(p.entries, hm)
+            ok = ok and sum(1 << a for a in dual.horizontal) == vpos
+            ok = ok and sum(1 << a for a in dual.vertical) == hpos
+            rev = separator_report(reverse(p))
+            ok = ok and rep.vertical == rev.vertical
+            ok = ok and rep.horizontal == rev.horizontal
     _criterion("5 inverse duality and reverse invariance (n <= 7)", ok)
 
 
@@ -135,7 +138,8 @@ def test_criterion_7_marked_round_trips():
             for mw in enumerate_markings(p):
                 comp, sigma = encode_marked(mw)
                 ok = ok and decode_marked(comp, sigma) == mw
-            positions = sorted(vertical_separator_positions(p))
+            legal = position_mask(p.entries, separator_masks(p.entries)[0])
+            positions = [i for i in range(1, n + 1) if legal >> i & 1]
             for mask in range(1 << len(positions)):
                 chosen = frozenset(
                     pos for i, pos in enumerate(positions) if mask >> i & 1

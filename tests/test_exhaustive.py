@@ -28,12 +28,11 @@ from sepstat.separators import (
     MarkedSepPermutation,
     MarkedWord,
     has_knight_pair,
-    horizontal_separators,
     separator_count,
     separator_masks,
     separator_report,
-    vertical_separators,
 )
+from sepstat.series import BiSeries, MarkerPoly
 from sepstat.transfer import distribution
 
 
@@ -121,8 +120,9 @@ def test_sweep_masks_match_separator_sets(n):
     for word in words:
         p = Permutation(word)
         vm, hm, _ = separator_masks(word)
-        assert vm == sum(1 << v for v in vertical_separators(p))
-        assert hm == sum(1 << v for v in horizontal_separators(p))
+        rep = separator_report(p)
+        assert vm == sum(1 << v for v in rep.vertical)
+        assert hm == sum(1 << v for v in rep.horizontal)
         if separator_count(p) == n:
             full.append(p)
     assert is_all_separating_set(full, n, sweep(n)["any"])
@@ -314,6 +314,37 @@ def test_each_walk_check_can_fail(monkeypatch, check, name, args, wrong, n_max, 
     checks, _ = run_check_suite(n_max, threads=threads)
     assert [c.name for c in checks if not c.passed] == [check]
     assert len(checks) == len(run_check_suite(4)[0])
+
+
+# A series builder the suite reads, the row of z^n it gives replaced,
+# and the failure detail: S_3 has {0: 2, 1: 4} vertical separators and
+# S_4 {0: 2, 1: 10, 2: 10, 3: 2} bonds.
+_V, _B = "vertical separators", "bonds"
+
+
+@pytest.mark.parametrize(
+    "builder, label, n, row, detail",
+    [
+        ("vertical_sep_gf", _V, 3, (2, 5), "('vertical', 3, 1, 4, 5)"),
+        ("vertical_sep_gf", _V, 3, (2, 4, 0, 7), "('vertical', 3, 3, 0, 7)"),
+        ("bond_gf", _B, 4, (2, 10, 11, 2), "('bonds', 4, 2, 10, 11)"),
+        ("bond_gf", _B, 4, (2, 10, 10, 2, 1), "('bonds', 4, 4, 0, 1)"),
+    ],
+)
+def test_series_check_names_its_first_mismatch(
+    monkeypatch, builder, label, n, row, detail
+):
+    real = getattr(exhaustive, builder)
+
+    def off(order):
+        series = real(order)
+        return BiSeries(series.order, {**series.coeffs, n: MarkerPoly(row)})
+
+    monkeypatch.setattr(exhaustive, builder, off)
+    checks, _ = run_check_suite(5)
+    [bad] = [c for c in checks if not c.passed]
+    assert bad.name == f"series-vs-enumeration ({label})"
+    assert bad.detail == f"first mismatch {detail}"
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,7 @@ def test_format_roundtrip():
     for text in ("53241", "[]", "1"):
         p = parse_permutation(text)
         assert parse_permutation(format_permutation(p)) == p
+    assert str(Permutation(())) == "[]"
 
 
 # ---------------------------------------------------------------------------

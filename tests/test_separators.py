@@ -23,14 +23,11 @@ from sepstat.separators import (
     encode_marked,
     enumerate_markings,
     has_knight_pair,
-    horizontal_separator_positions,
-    horizontal_separators,
+    position_mask,
     separator_count,
     separator_masks,
     separator_report,
     split_marked,
-    vertical_separator_positions,
-    vertical_separators,
 )
 
 UP, DOWN, NONE = Direction.UP, Direction.DOWN, Direction.NONE
@@ -38,6 +35,10 @@ UP, DOWN, NONE = Direction.UP, Direction.DOWN, Direction.NONE
 
 def all_perms(n):
     return (Permutation(w) for w in itertools.permutations(range(1, n + 1)))
+
+
+def bits(values):
+    return sum(1 << v for v in values)
 
 
 def reference_masks(word):
@@ -79,42 +80,42 @@ def test_separator_masks_match_position_array_form(p):
 @given(perms_up_to_30())
 def test_separator_positions_are_values_through_inverse(p):
     where = inverse(p).entries
-    v = vertical_separators(p)
-    h = horizontal_separators(p)
-    assert vertical_separator_positions(p) == {where[a - 1] for a in v}
-    assert horizontal_separator_positions(p) == {where[a - 1] for a in h}
-    assert vertical_separator_positions(p) == {
-        i for i in range(1, p.n + 1) if p.entries[i - 1] in v
-    }
+    vm, hm, _ = separator_masks(p.entries)
+    rep = separator_report(p)
+    assert position_mask(p.entries, vm) == bits(where[a - 1] for a in rep.vertical)
+    assert position_mask(p.entries, hm) == bits(where[a - 1] for a in rep.horizontal)
+    assert position_mask(p.entries, vm) == bits(
+        i for i in range(1, p.n + 1) if p.entries[i - 1] in rep.vertical
+    )
 
 
 def test_vertical_separators_worked_example():
     p = parse_permutation("132465879")
-    assert vertical_separators(p) == {3, 2, 6, 7}
+    assert separator_report(p).vertical == {3, 2, 6, 7}
 
 
 def test_identity_has_no_separators():
     # plenty of 2-blocks, but deleting any digit only reproduces a
     # block that was already there
-    p = Permutation(tuple(range(1, 6)))
-    assert vertical_separators(p) == frozenset()
-    assert horizontal_separators(p) == frozenset()
+    rep = separator_report(Permutation(tuple(range(1, 6))))
+    assert rep.vertical == frozenset()
+    assert rep.horizontal == frozenset()
 
 
 def test_vertical_separator_new_block_case():
-    assert 4 in vertical_separators(parse_permutation("567139482"))
+    assert 4 in separator_report(parse_permutation("567139482")).vertical
 
 
 def test_horizontal_separators_worked_example():
     p = parse_permutation("132465879")
-    assert horizontal_separators(p) == {3, 2, 5, 8}
+    assert separator_report(p).horizontal == {3, 2, 5, 8}
 
 
 def test_horizontal_separators_small():
-    p = parse_permutation("31524")
-    assert 3 in horizontal_separators(p)
-    assert 2 in horizontal_separators(p) and 2 in vertical_separators(p)
-    assert horizontal_separators(parse_permutation("123")) == frozenset()
+    rep = separator_report(parse_permutation("31524"))
+    assert 3 in rep.horizontal
+    assert 2 in rep.horizontal and 2 in rep.vertical
+    assert separator_report(parse_permutation("123")).horizontal == frozenset()
 
 
 def test_separator_report_31524():
@@ -146,9 +147,10 @@ def test_boundary_rule(n):
     # 1 and n can only be vertical; the first and last digits can only
     # be horizontal
     for p in all_perms(n):
-        h = horizontal_separators(p)
+        rep = separator_report(p)
+        h = rep.horizontal
         assert 1 not in h and (n not in h or n == 0)
-        v = vertical_separators(p)
+        v = rep.vertical
         if n:
             assert p.entries[0] not in v and p.entries[-1] not in v
 
@@ -156,18 +158,19 @@ def test_boundary_rule(n):
 @pytest.mark.parametrize("n", range(7))
 def test_inverse_duality(n):
     for p in all_perms(n):
-        q = inverse(p)
-        assert horizontal_separators(q) == vertical_separator_positions(p)
-        assert vertical_separators(q) == horizontal_separator_positions(p)
-        assert len(vertical_separators(p)) == len(horizontal_separators(q))
+        vm, hm, _ = separator_masks(p.entries)
+        dual = separator_report(inverse(p))
+        assert bits(dual.horizontal) == position_mask(p.entries, vm)
+        assert bits(dual.vertical) == position_mask(p.entries, hm)
+        assert len(separator_report(p).vertical) == len(dual.horizontal)
 
 
 @pytest.mark.parametrize("n", range(7))
 def test_reverse_invariance(n):
     for p in all_perms(n):
-        r = reverse(p)
-        assert vertical_separators(p) == vertical_separators(r)
-        assert horizontal_separators(p) == horizontal_separators(r)
+        rep, rev = separator_report(p), separator_report(reverse(p))
+        assert rep.vertical == rev.vertical
+        assert rep.horizontal == rev.horizontal
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +236,8 @@ def test_literal_deletion_definition_on_every_digit_of_s_le_7():
     for n in range(1, 8):
         for p in all_perms(n):
             joints = bonds(p)
-            separators = vertical_separators(p) | horizontal_separators(p)
+            rep = separator_report(p)
+            separators = rep.vertical | rep.horizontal
             for pos, x in enumerate(p.entries, 1):
                 touching = len({pos - 1, pos} & joints)
                 surviving = len(joints) - touching + (touching == 2)
@@ -362,10 +366,21 @@ def test_marked_sep_permutation_rejects_bad_position():
         MarkedSepPermutation(parse_permutation("12345"), frozenset({3}))
 
 
+# [132465879] has vertical separators at positions 2, 3, 5 and 8
+@pytest.mark.parametrize("i", [0, -1, 10, 4])
+def test_marked_sep_permutation_rejects_each_non_separator_position(i):
+    p = parse_permutation("132465879")
+    MarkedSepPermutation(p, frozenset({2, 3, 5, 8}))
+    message = f"^position {i} is not a vertical separator position$"
+    with pytest.raises(ValueError, match=message):
+        MarkedSepPermutation(p, frozenset({2, i}))
+
+
 @pytest.mark.parametrize("n", range(7))
 def test_comb_split_marked_roundtrip_and_conservation(n):
     for p in all_perms(n):
-        positions = sorted(vertical_separator_positions(p))
+        legal = position_mask(p.entries, separator_masks(p.entries)[0])
+        positions = [i for i in range(1, p.n + 1) if legal >> i & 1]
         for mask in range(1 << len(positions)):
             chosen = frozenset(
                 pos for i, pos in enumerate(positions) if mask >> i & 1
