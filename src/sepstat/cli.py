@@ -2,6 +2,8 @@
 series coefficients, expectations, the all-digits-separate generator,
 and the verification harness.
 
+Each command returns its exit code and its text, and `main` writes the
+text once, to stdout or to the --out file.
 Exit codes: 0 success, 1 verification failure, 2 usage or input error
 (a worker process that dies included).
 Identical inputs produce byte-identical output regardless of the
@@ -38,8 +40,6 @@ from .series import (
     BiSeries,
     bond_gf,
     bond_marked_gf,
-    series_csv_rows,
-    series_to_json,
     vertical_marked_gf,
     vertical_sep_gf,
 )
@@ -79,11 +79,21 @@ def _emit(text: str, out: str | None) -> None:
             raise ValueError(f"cannot write to stdout: {reason}") from None
 
 
-def _thread_count(text: str) -> int:
+def _integer(text: str) -> int:
+    """An integer argument: ASCII digits 0-9 with an optional minus sign,
+    as a permutation entry is read. int() alone also takes "1_0", "+1",
+    " 7" and other scripts' digits."""
+    digits = text.removeprefix("-")
     try:
-        value = int(text)
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError
+        return int(text)  # past int()'s digit limit this raises too
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _thread_count(text: str) -> int:
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -133,12 +143,12 @@ def _run_str(p: Permutation, run) -> str:
 # Commands
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+def cmd_report(args: argparse.Namespace) -> tuple[int, str]:
     p = parse_permutation(args.perm)
     rep = separator_report(p)
     runs = maximal_runs(p)
     if args.format == "json":
-        payload = {
+        return 0, _json_dumps({
             "perm": list(p.entries),
             "vertical": sorted(rep.vertical),
             "horizontal": sorted(rep.horizontal),
@@ -151,39 +161,32 @@ def cmd_report(args: argparse.Namespace) -> int:
                 for r in runs
             ],
             "king": is_king(p),
-        }
-        _emit(_json_dumps(payload), args.out)
-    else:
-        lines = [
-            f"permutation:  {format_permutation(p)}",
-            f"vertical:     {_value_set(rep.vertical)}",
-            f"horizontal:   {_value_set(rep.horizontal)}",
-            f"both:         {_value_set(rep.both)}",
-            f"separators:   {rep.sep_count}",
-            f"bonds:        {_value_set(bonds(p))} (count {len(bonds(p))})",
-            f"runs:         {' '.join(_run_str(p, r) for r in runs)}",
-            f"king:         {'yes' if is_king(p) else 'no'}",
-        ]
-        _emit("\n".join(lines), args.out)
-    return 0
+        })
+    return 0, "\n".join([
+        f"permutation:  {format_permutation(p)}",
+        f"vertical:     {_value_set(rep.vertical)}",
+        f"horizontal:   {_value_set(rep.horizontal)}",
+        f"both:         {_value_set(rep.both)}",
+        f"separators:   {rep.sep_count}",
+        f"bonds:        {_value_set(bonds(p))} (count {len(bonds(p))})",
+        f"runs:         {' '.join(_run_str(p, r) for r in runs)}",
+        f"king:         {'yes' if is_king(p) else 'no'}",
+    ])
 
 
-def cmd_dist(args: argparse.Namespace) -> int:
+def cmd_dist(args: argparse.Namespace) -> tuple[int, str]:
     counts = sorted(transfer.distribution(args.n, args.kind).items())
     if args.format == "json":
         by_m = {str(m): c for m, c in counts}
-        payload = {"n": args.n, "kind": args.kind, "counts": by_m}
-        _emit(_json_dumps(payload), args.out)
-    elif args.format == "csv":
-        _emit(_csv_text((args.n, m, c) for m, c in counts), args.out)
-    else:
-        lines = [f"distribution of {args.kind} over S_{args.n}", "m  count"]
-        lines += [f"{m}  {c}" for m, c in counts]
-        _emit("\n".join(lines), args.out)
-    return 0
+        return 0, _json_dumps({"n": args.n, "kind": args.kind, "counts": by_m})
+    if args.format == "csv":
+        return 0, _csv_text((args.n, m, c) for m, c in counts)
+    lines = [f"distribution of {args.kind} over S_{args.n}", "m  count"]
+    lines += [f"{m}  {c}" for m, c in counts]
+    return 0, "\n".join(lines)
 
 
-def cmd_gf(args: argparse.Namespace) -> int:
+def cmd_gf(args: argparse.Namespace) -> tuple[int, str]:
     which = _SERIES_ALIASES.get(args.which, args.which)
     if args.order < 0 or args.order > config.MAX_ORDER:
         raise ValueError(
@@ -192,39 +195,35 @@ def cmd_gf(args: argparse.Namespace) -> int:
     label, builder, var = _SERIES[which]
     series: BiSeries = builder(args.order)
     if args.format == "json":
-        payload = series_to_json(series)
-        payload["series"] = which
-        _emit(_json_dumps(payload), args.out)
-    elif args.format == "csv":
-        _emit(_csv_text(series_csv_rows(series)), args.out)
-    else:
-        lines = [f"{label} up to z^{args.order}"]
-        for e, poly in series:
-            lines.append(f"z^{e}: {_poly_str(poly, var)}")
-        _emit("\n".join(lines), args.out)
-    return 0
+        # big integers as decimal strings
+        coeffs = {str(e): [str(c) for c in poly.coeffs] for e, poly in series}
+        return 0, _json_dumps({"order": args.order, "coeffs": coeffs, "series": which})
+    if args.format == "csv":
+        return 0, _csv_text(
+            (e, m, c) for e, poly in series for m, c in enumerate(poly.coeffs) if c
+        )
+    lines = [f"{label} up to z^{args.order}"]
+    lines += [f"z^{e}: {_poly_str(poly, var)}" for e, poly in series]
+    return 0, "\n".join(lines)
 
 
-def cmd_expect(args: argparse.Namespace) -> int:
-    want_formula = args.mode in ("formula", "both")
-    want_empirical = args.mode in ("empirical", "both")
+def cmd_expect(args: argparse.Namespace) -> tuple[int, str]:
     payload: dict = {"n": args.n, "kind": args.kind}
     lines = []
-    formula = empirical = None
-    if want_formula:
-        formula = exhaustive.expectation_formula(args.n, args.kind)
-        payload["formula"] = str(formula)
-        payload["formula_approx"] = _approx(formula)
-        lines.append(f"formula:   {formula} (approx. {_approx(formula)})")
-    if want_empirical:
-        empirical = exhaustive.expectation_empirical(args.n, args.kind)
-        payload["empirical"] = str(empirical)
-        payload["empirical_approx"] = _approx(empirical)
-        lines.append(f"empirical: {empirical} (approx. {_approx(empirical)})")
+    means = {}
+    for name, mean in (
+        ("formula", exhaustive.expectation_formula),
+        ("empirical", exhaustive.expectation_empirical),
+    ):
+        if args.mode in (name, "both"):
+            value = means[name] = mean(args.n, args.kind)
+            payload[name] = str(value)
+            payload[f"{name}_approx"] = _approx(value)
+            lines.append(f"{name + ':':<11}{value} (approx. {_approx(value)})")
     code = 0
     if args.mode == "both":
-        match = formula == empirical
-        payload["match"] = match
+        formula, empirical = means["formula"], means["empirical"]
+        match = payload["match"] = formula == empirical
         lines.append(
             f"{formula} = {empirical} MATCH"
             if match
@@ -232,13 +231,11 @@ def cmd_expect(args: argparse.Namespace) -> int:
         )
         code = 0 if match else 1
     if args.format == "json":
-        _emit(_json_dumps(payload), args.out)
-    else:
-        _emit("\n".join(lines), args.out)
-    return code
+        return code, _json_dumps(payload)
+    return code, "\n".join(lines)
 
 
-def cmd_maxsep(args: argparse.Namespace) -> int:
+def cmd_maxsep(args: argparse.Namespace) -> tuple[int, str]:
     if args.k > config.MAX_MAXSEP_K:
         raise ValueError(f"k={args.k} exceeds the cap {config.MAX_MAXSEP_K}")
     n = 4 * args.k
@@ -250,6 +247,7 @@ def cmd_maxsep(args: argparse.Namespace) -> int:
     if args.verify:
         counts = transfer.distribution(n, "any")
         verified = exhaustive.is_all_separating_set(perms, n, counts)
+    code = 0 if verified in (None, True) else 1
     if args.format == "json":
         payload = {
             "k": args.k,
@@ -259,22 +257,21 @@ def cmd_maxsep(args: argparse.Namespace) -> int:
         }
         if verified is not None:
             payload["verified"] = verified
-        _emit(_json_dumps(payload), args.out)
-    else:
-        lines = [f"{len(perms)} permutations of S_{n} in which every digit separates"]
-        lines += [format_permutation(p) for p in perms]
-        if verified is not None:
-            lines.append(
-                "exhaustive cross-check: PASS" if verified else
-                "exhaustive cross-check: FAIL"
-            )
-        _emit("\n".join(lines), args.out)
-    return 0 if verified in (None, True) else 1
+        return code, _json_dumps(payload)
+    lines = [f"{len(perms)} permutations of S_{n} in which every digit separates"]
+    lines += [format_permutation(p) for p in perms]
+    if verified is not None:
+        lines.append(
+            "exhaustive cross-check: PASS" if verified else
+            "exhaustive cross-check: FAIL"
+        )
+    return code, "\n".join(lines)
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     checks, tables = exhaustive.run_check_suite(args.n_max, threads=args.threads)
     passed = all(c.passed for c in checks)
+    code = 0 if passed else 1
     rows = {
         kind: {n: dict(sorted(tables[n][kind].items())) for n in tables}
         for kind in ("vertical", "bonds")
@@ -294,22 +291,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     str(n): {str(m): c for m, c in row.items()}
                     for n, row in rows[kind].items()
                 }
-        _emit(_json_dumps(payload), args.out)
-    else:
-        lines = []
-        for c in checks:
-            tag = "PASS" if c.passed else "FAIL"
-            lines.append(f"{tag}  {c.name} ({c.detail})")
-        if args.verbose:
-            for n in tables:
-                lines.append(f"vertical row n={n}: {rows['vertical'][n]}")
-                lines.append(f"bond row n={n}:     {rows['bonds'][n]}")
-        lines.append(
-            f"{'all checks passed' if passed else 'CHECKS FAILED'} "
-            f"(n_max={args.n_max})"
-        )
-        _emit("\n".join(lines), args.out)
-    return 0 if passed else 1
+        return code, _json_dumps(payload)
+    lines = []
+    for c in checks:
+        tag = "PASS" if c.passed else "FAIL"
+        lines.append(f"{tag}  {c.name} ({c.detail})")
+    if args.verbose:
+        for n in tables:
+            lines.append(f"vertical row n={n}: {rows['vertical'][n]}")
+            lines.append(f"bond row n={n}:     {rows['bonds'][n]}")
+    lines.append(
+        f"{'all checks passed' if passed else 'CHECKS FAILED'} "
+        f"(n_max={args.n_max})"
+    )
+    return code, "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, ("plain", "json"))
 
     p = sub.add_parser("dist", help="exact distribution of a statistic over S_n")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer)
     p.add_argument("--kind", choices=exhaustive.KINDS, default="vertical")
     with_threads(p, "accepted and ignored: counted without a sweep")
     common(p, ("plain", "json", "csv"))
@@ -351,11 +346,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="h: vertical separators, g: marked vertical separators, "
         "A: marked bonds, B: bonds",
     )
-    p.add_argument("--order", type=int, default=config.DEFAULT_ORDER)
+    p.add_argument("--order", type=_integer, default=config.DEFAULT_ORDER)
     common(p, ("plain", "json", "csv"))
 
     p = sub.add_parser("expect", help="expected number of separators")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer)
     p.add_argument("--kind", choices=exhaustive.EXPECTATION_KINDS, default="any")
     p.add_argument("--mode", choices=("formula", "empirical", "both"), default="formula")
     common(p, ("plain", "json"))
@@ -363,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "maxsep", help="permutations of S_{4k} in which every digit separates"
     )
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=_integer)
     p.add_argument(
         "--verify",
         action="store_true",
@@ -374,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, ("plain", "json"))
 
     p = sub.add_parser("verify", help="run the full invariant suite")
-    p.add_argument("--n-max", type=int, default=config.DEFAULT_VERIFY_N)
+    p.add_argument("--n-max", type=_integer, default=config.DEFAULT_VERIFY_N)
     p.add_argument(
         "-v",
         "--verbose",
@@ -407,7 +402,9 @@ def main(argv: list[str] | None = None) -> int:
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
             except OSError as exc:
                 raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
-        return globals()[f"cmd_{args.command}"](args)
+        code, text = globals()[f"cmd_{args.command}"](args)
+        _emit(text, args.out)
+        return code
     except exhaustive.VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

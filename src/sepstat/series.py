@@ -253,28 +253,3 @@ def vertical_sep_gf(order: int) -> BiSeries:
     the marked series with marker -> marker - 1. By the inverse
     symmetry this is also the distribution of horizontal separators."""
     return substitute_marker(vertical_marked_gf(order), -1)
-
-
-# ---------------------------------------------------------------------------
-# Export
-
-
-def series_to_json(a: BiSeries) -> dict:
-    """{"order": N, "coeffs": {"n": ["c0", "c1", ...]}} with big
-    integers rendered as decimal strings."""
-    return {
-        "order": a.order,
-        "coeffs": {
-            str(e): [str(c) for c in poly.coeffs] for e, poly in a
-        },
-    }
-
-
-def series_csv_rows(a: BiSeries) -> list[tuple[int, int, int]]:
-    """One (n, m, count) row per nonzero coefficient."""
-    rows = []
-    for e, poly in a:
-        for m, c in enumerate(poly.coeffs):
-            if c:
-                rows.append((e, m, c))
-    return rows

@@ -12,7 +12,6 @@ import pytest
 
 from sepstat import cli, config, exhaustive, transfer
 from sepstat.cli import _SERIES, _csv_text, main
-from sepstat.series import series_csv_rows
 
 
 def run_cli(capsys, *argv):
@@ -361,6 +360,48 @@ def test_threads_rejected_where_nothing_is_dealt(capsys, argv):
     assert "unrecognized arguments: --threads 2" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dist", "N"),
+        ("expect", "N"),
+        ("maxsep", "N"),
+        ("gf", "--order", "N"),
+        ("verify", "--n-max", "N"),
+        ("dist", "3", "--threads", "N"),
+        ("verify", "--n-max", "3", "--threads", "N"),
+    ],
+    ids=" ".join,
+)
+@pytest.mark.parametrize("value", ["1_0", "\u0663", "+1", " 7"])
+def test_integer_arguments_are_ascii_digits(capsys, argv, value):
+    argv = [value if a == "N" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f": invalid int value: {value!r}\n")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("report", "132465879", "--format", "json"),
+        ("dist", "6", "--kind", "both", "--format", "csv"),
+        ("gf", "--which", "g", "--order", "8", "--format", "json"),
+        ("expect", "9", "--mode", "both"),
+        ("maxsep", "2", "--verify"),
+        ("verify", "--n-max", "5", "-v", "--threads", "1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_file_holds_what_stdout_would(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert err == ""
+    target = tmp_path / "out.txt"
+    assert run_cli(capsys, *argv, "--out", str(target)) == (code, "", "")
+    assert target.read_text(encoding="utf-8") == out
+
+
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "table.csv"
     code, out, _ = run_cli(
@@ -468,7 +509,7 @@ def test_csv_text_matches_csv_writer():
         for kind in exhaustive.KINDS
     ]
     tables += [
-        series_csv_rows(builder(64))
+        [(n, m, c) for n, poly in builder(64) for m, c in enumerate(poly.coeffs) if c]
         for _, builder, _ in _SERIES.values()
     ]
     for rows in tables:
@@ -663,10 +704,10 @@ def test_handler_rebound_after_a_call_is_used(capsys, monkeypatch):
 
     def fake(args):
         seen.append(args.n)
-        return 0
+        return 0, f"faked n={args.n}"
 
     monkeypatch.setattr(cli, "cmd_dist", fake)
-    assert run_cli(capsys, "dist", "4") == (0, "", "")
+    assert run_cli(capsys, "dist", "4") == (0, "faked n=4\n", "")
     assert seen == [4]
 
 

@@ -1,9 +1,11 @@
+import json
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
+from sepstat.cli import main
 from sepstat.exhaustive import expectation_formula, sweep
 from sepstat.series import (
     BiSeries,
@@ -12,8 +14,6 @@ from sepstat.series import (
     bond_marked_gf,
     coeff,
     run_table,
-    series_csv_rows,
-    series_to_json,
     substitute_marker,
     vertical_marked_gf,
     vertical_sep_gf,
@@ -352,19 +352,21 @@ def test_horizontal_distribution_equals_vertical_series():
 
 
 # ---------------------------------------------------------------------------
-# Export
+# Rendered by `gf`
 
 
-def test_series_to_json_shape():
-    h = vertical_sep_gf(3)
-    data = series_to_json(h)
+def test_series_to_json_shape(capsys):
+    assert main(["gf", "--which", "h", "--order", "3", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
     assert data["order"] == 3
     assert data["coeffs"]["0"] == ["1"]
     assert data["coeffs"]["3"] == ["2", "4"]
 
 
-def test_series_csv_rows():
-    a = bond_marked_gf(3)
-    rows = series_csv_rows(a)
+def test_series_csv_rows(capsys):
+    assert main(["gf", "--which", "A", "--order", "3", "--format", "csv"]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    rows = [tuple(int(field) for field in line.split(",")) for line in lines]
+    assert header == "n,m,count"
     assert (3, 0, 6) in rows and (3, 1, 8) in rows and (3, 2, 2) in rows
     assert all(c != 0 for _, _, c in rows)
