@@ -65,6 +65,8 @@ def _emit(text: str, out: str | None) -> None:
             Path(out).write_text(text + "\n", encoding="utf-8")
         except OSError as exc:
             raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from None
+    elif sys.stdout is None:  # fd 1 closed at start-up: print would drop it
+        raise ValueError(f"cannot write to stdout: {os.strerror(errno.EBADF)}")
     else:
         # flushed inside the try so that a failed write is caught here
         try:

@@ -27,7 +27,6 @@ from typing import Iterator
 from . import config, transfer
 from .perms import (
     Permutation,
-    bonds,
     children,
     inflate,
     inverse,
@@ -303,8 +302,8 @@ def _suite_chunk(n_max: int, part: int, parts: int) -> tuple:
 
     for n in range(min(n_max, _WALK_N) + 1):
         for word in _part_words(n, part, parts):
-            p = Permutation(word)
-            vm, hm, _ = separator_masks(word)
+            p = Permutation._trusted(word)  # a tuple of itertools.permutations
+            vm, hm, n_bonds = separator_masks(word)
             vpos = position_mask(word, vm)
             # the values of the inverse are the positions of p
             qv, qh, _ = separator_masks(inverse(p).entries)
@@ -315,7 +314,6 @@ def _suite_chunk(n_max: int, part: int, parts: int) -> tuple:
                 broken.add(_REVERSE)
             if n >= 1:
                 kids = children(p)
-                n_bonds = len(bonds(p))
                 if len(kids) != n - n_bonds:
                     broken.add(_CHILDREN)
                 if not n_bonds:

@@ -49,7 +49,11 @@ class Permutation:
 
     Construction validates the bijection invariant and stores the
     entries as a tuple; use :func:`parse_permutation` to read one from
-    text.
+    text. Outside input is always checked. `inverse`, `reverse`,
+    `children`, `delete_and_standardize`, `standardize` (which checks
+    distinctness itself) and `inflate` skip the check: their results are
+    permutations because their inputs already passed it. `comb` keeps
+    it, since its halves need not be complementary.
 
     >>> Permutation((5, 3, 2, 4, 1)).n
     5
@@ -79,6 +83,14 @@ class Permutation:
             if seen[v]:
                 raise ValueError(f"duplicate value {v}")
             seen[v] = True
+
+    @classmethod
+    def _trusted(cls, entries: tuple[int, ...]) -> Permutation:
+        """The permutation with these entries, built unchecked: for a
+        tuple that is a permutation of {1..n} by construction."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "entries", entries)
+        return p
 
     @property
     def n(self) -> int:
@@ -134,7 +146,7 @@ def standardize(values: Sequence[int]) -> Permutation:
     if len(set(values)) != len(values):
         raise ValueError("standardization requires distinct values")
     rank = {v: r for r, v in enumerate(sorted(values), start=1)}
-    return Permutation(tuple([rank[v] for v in values]))
+    return Permutation._trusted(tuple([rank[v] for v in values]))
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +217,11 @@ def inverse(p: Permutation) -> Permutation:
     out = [0] * p.n
     for i, v in enumerate(p.entries, start=1):
         out[v - 1] = i
-    return Permutation(tuple(out))
+    return Permutation._trusted(tuple(out))
 
 
 def reverse(p: Permutation) -> Permutation:
-    return Permutation(tuple(reversed(p.entries)))
+    return Permutation._trusted(p.entries[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +238,7 @@ def delete_and_standardize(p: Permutation, pos: int) -> Permutation:
         raise ValueError("cannot delete from the empty permutation")
     if not 1 <= pos <= p.n:
         raise IndexError(f"position {pos} outside 1..{p.n}")
-    return Permutation(_delete(p.entries, pos))
+    return Permutation._trusted(_delete(p.entries, pos))
 
 
 def _delete(e: tuple[int, ...], pos: int) -> tuple[int, ...]:
@@ -251,7 +263,7 @@ def children(p: Permutation) -> frozenset[Permutation]:
     if not e:
         raise ValueError("the empty permutation has no children")
     words = {_delete(e, i) for i in range(1, len(e) + 1)}
-    return frozenset(map(Permutation, words))
+    return frozenset(map(Permutation._trusted, words))
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +301,7 @@ def inflate(pattern: Permutation, blocks: Sequence[Permutation]) -> Permutation:
     for r, w in zip(pattern.entries, words):
         base = base_by_rank[r]
         out += [base + v for v in w]
-    return Permutation(tuple(out))
+    return Permutation._trusted(tuple(out))
 
 
 def comb(odd: Sequence[int], even: Sequence[int]) -> Permutation:

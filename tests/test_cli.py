@@ -631,6 +631,21 @@ def test_full_stdout_device_is_input_error():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 1 before exec")
+@pytest.mark.parametrize("argv", [("dist", "5"), ("verify", "--n-max", "3")])
+def test_closed_stdout_is_input_error(argv):
+    # with fd 1 closed at start-up sys.stdout is None, and print to None
+    # would drop the text and exit 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "sepstat.cli", *argv],
+        stderr=subprocess.PIPE,
+        text=True,
+        preexec_fn=functools.partial(os.close, 1),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write to stdout: Bad file descriptor\n"
+
+
 def test_no_arguments_is_usage_error(capsys):
     code, _, _ = run_cli(capsys)
     assert code == 2

@@ -8,11 +8,14 @@ from sepstat.perms import (
     Permutation,
     bonds,
     children,
+    comb,
     delete_and_standardize,
+    inflate,
     inverse,
     is_king,
     parse_permutation,
     reverse,
+    standardize,
 )
 from sepstat.separators import (
     ArrowedComposition,
@@ -389,3 +392,67 @@ def test_comb_split_marked_roundtrip_and_conservation(n):
             odd, even = split_marked(msp)
             assert len(chosen) == len(odd.marked) + len(even.marked)
             assert comb_marked(odd, even) == msp
+
+
+# ---------------------------------------------------------------------------
+# Producers that build their results unchecked, and outside input
+
+
+_BLOCKS = (Permutation((1,)), Permutation((2, 1)), Permutation((1, 3, 2)))
+
+
+def unchecked_results(p):
+    """Every permutation that a producer builds from p without the
+    constructor's check."""
+    out = [inverse(p), reverse(p), standardize(p.entries)]
+    if p.n:
+        out += children(p)
+        out += [delete_and_standardize(p, i) for i in range(1, p.n + 1)]
+        out.append(inflate(p, [_BLOCKS[i % 3] for i in range(p.n)]))
+        out.append(inflate(Permutation((2, 1)), [p, p]))
+    for mw in enumerate_markings(p):
+        comp, sigma = encode_marked(mw)
+        back = decode_marked(comp, sigma)
+        assert type(back.values) is tuple
+        out += [sigma, Permutation(back.values)]  # decode's word, from inflate
+    return out
+
+
+def assert_as_if_checked(q):
+    checked = Permutation(list(q.entries))
+    assert type(q) is Permutation and type(q.entries) is tuple
+    assert checked == q and hash(checked) == hash(q)
+    assert eval(repr(q), {"Permutation": Permutation}) == q
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_unchecked_results_cannot_be_told_apart_exhaustive(n):
+    for p in all_perms(n):
+        for q in unchecked_results(p):
+            assert_as_if_checked(q)
+
+
+@given(st.integers(min_value=0, max_value=10).flatmap(
+    lambda n: st.permutations(list(range(1, n + 1)))))
+def test_unchecked_results_cannot_be_told_apart_random(word):
+    for q in unchecked_results(Permutation(word)):
+        assert_as_if_checked(q)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: encode_marked(MarkedWord((1, 5))), "value 5 outside 1..2"),
+        (lambda: comb((1, 4), (2,)), "value 4 outside 1..3"),
+        (
+            lambda: comb_marked(MarkedWord((1, 4)), MarkedWord((2,))),
+            "value 4 outside 1..3",
+        ),
+    ],
+    ids=["encode_marked", "comb", "comb_marked"],
+)
+def test_outside_input_is_still_checked(call, message):
+    # words that are only distinct and positive are no permutation
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
