@@ -414,6 +414,9 @@ def main(argv: list[str] | None = None) -> int:
         # a dead pool worker is a failure to run, not a failed check
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:  # Ctrl-C: the shell's code for SIGINT
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

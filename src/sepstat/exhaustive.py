@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import signal
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -326,8 +327,8 @@ def _suite_chunk(n_max: int, part: int, parts: int) -> tuple:
                 comp, sigma = encode_marked(mw)
                 if decode_marked(comp, sigma) != mw:
                     broken.add(_ENCODE)
-            for subset in subsets(vpos):
-                msp = MarkedSepPermutation(p, subset)
+            for subset in subsets(vpos):  # marks on vertical separators
+                msp = MarkedSepPermutation._trusted(p, subset)
                 odd, even = split_marked(msp)
                 back = comb_marked(odd, even)
                 if back != msp:
@@ -347,15 +348,31 @@ def _deal(n: int, threads: int | None, fn, *args) -> list:
     run in its own worker process. Below 7!, or with one thread, there
     is one part, run in this process, because pool overhead beats tiny
     jobs. This is the only process pool, and the suite its only user.
+
+    The workers ignore Ctrl-C, which a terminal sends to them too. This
+    process takes the ``KeyboardInterrupt``, stops the workers and
+    raises it again.
     """
     if threads is None:
         threads = os.cpu_count() or 1
     if threads <= 1 or factorial(n) < 5040:
         return [fn(*args, 0, 1)]
     parts = min(threads, n)
-    with ProcessPoolExecutor(max_workers=parts) as pool:
+    pool = ProcessPoolExecutor(
+        max_workers=parts,
+        initializer=signal.signal,
+        initargs=(signal.SIGINT, signal.SIG_IGN),
+    )
+    try:
         futures = [pool.submit(fn, *args, part, parts) for part in range(parts)]
         return [future.result() for future in futures]
+    except KeyboardInterrupt:
+        # ProcessPoolExecutor.terminate_workers() is new in Python 3.14
+        for worker in list(pool._processes.values()):
+            worker.terminate()
+        raise
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def run_check_suite(

@@ -190,10 +190,24 @@ def has_knight_pair(word: Sequence[int]) -> bool:
 @dataclass(frozen=True)
 class MarkedWord:
     """A word of distinct positive integers with a chosen subset of its
-    bonds marked; ``marked`` holds 1-indexed adjacent-pair indices."""
+    bonds marked; ``marked`` holds 1-indexed adjacent-pair indices.
+
+    Outside input is always checked. `enumerate_markings`,
+    `decode_marked` and `split_marked` skip the check: their marks are
+    bonds of words that are permutations, or halves of one, by
+    construction.
+    """
 
     values: tuple[int, ...]
     marked: frozenset[int] = frozenset()
+
+    @classmethod
+    def _trusted(cls, values: tuple[int, ...], marked: frozenset[int]) -> MarkedWord:
+        """The marked word with these fields, built unchecked."""
+        mw = object.__new__(cls)
+        object.__setattr__(mw, "values", values)
+        object.__setattr__(mw, "marked", marked)
+        return mw
 
     def __post_init__(self) -> None:
         values = self.values
@@ -213,10 +227,19 @@ class ArrowedComposition:
     """A composition whose parts greater than 1 carry an up/down arrow.
 
     Parts are (size, direction) pairs; a part of size 1 has direction
-    NONE and larger parts are UP or DOWN.
+    NONE and larger parts are UP or DOWN. Outside input is always
+    checked; `encode_marked` skips the check, since `split_runs` gives
+    a run direction NONE exactly when it has length 1.
     """
 
     parts: tuple[tuple[int, Direction], ...]
+
+    @classmethod
+    def _trusted(cls, parts: tuple[tuple[int, Direction], ...]) -> ArrowedComposition:
+        """The composition with these parts, built unchecked."""
+        comp = object.__new__(cls)
+        object.__setattr__(comp, "parts", parts)
+        return comp
 
     def __post_init__(self) -> None:
         for size, direction in self.parts:
@@ -235,10 +258,26 @@ class ArrowedComposition:
 @dataclass(frozen=True)
 class MarkedSepPermutation:
     """A permutation with a chosen subset of its vertical-separator
-    positions marked (rendered with hats in the worked examples)."""
+    positions marked (rendered with hats in the worked examples).
+
+    Outside input is always checked. `comb_marked` skips the check:
+    each marked bond of a half lands on a vertical separator, and
+    `comb` checks the permutation itself. So does the `verify` walk,
+    which marks subsets of the vertical separator positions it reads.
+    """
 
     perm: Permutation
     marked_sep_positions: frozenset[int] = frozenset()
+
+    @classmethod
+    def _trusted(
+        cls, perm: Permutation, marked_sep_positions: frozenset[int]
+    ) -> MarkedSepPermutation:
+        """The marked permutation with these fields, built unchecked."""
+        msp = object.__new__(cls)
+        object.__setattr__(msp, "perm", perm)
+        object.__setattr__(msp, "marked_sep_positions", marked_sep_positions)
+        return msp
 
     def __post_init__(self) -> None:
         if not self.marked_sep_positions:
@@ -271,7 +310,7 @@ def encode_marked(mw: MarkedWord) -> tuple[ArrowedComposition, Permutation]:
     """
     e = Permutation(mw.values).entries  # must be a permutation of {1..n}
     runs = split_runs(e, mw.marked)
-    comp = ArrowedComposition(tuple([(r.length, r.direction) for r in runs]))
+    comp = ArrowedComposition._trusted(tuple([(r.length, r.direction) for r in runs]))
     return comp, standardize([e[r.start - 1] for r in runs])
 
 
@@ -292,14 +331,14 @@ def decode_marked(comp: ArrowedComposition, sigma: Permutation) -> MarkedWord:
             f"{len(comp.parts)} composition parts"
         )
     if not comp.parts:
-        return MarkedWord((), frozenset())
+        return MarkedWord._trusted((), frozenset())
     word = inflate(sigma, [_run_block(*part) for part in comp.parts])
     marked: set[int] = set()
     offset = 0
     for size, _ in comp.parts:
         marked.update(range(offset + 1, offset + size))
         offset += size
-    return MarkedWord(word.entries, frozenset(marked))
+    return MarkedWord._trusted(word.entries, frozenset(marked))
 
 
 @cache
@@ -315,7 +354,7 @@ def enumerate_markings(p: Permutation) -> list[MarkedWord]:
     """All 2^(number of bonds) markings of a permutation's bonds,
     in a deterministic order."""
     bond_mask = sum([1 << i for i in bonds(p)])
-    return [MarkedWord(p.entries, s) for s in subsets(bond_mask)]
+    return [MarkedWord._trusted(p.entries, s) for s in subsets(bond_mask)]
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +372,7 @@ def comb_marked(odd: MarkedWord, even: MarkedWord) -> MarkedSepPermutation:
     """
     p = comb(odd.values, even.values)
     marked = frozenset({2 * i for i in odd.marked} | {2 * i + 1 for i in even.marked})
-    return MarkedSepPermutation(p, marked)
+    return MarkedSepPermutation._trusted(p, marked)
 
 
 def split_marked(msp: MarkedSepPermutation) -> tuple[MarkedWord, MarkedWord]:
@@ -349,6 +388,6 @@ def split_marked(msp: MarkedSepPermutation) -> tuple[MarkedWord, MarkedWord]:
         else:
             even_marked.add(i // 2)
     return (
-        MarkedWord(odd_values, frozenset(odd_marked)),
-        MarkedWord(even_values, frozenset(even_marked)),
+        MarkedWord._trusted(odd_values, frozenset(odd_marked)),
+        MarkedWord._trusted(even_values, frozenset(even_marked)),
     )

@@ -813,6 +813,17 @@ def test_dist_reports_oracle_disagreement(capsys, monkeypatch):
     assert err == "error: separator-free oracles disagree on window (2, 4, 1)\n"
 
 
+def test_interrupt_is_one_error_line(capsys, monkeypatch):
+    # Ctrl-C while a handler runs: no traceback, the shell's code for SIGINT
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_verify", interrupted)
+    code, out, err = run_cli(capsys, "verify", "--n-max", "3")
+    assert code == 130 and out == ""
+    assert err == "error: interrupted\n"
+
+
 def test_dead_pool_worker_is_an_error_not_a_failed_check(capsys, monkeypatch):
     from concurrent.futures.process import BrokenProcessPool
 

@@ -1,5 +1,8 @@
 import itertools
 import multiprocessing
+import os
+import signal
+import time
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -215,6 +218,30 @@ def test_pooled_suite_reports_the_first_disagreement(monkeypatch):
     assert check.name == "separator-free dual oracle" and not check.passed
     assert check.detail.startswith("separator-free oracles disagree on [2413]")
     assert list(tables) == [0, 1, 2, 3]
+
+
+def _interrupting_part(part, parts):
+    """A pool job: in a worker that ignores Ctrl-C, part 0 sends it to
+    the pool's owner, and both wait there until they are stopped."""
+    if signal.getsignal(signal.SIGINT) is not signal.SIG_IGN:
+        return part
+    if part == 0:
+        os.kill(os.getppid(), signal.SIGINT)
+    time.sleep(60)
+    return part
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the workers' parent is this process only under fork",
+)
+def test_interrupted_pool_stops_its_workers_quietly(capfd):
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        exhaustive._deal(7, 2, _interrupting_part)
+    assert time.monotonic() - start < 30  # the sleeping workers were stopped
+    assert multiprocessing.active_children() == []
+    assert capfd.readouterr().err == ""  # and printed no traceback
 
 
 def test_separator_free_disagreement_stops_the_suite(monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -31,7 +32,9 @@ from sepstat.separators import (
     separator_masks,
     separator_report,
     split_marked,
+    subsets,
 )
+from sepstat.series import bond_marked_gf, coeff, vertical_marked_gf
 
 UP, DOWN, NONE = Direction.UP, Direction.DOWN, Direction.NONE
 
@@ -439,6 +442,45 @@ def test_unchecked_results_cannot_be_told_apart_random(word):
         assert_as_if_checked(q)
 
 
+def marked_results(p):
+    """Every marked object that a producer builds from p, or from the
+    markings of p and of its vertical separators, without the
+    constructor's check."""
+    out = []
+    for mw in enumerate_markings(p):
+        comp, sigma = encode_marked(mw)
+        out += [mw, comp, decode_marked(comp, sigma)]
+    vpos = position_mask(p.entries, separator_masks(p.entries)[0])
+    for subset in subsets(vpos):
+        odd, even = split_marked(MarkedSepPermutation(p, subset))
+        out += [odd, even, comb_marked(odd, even)]
+    return out
+
+
+def assert_marked_as_if_checked(obj):
+    if type(obj) is MarkedWord:
+        assert type(obj.values) is tuple and type(obj.marked) is frozenset
+        checked = MarkedWord(obj.values, obj.marked)
+    elif type(obj) is ArrowedComposition:
+        assert type(obj.parts) is tuple
+        assert all(type(part) is tuple for part in obj.parts)
+        checked = ArrowedComposition(obj.parts)
+    else:
+        assert type(obj) is MarkedSepPermutation
+        assert type(obj.marked_sep_positions) is frozenset
+        assert_as_if_checked(obj.perm)
+        checked = MarkedSepPermutation(obj.perm, obj.marked_sep_positions)
+    assert checked == obj and hash(checked) == hash(obj)
+    assert repr(checked) == repr(obj)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_unchecked_marked_results_cannot_be_told_apart(n):
+    for p in all_perms(n):
+        for obj in marked_results(p):
+            assert_marked_as_if_checked(obj)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -448,11 +490,101 @@ def test_unchecked_results_cannot_be_told_apart_random(word):
             lambda: comb_marked(MarkedWord((1, 4)), MarkedWord((2,))),
             "value 4 outside 1..3",
         ),
+        (lambda: MarkedWord((2, 1, 2)), "marked word values must be distinct"),
+        (lambda: MarkedWord((0, 1)), "marked word values must be positive"),
+        (
+            lambda: MarkedWord((1, 3, 2), frozenset({1})),
+            "marked index 1 is not a bond of the word",
+        ),
+        (
+            lambda: ArrowedComposition(((2, NONE),)),
+            "part of size 2 must carry an arrow iff size > 1",
+        ),
+        (lambda: ArrowedComposition(((0, NONE),)), "composition part 0 must be >= 1"),
+        (
+            lambda: MarkedSepPermutation(Permutation((1, 3, 2)), frozenset({1})),
+            "position 1 is not a vertical separator position",
+        ),
+        (
+            lambda: decode_marked(
+                ArrowedComposition(((1, NONE),) * 2), Permutation((1,))
+            ),
+            "permutation of 1 runs does not match 2 composition parts",
+        ),
     ],
-    ids=["encode_marked", "comb", "comb_marked"],
+    ids=[
+        "encode_marked",
+        "comb",
+        "comb_marked",
+        "MarkedWord-duplicate",
+        "MarkedWord-nonpositive",
+        "MarkedWord-non-bond",
+        "ArrowedComposition-arrow",
+        "ArrowedComposition-size",
+        "MarkedSepPermutation",
+        "decode_marked-size",
+    ],
 )
 def test_outside_input_is_still_checked(call, message):
     # words that are only distinct and positive are no permutation
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# The two bijections are onto: every pair on the counted side arises
+
+
+def arrowed_compositions(n):
+    """Every arrowed composition of n, as its tuple of parts."""
+    if n == 0:
+        yield ()
+    for size in range(1, n + 1):
+        for direction in (NONE,) if size == 1 else (UP, DOWN):
+            for rest in arrowed_compositions(n - size):
+                yield ((size, direction),) + rest
+
+
+def markings(values):
+    """Every marking of a word's bonds, built through the checked
+    constructor."""
+    return [MarkedWord(values, s) for s in subsets(bits(bonds(values)))]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_decode_is_onto_the_arrowed_compositions(n):
+    # every (composition, sigma) pair is the encoding of a marked
+    # permutation, so the pairs count the marked permutations by marks
+    by_marks = Counter()
+    for parts in arrowed_compositions(n):
+        comp = ArrowedComposition(parts)
+        for sigma in all_perms(len(parts)):
+            mw = decode_marked(comp, sigma)
+            assert encode_marked(mw) == (comp, sigma)
+            by_marks[len(mw.marked)] += 1
+    want = coeff(bond_marked_gf(6), n).coeffs
+    assert by_marks == Counter(dict(enumerate(want)))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_comb_is_onto_the_pairs_of_marked_halves(n):
+    # every pair of marked halves, the odd one the longer, is the split
+    # of a permutation with marked vertical separators
+    by_marks = Counter()
+    for odd_set in itertools.combinations(range(1, n + 1), (n + 1) // 2):
+        even_set = sorted(set(range(1, n + 1)) - set(odd_set))
+        for odd_values in itertools.permutations(odd_set):
+            for even_values in itertools.permutations(even_set):
+                for odd in markings(odd_values):
+                    for even in markings(even_values):
+                        q = comb_marked(odd, even)
+                        # the checked constructor: each marked half-bond
+                        # lands on a vertical separator
+                        assert MarkedSepPermutation(
+                            q.perm, q.marked_sep_positions
+                        ) == q
+                        assert split_marked(q) == (odd, even)
+                        by_marks[len(q.marked_sep_positions)] += 1
+    want = coeff(vertical_marked_gf(6), n).coeffs
+    assert by_marks == Counter(dict(enumerate(want)))
