@@ -49,7 +49,6 @@ from .series import (
     vertical_sep_gf,
 )
 from .exhaustive import (
-    expectation_empirical,
     expectation_formula,
     max_separator_perms,
     sweep,

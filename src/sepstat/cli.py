@@ -215,7 +215,9 @@ def cmd_expect(args: argparse.Namespace) -> tuple[int, str]:
     means = {}
     for name, mean in (
         ("formula", exhaustive.expectation_formula),
-        ("empirical", exhaustive.expectation_empirical),
+        # the mean of the counting route's exact distribution
+        ("empirical",
+         lambda n, kind: exhaustive._mean(n, transfer.distribution(n, kind))),
     ):
         if args.mode in (name, "both"):
             value = means[name] = mean(args.n, args.kind)

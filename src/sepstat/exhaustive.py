@@ -5,12 +5,12 @@ The sweep is the brute-force side of a dual-route design: it
 recounts, permutation by permutation, what the series module claims in
 closed form, and `verify` checks the expectation formulas against its
 literal averages, dealing S_n over one process pool. `sweep` is the
-same tally in this process, as a reference for the tests.
-`expectation_empirical` averages the exact distribution that
-:mod:`sepstat.transfer` counts without enumerating; `dist` and the
-count behind `maxsep --verify` read that module directly. Counts are
-exact integers and expectations exact rationals, so agreement is
-equality, never tolerance.
+same tally in this process, as a reference for the tests. This module
+imports nothing from the counting route, :mod:`sepstat.transfer`:
+`expect`, `dist` and the count behind `maxsep --verify` read that
+module directly (``tests/test_route_graph.py`` pins every module's
+imports). Counts are exact integers and expectations exact
+rationals, so agreement is equality, never tolerance.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterator
 
-from . import config, transfer
+from . import config
 from .perms import (
     Permutation,
     children,
@@ -221,15 +221,6 @@ def expectation_formula(n: int, kind: str) -> Fraction:
 def _mean(n: int, counts: dict[int, int]) -> Fraction:
     """The mean of a distribution over S_n, given as {value: count}."""
     return Fraction(sum(m * c for m, c in counts.items()), factorial(n))
-
-
-def expectation_empirical(n: int, kind: str) -> Fraction:
-    """The mean of the statistic's exact distribution over S_n, counted
-    by :mod:`sepstat.transfer`: a route to the expectation independent
-    of the closed form."""
-    if kind not in EXPECTATION_KINDS:
-        raise ValueError(f"unknown kind {kind!r}; choose from {EXPECTATION_KINDS}")
-    return _mean(n, transfer.distribution(n, kind))
 
 
 def expectation_convergence_ok(n: int) -> bool:

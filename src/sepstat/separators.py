@@ -129,26 +129,16 @@ class SeparatorReport:
     sep_count: int
 
 
-def vertical_separators(p: Permutation) -> frozenset[int]:
-    """Values p_i (2 <= i <= n-1) whose positional neighbours differ by 1.
-
-    >>> sorted(vertical_separators(Permutation((1, 3, 2, 4, 6, 5, 8, 7, 9))))
-    [2, 3, 6, 7]
-    """
-    return _values(separator_masks(p.entries)[0])
-
-
-def horizontal_separators(p: Permutation) -> frozenset[int]:
-    """Values a (2 <= a <= n-1) with a-1 and a+1 in adjacent positions.
-
-    >>> sorted(horizontal_separators(Permutation((1, 3, 2, 4, 6, 5, 8, 7, 9))))
-    [2, 3, 5, 8]
-    """
-    return _values(separator_masks(p.entries)[1])
-
-
 def separator_report(p: Permutation) -> SeparatorReport:
-    """All four figures of both separator types from one mask scan."""
+    """All four figures of both separator types from one mask scan: the
+    vertical ones are the values p_i (2 <= i <= n-1) whose positional
+    neighbours differ by 1, the horizontal ones the values a with a-1
+    and a+1 in adjacent positions.
+
+    >>> rep = separator_report(Permutation((1, 3, 2, 4, 6, 5, 8, 7, 9)))
+    >>> sorted(rep.vertical), sorted(rep.horizontal)
+    ([2, 3, 6, 7], [2, 3, 5, 8])
+    """
     v, h, _ = separator_masks(p.entries)
     return SeparatorReport(
         vertical=_values(v),
@@ -192,10 +182,12 @@ class MarkedWord:
     """A word of distinct positive integers with a chosen subset of its
     bonds marked; ``marked`` holds 1-indexed adjacent-pair indices.
 
-    Outside input is always checked. `enumerate_markings`,
-    `decode_marked` and `split_marked` skip the check: their marks are
-    bonds of words that are permutations, or halves of one, by
-    construction.
+    Construction stores the values as a tuple and the marks as a
+    frozenset, so ``MarkedWord([2, 1])`` equals and hashes as
+    ``MarkedWord((2, 1))``. Outside input is always checked.
+    `enumerate_markings`, `decode_marked` and `split_marked` skip the
+    check: their marks are bonds of words that are permutations, or
+    halves of one, by construction.
     """
 
     values: tuple[int, ...]
@@ -210,7 +202,9 @@ class MarkedWord:
         return mw
 
     def __post_init__(self) -> None:
-        values = self.values
+        values = tuple(self.values)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "marked", frozenset(self.marked))
         if len(set(values)) != len(values):
             raise ValueError("marked word values must be distinct")
         if values and min(values) < 1:
@@ -227,9 +221,10 @@ class ArrowedComposition:
     """A composition whose parts greater than 1 carry an up/down arrow.
 
     Parts are (size, direction) pairs; a part of size 1 has direction
-    NONE and larger parts are UP or DOWN. Outside input is always
-    checked; `encode_marked` skips the check, since `split_runs` gives
-    a run direction NONE exactly when it has length 1.
+    NONE and larger parts are UP or DOWN. Construction stores the parts
+    as a tuple of pairs. Outside input is always checked;
+    `encode_marked` skips the check, since `split_runs` gives a run
+    direction NONE exactly when it has length 1.
     """
 
     parts: tuple[tuple[int, Direction], ...]
@@ -242,7 +237,9 @@ class ArrowedComposition:
         return comp
 
     def __post_init__(self) -> None:
-        for size, direction in self.parts:
+        parts = tuple([(size, direction) for size, direction in self.parts])
+        object.__setattr__(self, "parts", parts)
+        for size, direction in parts:
             if size < 1:
                 raise ValueError(f"composition part {size} must be >= 1")
             if (direction is Direction.NONE) != (size == 1):
@@ -260,10 +257,11 @@ class MarkedSepPermutation:
     """A permutation with a chosen subset of its vertical-separator
     positions marked (rendered with hats in the worked examples).
 
-    Outside input is always checked. `comb_marked` skips the check:
-    each marked bond of a half lands on a vertical separator, and
-    `comb` checks the permutation itself. So does the `verify` walk,
-    which marks subsets of the vertical separator positions it reads.
+    Construction stores the marked positions as a frozenset. Outside
+    input is always checked. `comb_marked` skips the check: each marked
+    bond of a half lands on a vertical separator, and `comb` checks the
+    permutation itself. So does the `verify` walk, which marks subsets
+    of the vertical separator positions it reads.
     """
 
     perm: Permutation
@@ -280,6 +278,9 @@ class MarkedSepPermutation:
         return msp
 
     def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "marked_sep_positions", frozenset(self.marked_sep_positions)
+        )
         if not self.marked_sep_positions:
             return
         word = self.perm.entries

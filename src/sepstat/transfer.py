@@ -43,8 +43,9 @@ is 24 - 24 + 8, 24 - 2 * 8 and 8:
 The bond rows are OEIS A001100, and their row 0 is Hertzsprung's
 problem, A002464. c_e for a line of m values is R[m - e][e] of the run
 table off which :mod:`sepstat.series` reads its coefficients. It is
-written here again, importing nothing from there, so that comparing the
-rows with the series compares two pieces of code.
+written here again, importing nothing from there
+(``tests/test_route_graph.py`` pins this module's imports), so that
+comparing the rows with the series compares two pieces of code.
 
 `both` and `any` count values, not events: a value is flagged at most
 once vertical and at most once horizontal, and its first flag adds 1 to
@@ -131,23 +132,18 @@ def _check_windows(n: int) -> list:
                     hm, bonds = rule[c]
                     window = (a, b, c) if a else (b, c)
                     masks = (vertical << b, ha | hm, ba + bonds)
-                    if (separator_masks(window) != masks
-                            or has_knight_pair(window) != (vertical or ha | hm != 0)):
-                        _window_fault(window, masks)
+                    found = separator_masks(window)
+                    if found != masks:
+                        raise VerificationError(
+                            f"separator_masks breaks the value-distance rule on "
+                            f"window {window}: {found}, not {masks}"
+                        )
+                    if has_knight_pair(window) != (vertical or ha | hm != 0):
+                        raise VerificationError(
+                            f"separator-free oracles disagree on window {window}"
+                        )
                     row[c] = vertical | hm
     return events
-
-
-def _window_fault(window: tuple[int, ...], masks: tuple[int, int, int]) -> None:
-    """Raise ``VerificationError`` for a window that :func:`_check_windows`
-    rejected, given the masks of the value-distance rule."""
-    found = separator_masks(window)
-    if found != masks:
-        raise VerificationError(
-            f"separator_masks breaks the value-distance rule on window "
-            f"{window}: {found}, not {masks}"
-        )
-    raise VerificationError(f"separator-free oracles disagree on window {window}")
 
 
 def distribution(n: int, kind: str) -> Counter:

@@ -11,7 +11,7 @@ from math import factorial
 
 from sepstat.exhaustive import (
     EXPECTATION_KINDS,
-    expectation_empirical,
+    _mean,
     expectation_formula,
     max_separator_perms,
     sweep,
@@ -38,6 +38,7 @@ from sepstat.separators import (
     split_marked,
 )
 from sepstat.series import MarkerPoly, bond_gf, coeff, vertical_sep_gf
+from sepstat.transfer import distribution
 
 
 def _criterion(label: str, ok: bool) -> None:
@@ -94,7 +95,7 @@ def test_criterion_4_expectation_theorems():
     ok = ok and expectation_formula(4, "any") == Fraction(11, 6)
     for n in range(3, 9):
         for kind in EXPECTATION_KINDS:
-            ok = ok and expectation_formula(n, kind) == expectation_empirical(n, kind)
+            ok = ok and expectation_formula(n, kind) == _mean(n, distribution(n, kind))
     for n in itertools.chain(range(3, 500), (10**6, 10**9 + 7)):
         lhs = expectation_formula(n, "any")
         rhs = 2 * expectation_formula(n, "vertical") - expectation_formula(n, "both")

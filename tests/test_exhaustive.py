@@ -18,7 +18,6 @@ from sepstat.exhaustive import (
     _part_words,
     _sweep_part,
     expectation_convergence_ok,
-    expectation_empirical,
     expectation_formula,
     is_all_separating_set,
     max_separator_perms,
@@ -422,18 +421,18 @@ def test_expectation_below_three_is_zero():
     for n in (0, 1, 2):
         for kind in EXPECTATION_KINDS:
             assert expectation_formula(n, kind) == 0
-            assert expectation_empirical(n, kind) == 0
+            assert _mean(n, distribution(n, kind)) == 0
 
 
 def test_expectation_empirical_small():
-    assert expectation_empirical(3, "vertical") == Fraction(2, 3)
-    assert expectation_empirical(3, "both") == 0
+    assert _mean(3, distribution(3, "vertical")) == Fraction(2, 3)
+    assert _mean(3, distribution(3, "both")) == 0
 
 
 @pytest.mark.parametrize("n", range(3, 8))
 @pytest.mark.parametrize("kind", EXPECTATION_KINDS)
 def test_formula_equals_empirical(n, kind):
-    assert expectation_formula(n, kind) == expectation_empirical(n, kind)
+    assert expectation_formula(n, kind) == _mean(n, distribution(n, kind))
 
 
 @given(st.integers(min_value=3, max_value=10**12))

@@ -532,6 +532,52 @@ def test_outside_input_is_still_checked(call, message):
     assert str(info.value) == message
 
 
+def round_trip(obj):
+    """``obj`` through the paper's bijection that starts from its class
+    and back."""
+    if isinstance(obj, MarkedWord):
+        return decode_marked(*encode_marked(obj))
+    if isinstance(obj, ArrowedComposition):
+        sigma = Permutation(range(1, len(obj.parts) + 1))
+        return encode_marked(decode_marked(obj, sigma))[0]
+    return comb_marked(*split_marked(obj))
+
+
+@pytest.mark.parametrize(
+    "make, twin",
+    [
+        (lambda: MarkedWord([2, 1]), MarkedWord((2, 1))),
+        (lambda: MarkedWord([2, 1, 3], {1}), MarkedWord((2, 1, 3), frozenset({1}))),
+        (lambda: MarkedWord((1, 2), {1}), MarkedWord((1, 2), frozenset({1}))),
+        (lambda: ArrowedComposition([(1, NONE)]), ArrowedComposition(((1, NONE),))),
+        (
+            lambda: ArrowedComposition([[2, UP], [1, NONE]]),
+            ArrowedComposition(((2, UP), (1, NONE))),
+        ),
+        (
+            lambda: MarkedSepPermutation(Permutation((1, 3, 2, 4)), {2}),
+            MarkedSepPermutation(Permutation((1, 3, 2, 4)), frozenset({2})),
+        ),
+    ],
+    ids=[
+        "MarkedWord-list",
+        "MarkedWord-list-set",
+        "MarkedWord-set",
+        "ArrowedComposition-list",
+        "ArrowedComposition-list-of-lists",
+        "MarkedSepPermutation-set",
+    ],
+)
+def test_outside_input_is_stored_as_tuples_and_frozensets(make, twin):
+    # as Permutation([3, 1, 2]) is Permutation((3, 1, 2)): a marked object
+    # built from lists and sets equals its tuple/frozenset twin, hashes as
+    # it does and comes back from the paper's round-trip
+    obj = make()
+    assert obj == twin and hash(obj) == hash(twin)
+    assert round_trip(obj) == obj
+    assert repr(obj) == repr(twin)
+
+
 # ---------------------------------------------------------------------------
 # The two bijections are onto: every pair on the counted side arises
 

@@ -258,6 +258,29 @@ def test_transfer_names_a_two_entry_window_before_a_three_entry_one(monkeypatch,
         transfer.distribution(5, kind)
 
 
+def test_a_window_that_breaks_the_rule_is_named_by_its_masks(monkeypatch):
+    # the value-distance rule is checked first: a window that also fools
+    # the knight oracle is named by the masks it breaks
+    real_masks, real_knight = transfer.separator_masks, transfer.has_knight_pair
+
+    def patched(word):
+        vm, hm, bonds = real_masks(word)
+        return vm, 1 << 2 if tuple(word) == (2, 4) else hm, bonds
+
+    monkeypatch.setattr(transfer, "separator_masks", patched)
+    monkeypatch.setattr(
+        transfer,
+        "has_knight_pair",
+        lambda window: real_knight(window) != (tuple(window) == (2, 4)),
+    )
+    with pytest.raises(VerificationError) as info:
+        transfer.distribution(4, "vertical")
+    assert str(info.value) == (
+        "separator_masks breaks the value-distance rule on window (2, 4): "
+        "(0, 4, 0), not (0, 8, 0)"
+    )
+
+
 def _flip_window(monkeypatch, field, window):
     """Patch ``transfer.separator_masks`` so that one field (0 vertical,
     1 horizontal, 2 bonds) of one window is wrong: 0 where it is set,
