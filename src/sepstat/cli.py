@@ -17,10 +17,8 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -102,6 +100,8 @@ def _thread_count(text: str) -> int:
 
 
 def _json_dumps(obj) -> str:
+    import json  # only --format json needs it
+
     return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False)
 
 
@@ -388,6 +388,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# BrokenProcessPool, the error of a pool whose worker died, exists only
+# once a pooled verify has imported the pool, so it is looked up when an
+# exception reaches main.
+def _pool_errors() -> tuple[type[Exception], ...]:
+    pool = sys.modules.get("concurrent.futures.process")
+    return (pool.BrokenProcessPool,) if pool else ()
+
+
 def main(argv: list[str] | None = None) -> int:
     global _parser
     if _parser is None:
@@ -412,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
     except exhaustive.VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, IndexError, BrokenProcessPool) as exc:
+    except (ValueError, IndexError, *_pool_errors()) as exc:
         # a dead pool worker is a failure to run, not a failed check
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,8 +4,10 @@ formulas.
 The sweep is the brute-force side of a dual-route design: it
 recounts, permutation by permutation, what the series module claims in
 closed form, and `verify` checks the expectation formulas against its
-literal averages, dealing S_n over one process pool. `sweep` is the
-same tally in this process, as a reference for the tests. This module
+literal averages, dealing S_n over one process pool. The pool is
+imported with the first pooled suite, so that the commands that never
+deal S_n start without it. `sweep` is the same tally in this process,
+as a reference for the tests. This module
 imports nothing from the counting route, :mod:`sepstat.transfer`:
 `expect`, `dist` and the count behind `maxsep --verify` read that
 module directly (``tests/test_route_graph.py`` pins every module's
@@ -17,9 +19,7 @@ from __future__ import annotations
 
 import itertools
 import os
-import signal
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -54,6 +54,10 @@ from .series import bond_gf, coeff, vertical_sep_gf
 EXPECTATION_KINDS = ("vertical", "both", "any")
 
 _MAX_SEP_BLOCKS = (Permutation((3, 1, 4, 2)), Permutation((2, 4, 1, 3)))
+
+# concurrent.futures.ProcessPoolExecutor, bound by `_deal` on its first
+# pool (a test may bind a subclass first)
+ProcessPoolExecutor = None
 
 
 def _check_cap(n: int) -> None:
@@ -338,16 +342,23 @@ def _deal(n: int, threads: int | None, fn, *args) -> list:
     There are min(threads, n) parts (``None`` means one per CPU), each
     run in its own worker process. Below 7!, or with one thread, there
     is one part, run in this process, because pool overhead beats tiny
-    jobs. This is the only process pool, and the suite its only user.
+    jobs. This is the only process pool, and the suite its only user:
+    the first pool imports ``concurrent.futures``, which no other
+    command loads.
 
     The workers ignore Ctrl-C, which a terminal sends to them too. This
     process takes the ``KeyboardInterrupt``, stops the workers and
     raises it again.
     """
+    global ProcessPoolExecutor
     if threads is None:
         threads = os.cpu_count() or 1
     if threads <= 1 or factorial(n) < 5040:
         return [fn(*args, 0, 1)]
+    import signal
+
+    if ProcessPoolExecutor is None:
+        from concurrent.futures import ProcessPoolExecutor
     parts = min(threads, n)
     pool = ProcessPoolExecutor(
         max_workers=parts,

@@ -1,12 +1,16 @@
+import ast
 import contextlib
 import csv
 import functools
 import hashlib
 import io
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -836,3 +840,121 @@ def test_dead_pool_worker_is_an_error_not_a_failed_check(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "--n-max", "3")
     assert code == 2 and out == ""
     assert err == "error: A process in the process pool was terminated\n"
+
+
+# ---------------------------------------------------------------------------
+# Start-up without the process pool
+
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# Prints, as one Python literal, the pool and json modules loaded after
+# each import and each command, and each command's code and output.
+_LOADED_AFTER_EACH_STEP = """
+import contextlib, io, sys
+
+def loaded():
+    return [m for m in ("concurrent.futures", "multiprocessing", "json")
+            if m in sys.modules]
+
+steps = []
+import sepstat
+steps.append(("import sepstat", loaded(), None))
+import sepstat.cli
+steps.append(("import sepstat.cli", loaded(), None))
+for argv in COMMANDS:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = sepstat.cli.main(argv.split())
+    steps.append((argv, loaded(), (code, out.getvalue(), err.getvalue())))
+print(repr(steps))
+"""
+
+_UNPOOLED = [
+    "dist 9 --kind any",
+    "gf --which h --order 64 --format csv",
+    "expect 6 --mode both",
+    "maxsep 1 --verify",
+    "report 2413",
+    "verify --n-max 6",
+    "verify --n-max 7 --threads 1",
+]
+
+
+def _fresh_interpreter(script, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [_SRC, os.environ.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+
+
+def test_only_a_pooled_verify_loads_the_pool():
+    commands = _UNPOOLED + ["verify --n-max 7 --threads 2"]
+    proc = _fresh_interpreter(
+        _LOADED_AFTER_EACH_STEP.replace("COMMANDS", repr(commands))
+    )
+    assert proc.returncode == 0, proc.stderr
+    steps = ast.literal_eval(proc.stdout)
+    assert [(step, modules) for step, modules, _ in steps[:2]] == [
+        ("import sepstat", []),
+        ("import sepstat.cli", []),
+    ]
+    pool = {"concurrent.futures", "multiprocessing"}
+    for argv, modules, (code, _, err) in steps[2:-1]:
+        assert (code, err) == (0, ""), argv
+        assert not pool & set(modules), argv
+    (_, _, one_thread), (_, modules, pooled) = steps[-2:]
+    assert pool <= set(modules)
+    assert pooled == one_thread
+
+
+# Runs a pooled verify in which the worker of part 0 dies once the worker
+# of part 1 has written its process id to the path given as argv[1].
+_DEAD_WORKER = """
+import os, sys, time
+from sepstat import cli, exhaustive
+
+pid_file = sys.argv[1]
+
+def dying_part(n_max, part, parts):
+    if part == 0:
+        while not os.path.exists(pid_file):
+            time.sleep(0.01)
+        os._exit(1)
+    with open(pid_file + ".tmp", "w") as f:
+        f.write(str(os.getpid()))
+    os.rename(pid_file + ".tmp", pid_file)
+    time.sleep(60)
+
+exhaustive._suite_chunk = dying_part
+sys.exit(cli.main(["verify", "--n-max", "7", "--threads", "2"]))
+"""
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched part reaches pool workers only through fork",
+)
+def test_dead_pool_worker_after_the_pool_is_loaded(tmp_path):
+    pid_file = tmp_path / "worker.pid"
+    start = time.monotonic()
+    proc = _fresh_interpreter(_DEAD_WORKER, str(pid_file))
+    assert time.monotonic() - start < 30  # the sleeping worker was stopped
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    worker = int(pid_file.read_text())
+    try:
+        os.kill(worker, 0)
+    except ProcessLookupError:
+        return
+    os.kill(worker, signal.SIGKILL)
+    pytest.fail(f"pool worker {worker} left running")
