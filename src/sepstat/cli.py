@@ -388,14 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# BrokenProcessPool, the error of a pool whose worker died, exists only
-# once a pooled verify has imported the pool, so it is looked up when an
-# exception reaches main.
-def _pool_errors() -> tuple[type[Exception], ...]:
-    pool = sys.modules.get("concurrent.futures.process")
-    return (pool.BrokenProcessPool,) if pool else ()
-
-
 def main(argv: list[str] | None = None) -> int:
     global _parser
     if _parser is None:
@@ -420,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
     except exhaustive.VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, IndexError, *_pool_errors()) as exc:
+    except (ValueError, IndexError, ChildProcessError) as exc:
         # a dead pool worker is a failure to run, not a failed check
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -55,10 +55,6 @@ EXPECTATION_KINDS = ("vertical", "both", "any")
 
 _MAX_SEP_BLOCKS = (Permutation((3, 1, 4, 2)), Permutation((2, 4, 1, 3)))
 
-# concurrent.futures.ProcessPoolExecutor, bound by `_deal` on its first
-# pool (a test may bind a subclass first)
-ProcessPoolExecutor = None
-
 
 def _check_cap(n: int) -> None:
     cap = config.enumeration_cap()
@@ -342,23 +338,23 @@ def _deal(n: int, threads: int | None, fn, *args) -> list:
     There are min(threads, n) parts (``None`` means one per CPU), each
     run in its own worker process. Below 7!, or with one thread, there
     is one part, run in this process, because pool overhead beats tiny
-    jobs. This is the only process pool, and the suite its only user:
-    the first pool imports ``concurrent.futures``, which no other
-    command loads.
+    jobs. This is the only process pool, and the suite its only user.
+    Only this path imports ``concurrent.futures``. A dead worker's
+    ``BrokenProcessPool``, from ``submit`` or ``result``, is raised as
+    a ``ChildProcessError`` with the same message, chained to it.
 
     The workers ignore Ctrl-C, which a terminal sends to them too. This
     process takes the ``KeyboardInterrupt``, stops the workers and
     raises it again.
     """
-    global ProcessPoolExecutor
     if threads is None:
         threads = os.cpu_count() or 1
     if threads <= 1 or factorial(n) < 5040:
         return [fn(*args, 0, 1)]
     import signal
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
-    if ProcessPoolExecutor is None:
-        from concurrent.futures import ProcessPoolExecutor
     parts = min(threads, n)
     pool = ProcessPoolExecutor(
         max_workers=parts,
@@ -368,6 +364,8 @@ def _deal(n: int, threads: int | None, fn, *args) -> list:
     try:
         futures = [pool.submit(fn, *args, part, parts) for part in range(parts)]
         return [future.result() for future in futures]
+    except BrokenProcessPool as exc:
+        raise ChildProcessError(str(exc)) from exc
     except KeyboardInterrupt:
         # ProcessPoolExecutor.terminate_workers() is new in Python 3.14
         for worker in list(pool._processes.values()):
@@ -397,7 +395,8 @@ def run_check_suite(
     keyed by n. A sweep that finds the separator-free oracles
     disagreeing ends the suite: the only check returned is that failure,
     at the lowest n and the lexicographically first word there, with
-    the tables swept before it.
+    the tables swept before it. A pool worker that dies raises
+    ``ChildProcessError``.
     """
     _check_cap(n_max)
     results: list[CheckResult] = []

@@ -205,6 +205,9 @@ class MarkedWord:
         values = tuple(self.values)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "marked", frozenset(self.marked))
+        for v in values:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f"marked word values must be integers, got {v!r}")
         if len(set(values)) != len(values):
             raise ValueError("marked word values must be distinct")
         if values and min(values) < 1:
@@ -240,6 +243,10 @@ class ArrowedComposition:
         parts = tuple([(size, direction) for size, direction in self.parts])
         object.__setattr__(self, "parts", parts)
         for size, direction in parts:
+            if not isinstance(size, int) or isinstance(size, bool):
+                raise ValueError(f"part size {size!r} is not an integer")
+            if not isinstance(direction, Direction):
+                raise ValueError(f"part direction {direction!r} is not a Direction")
             if size < 1:
                 raise ValueError(f"composition part {size} must be >= 1")
             if (direction is Direction.NONE) != (size == 1):
@@ -278,6 +285,8 @@ class MarkedSepPermutation:
         return msp
 
     def __post_init__(self) -> None:
+        if not isinstance(self.perm, Permutation):
+            object.__setattr__(self, "perm", Permutation(self.perm))
         object.__setattr__(
             self, "marked_sep_positions", frozenset(self.marked_sep_positions)
         )

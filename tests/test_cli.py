@@ -736,16 +736,16 @@ def test_handler_rebound_after_a_call_is_used(capsys, monkeypatch):
 
 # Runs the CLI with the pool recording how many workers it is asked for.
 _RECORD_WORKERS = """
-import sys
+import concurrent.futures, sys
 from concurrent.futures import ProcessPoolExecutor
-from sepstat import cli, exhaustive
+from sepstat import cli
 
 class Recording(ProcessPoolExecutor):
     def __init__(self, max_workers=None, **kwargs):
         print("workers", max_workers, file=sys.stderr)
         super().__init__(max_workers, **kwargs)
 
-exhaustive.ProcessPoolExecutor = Recording
+concurrent.futures.ProcessPoolExecutor = Recording
 sys.exit(cli.main(sys.argv[1:]))
 """
 
@@ -829,17 +829,24 @@ def test_interrupt_is_one_error_line(capsys, monkeypatch):
 
 
 def test_dead_pool_worker_is_an_error_not_a_failed_check(capsys, monkeypatch):
+    # the real _deal, with a pool whose every submit finds it broken
+    import concurrent.futures
     from concurrent.futures.process import BrokenProcessPool
 
-    from sepstat import exhaustive
+    message = "A process in the process pool was terminated"
 
-    def dead_pool(n, threads, fn, *args):
-        raise BrokenProcessPool("A process in the process pool was terminated")
+    class DeadPool(concurrent.futures.ProcessPoolExecutor):
+        def submit(self, *args, **kwargs):
+            raise BrokenProcessPool(message)
 
-    monkeypatch.setattr(exhaustive, "_deal", dead_pool)
-    code, out, err = run_cli(capsys, "verify", "--n-max", "3")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", DeadPool)
+    code, out, err = run_cli(capsys, "verify", "--n-max", "7", "--threads", "2")
     assert code == 2 and out == ""
-    assert err == "error: A process in the process pool was terminated\n"
+    assert err == f"error: {message}\n"
+    with pytest.raises(ChildProcessError) as info:
+        exhaustive.run_check_suite(7, threads=2)
+    assert str(info.value) == message
+    assert isinstance(info.value.__cause__, BrokenProcessPool)
 
 
 # ---------------------------------------------------------------------------

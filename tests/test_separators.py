@@ -502,6 +502,23 @@ def test_unchecked_marked_results_cannot_be_told_apart(n):
         ),
         (lambda: ArrowedComposition(((0, NONE),)), "composition part 0 must be >= 1"),
         (
+            lambda: ArrowedComposition(((2, "down"),)),
+            "part direction 'down' is not a Direction",
+        ),
+        (
+            lambda: ArrowedComposition(((True, NONE),)),
+            "part size True is not an integer",
+        ),
+        (
+            lambda: MarkedWord((1.0, 2.0), {1}),
+            "marked word values must be integers, got 1.0",
+        ),
+        (lambda: MarkedWord((True, 2)), "marked word values must be integers, got True"),
+        (
+            lambda: MarkedSepPermutation((2, 1.0, 3), {2}),
+            "permutation entries must be integers, got 1.0",
+        ),
+        (
             lambda: MarkedSepPermutation(Permutation((1, 3, 2)), frozenset({1})),
             "position 1 is not a vertical separator position",
         ),
@@ -521,6 +538,11 @@ def test_unchecked_marked_results_cannot_be_told_apart(n):
         "MarkedWord-non-bond",
         "ArrowedComposition-arrow",
         "ArrowedComposition-size",
+        "ArrowedComposition-direction-type",
+        "ArrowedComposition-size-type",
+        "MarkedWord-float",
+        "MarkedWord-bool",
+        "MarkedSepPermutation-perm",
         "MarkedSepPermutation",
         "decode_marked-size",
     ],
@@ -558,6 +580,10 @@ def round_trip(obj):
             lambda: MarkedSepPermutation(Permutation((1, 3, 2, 4)), {2}),
             MarkedSepPermutation(Permutation((1, 3, 2, 4)), frozenset({2})),
         ),
+        (
+            lambda: MarkedSepPermutation((2, 1, 3), {2}),
+            MarkedSepPermutation(Permutation((2, 1, 3)), frozenset({2})),
+        ),
     ],
     ids=[
         "MarkedWord-list",
@@ -566,6 +592,7 @@ def round_trip(obj):
         "ArrowedComposition-list",
         "ArrowedComposition-list-of-lists",
         "MarkedSepPermutation-set",
+        "MarkedSepPermutation-tuple",
     ],
 )
 def test_outside_input_is_stored_as_tuples_and_frozensets(make, twin):
