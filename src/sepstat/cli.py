@@ -23,7 +23,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
-from . import config, exhaustive, transfer
+from . import config, exhaustive, transfer, verify
 from .perms import (
     ARROW,
     Permutation,
@@ -33,7 +33,7 @@ from .perms import (
     maximal_runs,
     parse_permutation,
 )
-from .separators import separator_report
+from .separators import KINDS, VerificationError, separator_report
 from .series import (
     BiSeries,
     bond_gf,
@@ -273,7 +273,7 @@ def cmd_maxsep(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
-    checks, tables = exhaustive.run_check_suite(args.n_max, threads=args.threads)
+    checks, tables = verify.run_check_suite(args.n_max, threads=args.threads)
     passed = all(c.passed for c in checks)
     code = 0 if passed else 1
     rows = {
@@ -338,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dist", help="exact distribution of a statistic over S_n")
     p.add_argument("n", type=_integer)
-    p.add_argument("--kind", choices=exhaustive.KINDS, default="vertical")
+    p.add_argument("--kind", choices=KINDS, default="vertical")
     with_threads(p, "accepted and ignored: counted without a sweep")
     common(p, ("plain", "json", "csv"))
 
@@ -409,7 +409,7 @@ def main(argv: list[str] | None = None) -> int:
         code, text = globals()[f"cmd_{args.command}"](args)
         _emit(text, args.out)
         return code
-    except exhaustive.VerificationError as exc:
+    except VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, IndexError, ChildProcessError) as exc:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .perms import (
     ARROW,
@@ -118,8 +118,7 @@ def subsets(mask: int) -> list[frozenset[int]]:
     return out
 
 
-@dataclass(frozen=True)
-class SeparatorReport:
+class SeparatorReport(NamedTuple):
     """Separator sets of one permutation; ``both`` is the intersection
     and ``sep_count`` the size of the union."""
 
@@ -215,6 +214,8 @@ class MarkedWord:
         if self.marked:
             legal = bonds(values)
             for i in self.marked:
+                if not isinstance(i, int) or isinstance(i, bool):
+                    raise ValueError(f"marked index {i!r} is not an integer")
                 if i not in legal:
                     raise ValueError(f"marked index {i} is not a bond of the word")
 
@@ -295,6 +296,8 @@ class MarkedSepPermutation:
         word = self.perm.entries
         legal = position_mask(word, separator_masks(word)[0])
         for i in self.marked_sep_positions:
+            if not isinstance(i, int) or isinstance(i, bool):
+                raise ValueError(f"marked separator position {i!r} is not an integer")
             if i < 0 or not legal >> i & 1:
                 raise ValueError(
                     f"position {i} is not a vertical separator position"

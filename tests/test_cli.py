@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from sepstat import cli, config, exhaustive, transfer
+from sepstat import cli, config, exhaustive, transfer, verify
 from sepstat.cli import _SERIES, _csv_text, main
 
 
@@ -844,7 +844,7 @@ def test_dead_pool_worker_is_an_error_not_a_failed_check(capsys, monkeypatch):
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
     with pytest.raises(ChildProcessError) as info:
-        exhaustive.run_check_suite(7, threads=2)
+        verify.run_check_suite(7, threads=2)
     assert str(info.value) == message
     assert isinstance(info.value.__cause__, BrokenProcessPool)
 
@@ -926,7 +926,7 @@ def test_only_a_pooled_verify_loads_the_pool():
 # of part 1 has written its process id to the path given as argv[1].
 _DEAD_WORKER = """
 import os, sys, time
-from sepstat import cli, exhaustive
+from sepstat import cli, verify
 
 pid_file = sys.argv[1]
 
@@ -940,7 +940,7 @@ def dying_part(n_max, part, parts):
     os.rename(pid_file + ".tmp", pid_file)
     time.sleep(60)
 
-exhaustive._suite_chunk = dying_part
+verify._suite_chunk = dying_part
 sys.exit(cli.main(["verify", "--n-max", "7", "--threads", "2"]))
 """
 

@@ -10,7 +10,7 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from sepstat import config, exhaustive
+from sepstat import config, exhaustive, verify
 from sepstat.exhaustive import (
     EXPECTATION_KINDS,
     KINDS,
@@ -21,7 +21,6 @@ from sepstat.exhaustive import (
     expectation_formula,
     is_all_separating_set,
     max_separator_perms,
-    run_check_suite,
     sweep,
 )
 from sepstat.perms import Direction, Permutation, bonds
@@ -36,6 +35,7 @@ from sepstat.separators import (
 )
 from sepstat.series import BiSeries, MarkerPoly
 from sepstat.transfer import distribution
+from sepstat.verify import run_check_suite
 
 
 def _words(n):
@@ -237,7 +237,7 @@ def _interrupting_part(part, parts):
 def test_interrupted_pool_stops_its_workers_quietly(capfd):
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        exhaustive._deal(7, 2, _interrupting_part)
+        verify._deal(7, 2, _interrupting_part)
     assert time.monotonic() - start < 30  # the sleeping workers were stopped
     assert multiprocessing.active_children() == []
     assert capfd.readouterr().err == ""  # and printed no traceback
@@ -271,7 +271,7 @@ _P = Permutation((1, 2, 4, 3))
 _P_WRONG_HORIZONTAL = Permutation((1, 3, 4, 2))
 _P_WRONG_VERTICAL = Permutation((1, 4, 2, 3))
 
-# Each walk check, and one call of a name it reads from `sepstat.exhaustive`
+# Each walk check, and one call of a name it reads from `sepstat.verify`
 # given a wrong answer: (check name, patched name, arguments, wrong result).
 _BROKEN_CALLS = [
     pytest.param(_DUAL, "inverse", (_P,), _P_WRONG_HORIZONTAL, id="inverse-h"),
@@ -333,9 +333,9 @@ _BROKEN_CALLS = [
 )
 @pytest.mark.parametrize("check, name, args, wrong", _BROKEN_CALLS)
 def test_each_walk_check_can_fail(monkeypatch, check, name, args, wrong, n_max, threads):
-    real = getattr(exhaustive, name)
+    real = getattr(verify, name)
     monkeypatch.setattr(
-        exhaustive, name, lambda *a: wrong if a == args else real(*a)
+        verify, name, lambda *a: wrong if a == args else real(*a)
     )
     checks, _ = run_check_suite(n_max, threads=threads)
     assert [c.name for c in checks if not c.passed] == [check]
@@ -360,13 +360,13 @@ _V, _B = "vertical separators", "bonds"
 def test_series_check_names_its_first_mismatch(
     monkeypatch, builder, label, n, row, detail
 ):
-    real = getattr(exhaustive, builder)
+    real = getattr(verify, builder)
 
     def off(order):
         series = real(order)
         return BiSeries(series.order, {**series.coeffs, n: MarkerPoly(row)})
 
-    monkeypatch.setattr(exhaustive, builder, off)
+    monkeypatch.setattr(verify, builder, off)
     checks, _ = run_check_suite(5)
     [bad] = [c for c in checks if not c.passed]
     assert bad.name == f"series-vs-enumeration ({label})"
@@ -403,6 +403,24 @@ def test_max_separator_exhaustive_cross_check_n4():
 def test_max_separator_rejects_k0():
     with pytest.raises(ValueError):
         max_separator_perms(0)
+
+
+_P3142, _P1234 = Permutation((3, 1, 4, 2)), Permutation((1, 2, 3, 4))
+
+
+@pytest.mark.parametrize(
+    "perms, any_counts, want",
+    [
+        (max_separator_perms(1), {4: 2}, True),
+        ([_P3142, _P3142], {4: 2}, False),
+        ([_P3142, _P1234], {4: 2}, False),
+        ([_P3142], {4: 2}, False),
+        (max_separator_perms(1), {4: 3}, False),
+    ],
+    ids=["whole-set", "duplicate", "non-separating", "subset", "wrong-count"],
+)
+def test_is_all_separating_set(perms, any_counts, want):
+    assert is_all_separating_set(perms, 4, any_counts) is want
 
 
 # ---------------------------------------------------------------------------

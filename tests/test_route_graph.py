@@ -4,11 +4,12 @@
 The distribution is found three ways, and the routes must share no
 code, so that their agreement checks something: the exhaustive sweep
 (`exhaustive`), the count without enumeration (`transfer`) and the
-series (`series`). Only `cli`, and the package `__init__` that
-re-exports their names, import more than one route. A module missing
-from the table fails, so a new module has to declare what it imports.
+series (`series`). Only `cli`, the package `__init__` that re-exports
+their names, and `verify`, the check suite that holds them against each
+other, import more than one route. A module missing from the table
+fails, so a new module has to declare what it imports.
 
-The process pool belongs to one function, `exhaustive._deal`: no other
+The process pool belongs to one function, `verify._deal`: no other
 code imports or names ``concurrent.futures`` or ``multiprocessing``,
 and no module keeps the pool class in a module-level name.
 """
@@ -28,9 +29,11 @@ ROUTES = {
     "series": set(),
     "separators": {"perms"},
     "transfer": {"config", "separators"},
-    # series only for the check suite, which has no module of its own yet
-    "exhaustive": {"config", "perms", "separators", "series"},
-    "cli": {"config", "exhaustive", "perms", "separators", "series", "transfer"},
+    "exhaustive": {"config", "perms", "separators"},
+    "verify": {"exhaustive", "perms", "separators", "series"},
+    "cli": {
+        "config", "exhaustive", "perms", "separators", "series", "transfer", "verify"
+    },
     "__init__": {"exhaustive", "perms", "separators", "series", "transfer"},
 }
 
@@ -91,7 +94,7 @@ def test_module_imports_only_its_declared_siblings(module):
 
 
 # ---------------------------------------------------------------------------
-# The process pool is `exhaustive._deal`'s alone
+# The process pool is `verify._deal`'s alone
 
 POOL_MODULES = ("concurrent.futures", "multiprocessing")
 
@@ -191,7 +194,7 @@ def test_module_bindings_are_read_in_every_form(source, bound):
 def test_only_deal_names_the_pool(module):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     deal = None
-    if module == "exhaustive":
+    if module == "verify":
         [deal] = [n for n in tree.body if getattr(n, "name", None) == "_deal"]
         # the reader does see the pool where it belongs
         assert [name for n in ast.walk(deal) for name in pool_names(n)]

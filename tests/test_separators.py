@@ -523,6 +523,15 @@ def test_unchecked_marked_results_cannot_be_told_apart(n):
             "position 1 is not a vertical separator position",
         ),
         (
+            lambda: MarkedWord((1, 2), {1.0}),
+            "marked index 1.0 is not an integer",
+        ),
+        (lambda: MarkedWord((1, 2), {True}), "marked index True is not an integer"),
+        (
+            lambda: MarkedSepPermutation(Permutation((1, 3, 2, 4)), {2.0}),
+            "marked separator position 2.0 is not an integer",
+        ),
+        (
             lambda: decode_marked(
                 ArrowedComposition(((1, NONE),) * 2), Permutation((1,))
             ),
@@ -544,6 +553,9 @@ def test_unchecked_marked_results_cannot_be_told_apart(n):
         "MarkedWord-bool",
         "MarkedSepPermutation-perm",
         "MarkedSepPermutation",
+        "MarkedWord-float-mark",
+        "MarkedWord-bool-mark",
+        "MarkedSepPermutation-float-mark",
         "decode_marked-size",
     ],
 )
