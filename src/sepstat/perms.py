@@ -10,8 +10,9 @@ permutation (n = 0) is a valid value and acts as the counting unit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from functools import total_ordering
+from operator import attrgetter
 from typing import Collection, NamedTuple, Sequence
 
 
@@ -43,8 +44,47 @@ class Run(NamedTuple):
     direction: Direction
 
 
-@dataclass(frozen=True, order=True)
-class Permutation:
+class Record:
+    """An immutable record: its class names the fields once in ``__slots__``,
+    and a checking ``__init__`` sets each once through ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        names = cls.__slots__  # the field tuple, or a lone field read from its slot
+        cls._key = property(attrgetter(*names)) if names[1:] else getattr(cls, names[0])
+
+    @classmethod
+    def _trusted(cls, *fields):
+        """The record with these fields, built unchecked."""
+        record = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            object.__setattr__(record, name, value)
+        return record
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):  # so that pickle and copy rebuild through __init__
+        return self.__class__, tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+@total_ordering
+class Permutation(Record):
     """A permutation of {1..n}, stored as its one-line word.
 
     Construction validates the bijection invariant and stores the
@@ -61,15 +101,13 @@ class Permutation:
     5
     """
 
-    entries: tuple[int, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        entries = self.entries
+    def __init__(self, entries: Sequence[int]) -> None:
         if entries.__class__ is not tuple:
             # so that Permutation([3, 1, 2]), the form the repr prints,
             # hashes and equals Permutation((3, 1, 2))
             entries = tuple(entries)
-            object.__setattr__(self, "entries", entries)
         n = len(entries)
         seen = [False] * (n + 1)
         for v in entries:
@@ -83,14 +121,19 @@ class Permutation:
             if seen[v]:
                 raise ValueError(f"duplicate value {v}")
             seen[v] = True
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def _trusted(cls, entries: tuple[int, ...]) -> Permutation:
-        """The permutation with these entries, built unchecked: for a
-        tuple that is a permutation of {1..n} by construction."""
+        """`Record._trusted` for the one field, without its loop."""
         p = object.__new__(cls)
         object.__setattr__(p, "entries", entries)
         return p
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.entries < other.entries
+        return NotImplemented
 
     @property
     def n(self) -> int:

@@ -24,14 +24,14 @@ their comb interleaving.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
-from typing import NamedTuple, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 from .perms import (
     ARROW,
     Direction,
     Permutation,
+    Record,
     bonds,
     comb,
     comb_split,
@@ -176,8 +176,7 @@ def has_knight_pair(word: Sequence[int]) -> bool:
 # Marked words and arrowed compositions
 
 
-@dataclass(frozen=True)
-class MarkedWord:
+class MarkedWord(Record):
     """A word of distinct positive integers with a chosen subset of its
     bonds marked; ``marked`` holds 1-indexed adjacent-pair indices.
 
@@ -189,21 +188,10 @@ class MarkedWord:
     halves of one, by construction.
     """
 
-    values: tuple[int, ...]
-    marked: frozenset[int] = frozenset()
+    __slots__ = ("values", "marked")
 
-    @classmethod
-    def _trusted(cls, values: tuple[int, ...], marked: frozenset[int]) -> MarkedWord:
-        """The marked word with these fields, built unchecked."""
-        mw = object.__new__(cls)
-        object.__setattr__(mw, "values", values)
-        object.__setattr__(mw, "marked", marked)
-        return mw
-
-    def __post_init__(self) -> None:
-        values = tuple(self.values)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "marked", frozenset(self.marked))
+    def __init__(self, values: Sequence[int], marked: Collection[int] = ()) -> None:
+        values, marked = tuple(values), frozenset(marked)
         for v in values:
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ValueError(f"marked word values must be integers, got {v!r}")
@@ -211,17 +199,17 @@ class MarkedWord:
             raise ValueError("marked word values must be distinct")
         if values and min(values) < 1:
             raise ValueError("marked word values must be positive")
-        if self.marked:
-            legal = bonds(values)
-            for i in self.marked:
-                if not isinstance(i, int) or isinstance(i, bool):
-                    raise ValueError(f"marked index {i!r} is not an integer")
-                if i not in legal:
-                    raise ValueError(f"marked index {i} is not a bond of the word")
+        legal = bonds(values)
+        for i in marked:
+            if not isinstance(i, int) or isinstance(i, bool):
+                raise ValueError(f"marked index {i!r} is not an integer")
+            if i not in legal:
+                raise ValueError(f"marked index {i} is not a bond of the word")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "marked", marked)
 
 
-@dataclass(frozen=True)
-class ArrowedComposition:
+class ArrowedComposition(Record):
     """A composition whose parts greater than 1 carry an up/down arrow.
 
     Parts are (size, direction) pairs; a part of size 1 has direction
@@ -231,18 +219,10 @@ class ArrowedComposition:
     direction NONE exactly when it has length 1.
     """
 
-    parts: tuple[tuple[int, Direction], ...]
+    __slots__ = ("parts",)
 
-    @classmethod
-    def _trusted(cls, parts: tuple[tuple[int, Direction], ...]) -> ArrowedComposition:
-        """The composition with these parts, built unchecked."""
-        comp = object.__new__(cls)
-        object.__setattr__(comp, "parts", parts)
-        return comp
-
-    def __post_init__(self) -> None:
-        parts = tuple([(size, direction) for size, direction in self.parts])
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts: Sequence[tuple[int, Direction]]) -> None:
+        parts = tuple([(size, direction) for size, direction in parts])
         for size, direction in parts:
             if not isinstance(size, int) or isinstance(size, bool):
                 raise ValueError(f"part size {size!r} is not an integer")
@@ -254,14 +234,14 @@ class ArrowedComposition:
                 raise ValueError(
                     f"part of size {size} must carry an arrow iff size > 1"
                 )
+        object.__setattr__(self, "parts", parts)
 
     def compact(self) -> str:
         """Render as e.g. "1,2↑,1,1,3↓,1"."""
         return ",".join(f"{size}{ARROW[d]}" for size, d in self.parts)
 
 
-@dataclass(frozen=True)
-class MarkedSepPermutation:
+class MarkedSepPermutation(Record):
     """A permutation with a chosen subset of its vertical-separator
     positions marked (rendered with hats in the worked examples).
 
@@ -272,36 +252,23 @@ class MarkedSepPermutation:
     of the vertical separator positions it reads.
     """
 
-    perm: Permutation
-    marked_sep_positions: frozenset[int] = frozenset()
+    __slots__ = ("perm", "marked_sep_positions")
 
-    @classmethod
-    def _trusted(
-        cls, perm: Permutation, marked_sep_positions: frozenset[int]
-    ) -> MarkedSepPermutation:
-        """The marked permutation with these fields, built unchecked."""
-        msp = object.__new__(cls)
-        object.__setattr__(msp, "perm", perm)
-        object.__setattr__(msp, "marked_sep_positions", marked_sep_positions)
-        return msp
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.perm, Permutation):
-            object.__setattr__(self, "perm", Permutation(self.perm))
-        object.__setattr__(
-            self, "marked_sep_positions", frozenset(self.marked_sep_positions)
-        )
-        if not self.marked_sep_positions:
-            return
-        word = self.perm.entries
-        legal = position_mask(word, separator_masks(word)[0])
-        for i in self.marked_sep_positions:
+    def __init__(
+        self, perm: Permutation, marked_sep_positions: Collection[int] = ()
+    ) -> None:
+        perm = perm if isinstance(perm, Permutation) else Permutation(perm)
+        marked_sep_positions = frozenset(marked_sep_positions)
+        legal = position_mask(perm.entries, separator_masks(perm.entries)[0])
+        for i in marked_sep_positions:
             if not isinstance(i, int) or isinstance(i, bool):
                 raise ValueError(f"marked separator position {i!r} is not an integer")
             if i < 0 or not legal >> i & 1:
                 raise ValueError(
                     f"position {i} is not a vertical separator position"
                 )
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "marked_sep_positions", marked_sep_positions)
 
 
 # ---------------------------------------------------------------------------

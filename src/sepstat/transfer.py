@@ -191,6 +191,10 @@ def event_row(n: int, kind: str) -> dict[int, int]:
     >>> sorted(event_row(4, "bonds").items())
     [(0, 2), (1, 10), (2, 10), (3, 2)]
     """
+    if kind not in (kinds := ("vertical", "horizontal", "bonds")):
+        raise ValueError(f"unknown kind {kind!r}; choose from {kinds}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     if kind == "bonds":
         c = _line(n)
     else:

@@ -2,8 +2,8 @@
 sweep, dealt over one process pool, held against the series and the
 expectation formulas, and a walk over S_<=7 that checks the structural
 invariants of each permutation. The pool is imported with the first
-pooled suite. This is the only module that imports both the sweep and
-the series (``tests/test_route_graph.py`` pins every module's imports).
+pooled suite. After `cli` and `__init__`, this is the third module that
+imports more than one route (``tests/test_route_graph.py`` pins them).
 """
 
 from __future__ import annotations

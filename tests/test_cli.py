@@ -855,13 +855,15 @@ def test_dead_pool_worker_is_an_error_not_a_failed_check(capsys, monkeypatch):
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-# Prints, as one Python literal, the pool and json modules loaded after
-# each import and each command, and each command's code and output.
+# Prints, as one Python literal, the pool, json, dataclasses and inspect
+# modules loaded after each import and each command, and each command's
+# code and output.
 _LOADED_AFTER_EACH_STEP = """
 import contextlib, io, sys
 
 def loaded():
-    return [m for m in ("concurrent.futures", "multiprocessing", "json")
+    return [m for m in ("concurrent.futures", "multiprocessing", "json",
+                        "dataclasses", "inspect")
             if m in sys.modules]
 
 steps = []
@@ -920,6 +922,9 @@ def test_only_a_pooled_verify_loads_the_pool():
     (_, _, one_thread), (_, modules, pooled) = steps[-2:]
     assert pool <= set(modules)
     assert pooled == one_thread
+    # the records are built without dataclasses, which would load inspect
+    for step, modules, _ in steps:
+        assert not {"dataclasses", "inspect"} & set(modules), step
 
 
 # Runs a pooled verify in which the worker of part 0 dies once the worker

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 from collections import Counter
 
 import pytest
@@ -479,6 +481,46 @@ def test_unchecked_marked_results_cannot_be_told_apart(n):
     for p in all_perms(n):
         for obj in marked_results(p):
             assert_marked_as_if_checked(obj)
+
+
+@pytest.mark.parametrize(
+    "record, names",
+    [
+        (Permutation((3, 1, 2)), ["entries"]),
+        (MarkedWord((2, 1, 3), frozenset({1})), ["values", "marked"]),
+        (ArrowedComposition(((1, NONE), (2, UP))), ["parts"]),
+        (
+            MarkedSepPermutation(Permutation((1, 3, 2, 4)), frozenset({2})),
+            ["perm", "marked_sep_positions"],
+        ),
+    ],
+    ids=["Permutation", "MarkedWord", "ArrowedComposition", "MarkedSepPermutation"],
+)
+def test_record_contract(record, names):
+    fields = tuple(getattr(record, name) for name in names)
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.other = 1
+    assert record != fields and fields != record
+    twin = type(record)(*fields)
+    assert twin == record and hash(twin) == hash(record)
+    for back in pickle.loads(pickle.dumps(record)), copy.copy(record):
+        assert back == record and repr(back) == repr(record)
+    if type(record) is not Permutation:
+        with pytest.raises(TypeError):
+            record < twin
+        return
+    p, q = record, Permutation((3, 2, 1))
+    assert p < q and p <= q and q > p and q >= p
+    assert p <= p and p >= p and not p < p and not p > p
+    perms = [q, Permutation((2, 1)), p, Permutation(()), Permutation((1, 2, 3))]
+    assert sorted(perms) == sorted(perms, key=lambda perm: perm.entries)
+    with pytest.raises(TypeError):
+        p < p.entries
 
 
 @pytest.mark.parametrize(

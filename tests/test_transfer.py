@@ -173,6 +173,22 @@ def test_transfer_cap_is_checked_before_any_work(monkeypatch):
         transfer.distribution(3, "diagonal")
 
 
+@pytest.mark.parametrize(
+    "n, kind, message",
+    [
+        (4, "any",
+         "unknown kind 'any'; choose from ('vertical', 'horizontal', 'bonds')"),
+        (4, "both", "unknown kind 'both'"),
+        (-1, "bonds", "n must be >= 0, got -1"),
+        (-1, "horizontal", "n must be >= 0, got -1"),
+    ],
+)
+def test_event_row_checks_its_kind_and_n(n, kind, message):
+    # unchecked, any kind but bonds would be read as horizontal
+    with pytest.raises(ValueError, match=re.escape(message)):
+        transfer.event_row(n, kind)
+
+
 def test_transfer_ignores_the_sweep_cap(monkeypatch):
     monkeypatch.setenv(config.ENV_MAX_N, "3")
     assert sum(transfer.distribution(6, "any").values()) == 720
