@@ -1,20 +1,15 @@
 """Default limits for the command-line tools.
 
-All tunables live here; the one environment override is SEPSTAT_MAX_N
-for the enumeration cap of the sweeps, which only `verify` (and the
-library's reference `sweep`) run. Nothing else reads the environment.
+All tunables live here, each a constant: nothing in sepstat reads the
+environment, so a limit changes only by an edit to this file.
 """
 
 from __future__ import annotations
 
-import os
-
-# Largest n accepted by the exhaustive sweeps of `verify` (10!
-# permutations is the biggest job a desk run should take on).
-DEFAULT_MAX_N = 10
-
-# Environment variable overriding DEFAULT_MAX_N.
-ENV_MAX_N = "SEPSTAT_MAX_N"
+# Largest n accepted by the exhaustive sweeps of `verify` and the
+# library's reference `sweep` (10! permutations is the biggest job a
+# desk run should take on).
+MAX_SWEEP_N = 10
 
 # Largest n accepted by the exact count behind `dist`, `expect` and
 # `maxsep --verify` (sepstat.transfer), which does not enumerate S_n;
@@ -32,9 +27,8 @@ ENV_MAX_N = "SEPSTAT_MAX_N"
 # flag (grouped by position, folded by the complement), take 0.26-0.49 s
 # (+6-8 MB peak RSS) at n = 11 and 1.0-1.6 s (+16-22 MB) at n = 12
 # (distribution() alone, 5 fresh processes each), and each n costs them
-# 3-4x the one before. No environment override: SEPSTAT_MAX_N bounds the
-# sweeps only. The `both`/`any` pass packs each entry into 4 bits of its
-# position keys, so for them the cap can never pass 15.
+# 3-4x the one before. The `both`/`any` pass packs each entry into 4
+# bits of its position keys, so for them the cap can never pass 15.
 MAX_TRANSFER_N = 12
 
 # Default z-truncation order for the series commands, and the largest
@@ -59,15 +53,3 @@ MAX_MAXSEP_K = 6
 
 # Default size ceiling for the `verify` command.
 DEFAULT_VERIFY_N = 8
-
-
-def enumeration_cap() -> int:
-    """The current cap on exhaustive enumeration size. SEPSTAT_MAX_N is
-    read as ASCII digits 0-9 alone, as an entry of a permutation is: no
-    sign, underscore, space or other digits."""
-    raw = os.environ.get(ENV_MAX_N)
-    if raw is None:
-        return DEFAULT_MAX_N
-    if not (raw.isascii() and raw.isdigit()):
-        raise ValueError(f"{ENV_MAX_N} must be ASCII digits 0-9, got {raw!r}")
-    return int(raw)

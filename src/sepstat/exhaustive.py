@@ -38,14 +38,10 @@ _MAX_SEP_BLOCKS = (Permutation((3, 1, 4, 2)), Permutation((2, 4, 1, 3)))
 
 
 def _check_cap(n: int) -> None:
-    cap = config.enumeration_cap()
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if n > cap:
-        raise ValueError(
-            f"n={n} exceeds the enumeration cap {cap} "
-            f"(set {config.ENV_MAX_N} to raise it)"
-        )
+    if n > config.MAX_SWEEP_N:
+        raise ValueError(f"n={n} exceeds the enumeration cap {config.MAX_SWEEP_N}")
 
 
 # ---------------------------------------------------------------------------

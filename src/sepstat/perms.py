@@ -157,9 +157,12 @@ def parse_permutation(text: str) -> Permutation:
     """Parse a one-line word.
 
     Accepts compact digit strings ("53241", n <= 9 only), delimited
-    forms ("5 3 2 4 1", "5,3,2,4,1"), and JSON-ish bracketed arrays.
-    The presence of a delimiter selects the delimited reading. Each
-    entry is ASCII digits 0-9 alone: no sign, underscore or other digits.
+    forms ("5 3 2 4 1", "5,3,2,4,1", "5, 3, 2, 4, 1"), and JSON-ish
+    bracketed arrays. The presence of a delimiter selects the delimited
+    reading. A comma makes commas the only delimiter and each field is
+    stripped, so an empty field ("3,,1,2", "[1,2,]") or a space inside
+    one ("1 2,3") is refused. Each entry is ASCII digits 0-9 alone: no
+    sign, underscore or other digits.
 
     >>> parse_permutation("53241").entries
     (5, 3, 2, 4, 1)
@@ -171,8 +174,10 @@ def parse_permutation(text: str) -> Permutation:
         s = s[1:-1].strip()
     if not s:
         return Permutation(())
-    if any(c in s for c in ", \t"):
-        pieces = [piece for piece in s.replace(",", " ").split() if piece]
+    if "," in s:
+        pieces = [piece.strip() for piece in s.split(",")]
+    elif any(c in s for c in " \t"):
+        pieces = s.split()
     else:
         pieces = list(s)
     if not all(piece.isascii() and piece.isdigit() for piece in pieces):

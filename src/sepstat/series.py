@@ -29,7 +29,7 @@ class MarkerPoly:
         end = len(coeffs)
         while end > 0 and coeffs[end - 1] == 0:
             end -= 1
-        object.__setattr__(self, "coeffs", tuple(coeffs[:end]))
+        self.coeffs = tuple(coeffs[:end])
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -99,12 +99,10 @@ class MarkerPoly:
         return f"MarkerPoly({list(self.coeffs)})"
 
 
-_ZERO = MarkerPoly()
-
-
 class BiSeries:
     """A truncated series sum_e coeff[e] * z^e with MarkerPoly
-    coefficients, exact up to z^order. Treated as immutable."""
+    coefficients, exact up to z^order. The library never mutates a
+    series or its coefficients, but nothing enforces this."""
 
     __slots__ = ("order", "coeffs")
 
@@ -118,8 +116,8 @@ class BiSeries:
                     raise ValueError(f"exponent {e} outside 0..{order}")
                 if poly:
                     clean[e] = poly
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", clean)
+        self.order = order
+        self.coeffs = clean
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, BiSeries):
@@ -144,7 +142,7 @@ def coeff(a: BiSeries, n: int) -> MarkerPoly:
     not zero."""
     if not 0 <= n <= a.order:
         raise ValueError(f"exponent {n} outside the exact range 0..{a.order}")
-    return a.coeffs.get(n, _ZERO)
+    return a.coeffs.get(n) or MarkerPoly()
 
 
 # ---------------------------------------------------------------------------

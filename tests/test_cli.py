@@ -107,8 +107,8 @@ def test_dist_over_cap(capsys):
 
 
 def test_dist_env_cap(capsys, monkeypatch):
-    # SEPSTAT_MAX_N bounds the sweeps; dist counts without one
-    monkeypatch.setenv(config.ENV_MAX_N, "5")
+    # MAX_SWEEP_N bounds the sweeps; dist counts without one
+    monkeypatch.setattr(config, "MAX_SWEEP_N", 5)
     code, _, err = run_cli(capsys, "verify", "--n-max", "6")
     assert code == 2 and "cap 5" in err
 
@@ -266,7 +266,7 @@ def test_maxsep_verify_needs_cap(capsys, monkeypatch):
 
 
 def test_maxsep_verify_ignores_the_sweep_cap(capsys, monkeypatch):
-    monkeypatch.setenv(config.ENV_MAX_N, "7")
+    monkeypatch.setattr(config, "MAX_SWEEP_N", 7)
     code, out, _ = run_cli(capsys, "maxsep", "2", "--verify")
     assert code == 0 and out.endswith("exhaustive cross-check: PASS\n")
 
@@ -330,6 +330,18 @@ def test_verify_json(capsys):
 def test_verify_over_cap(capsys):
     code, _, err = run_cli(capsys, "verify", "--n-max", "11")
     assert code == 2 and "cap" in err
+
+
+def test_verify_cap_ignores_the_environment(capsys, monkeypatch):
+    # the cap is config.MAX_SWEEP_N alone; no variable raises it
+    def refuse(*args):
+        raise AssertionError("sweep started")
+
+    monkeypatch.setenv("SEPSTAT_MAX_N", "11")
+    monkeypatch.setattr(exhaustive, "_part_words", refuse)
+    code, out, err = run_cli(capsys, "verify", "--n-max", "11", "--threads", "1")
+    assert code == 2 and out == ""
+    assert err == "error: n=11 exceeds the enumeration cap 10\n"
 
 
 # ---------------------------------------------------------------------------

@@ -55,17 +55,12 @@ def test_sweep_respects_cap(monkeypatch):
         sweep(11)
     with pytest.raises(ValueError, match="n must be >= 0"):
         sweep(-1)
-    monkeypatch.setenv(config.ENV_MAX_N, "5")
+    monkeypatch.setattr(config, "MAX_SWEEP_N", 5)
     with pytest.raises(ValueError, match="cap 5"):
         sweep(6)
-    monkeypatch.setenv(config.ENV_MAX_N, "11")
+    monkeypatch.setattr(config, "MAX_SWEEP_N", 11)
     with pytest.raises(AssertionError, match="sweep started"):
         sweep(11)  # raising the cap is allowed
-    # the cap is ASCII digits alone, though int() reads all of these
-    for raw in ("1_0", "٣", " 7", "7 ", "+7", "-1", ""):
-        monkeypatch.setenv(config.ENV_MAX_N, raw)
-        with pytest.raises(ValueError, match=f"^{config.ENV_MAX_N} must be ASCII digits"):
-            sweep(3)
 
 
 # ---------------------------------------------------------------------------

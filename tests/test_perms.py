@@ -100,6 +100,7 @@ def test_indexing_is_one_based():
         ("10 2 3 4 5 6 7 8 9 1", (10, 2, 3, 4, 5, 6, 7, 8, 9, 1)),
         ("", ()),
         ("[]", ()),
+        ("5, 3, 2, 4, 1", (5, 3, 2, 4, 1)),
     ],
 )
 def test_parse_permutation(text, expected):
@@ -115,6 +116,13 @@ def test_parse_rejects_garbage():
         "3 \u0661 2",  # an Arabic-Indic 1
         "+2,1",
         "-1,2",
+        # an empty field or a space inside one is a typo, not a delimiter
+        "3,,1,2",
+        "1,,2",
+        ",1,2",
+        "[1,2,]",
+        ",",
+        "1 2,3",
     ):
         with pytest.raises(ValueError, match="cannot parse permutation from"):
             parse_permutation(text)

@@ -12,6 +12,8 @@ fails, so a new module has to declare what it imports.
 The process pool belongs to one function, `verify._deal`: no other
 code imports or names ``concurrent.futures`` or ``multiprocessing``,
 and no module keeps the pool class in a module-level name.
+
+No module reads the environment: every limit is a constant in `config`.
 """
 
 import ast
@@ -201,3 +203,49 @@ def test_only_deal_names_the_pool(module):
     named = [(n.lineno, name) for n in outside(tree, deal) for name in pool_names(n)]
     assert named == []
     assert "ProcessPoolExecutor" not in module_bindings(tree)
+
+
+# ---------------------------------------------------------------------------
+# No module reads the environment
+
+ENVIRONMENT_NAMES = ("environ", "getenv")
+
+
+def environment_names(node: ast.AST) -> list[str]:
+    """The environment names that one node names: as a name, an
+    attribute, an imported name or a string constant such as a
+    ``getattr`` argument."""
+    if isinstance(node, ast.Name):
+        names = [node.id]
+    elif isinstance(node, ast.Attribute):
+        names = [node.attr]
+    elif isinstance(node, ast.alias):
+        names = [node.name, node.asname]
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        names = [node.value]
+    else:
+        return []
+    return [name for name in names if name in ENVIRONMENT_NAMES]
+
+
+@pytest.mark.parametrize(
+    "source, names",
+    [
+        ("import os\nos.environ.get('X')", ["environ"]),
+        ("from os import getenv", ["getenv"]),
+        ("from os import environ as env", ["environ"]),
+        ("getattr(os, 'getenv')('X')", ["getenv"]),
+        ("environ = {}", ["environ"]),
+        ("# os.environ\nx = 'the environment'", []),
+    ],
+)
+def test_environment_names_are_read_in_every_form(source, names):
+    found = [name for node in ast.walk(ast.parse(source)) for name in environment_names(node)]
+    assert found == names
+
+
+@pytest.mark.parametrize("module", SIBLINGS)
+def test_no_module_reads_the_environment(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    named = [(n.lineno, name) for n in ast.walk(tree) for name in environment_names(n)]
+    assert named == []

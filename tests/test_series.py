@@ -187,6 +187,12 @@ def test_coeff_bounds():
         coeff(h, -1)
 
 
+def test_absent_rows_share_no_zero():
+    # a caller that writes to the zero it was handed changes no other row
+    coeff(BiSeries(2), 1).coeffs = (5,)
+    assert coeff(BiSeries(3), 0) == MarkerPoly()
+
+
 # ---------------------------------------------------------------------------
 # The run table
 

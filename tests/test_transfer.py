@@ -190,7 +190,7 @@ def test_event_row_checks_its_kind_and_n(n, kind, message):
 
 
 def test_transfer_ignores_the_sweep_cap(monkeypatch):
-    monkeypatch.setenv(config.ENV_MAX_N, "3")
+    monkeypatch.setattr(config, "MAX_SWEEP_N", 3)
     assert sum(transfer.distribution(6, "any").values()) == 720
 
 
