@@ -185,8 +185,9 @@ def bond_marked_gf(order: int) -> BiSeries:
     if order < 0:
         raise ValueError("order must be >= 0")
     table = run_table(order)
+    weight = [factorial(m) for m in range(order + 1)]
     return BiSeries(order, {
-        n: MarkerPoly([factorial(n - k) * table[n - k][k] for k in range(n + 1)])
+        n: MarkerPoly([weight[n - k] * table[n - k][k] for k in range(n + 1)])
         for n in range(order + 1)
     })
 

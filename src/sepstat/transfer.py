@@ -72,12 +72,13 @@ The complement x -> n + 1 - x preserves all five statistics and maps
 this pass's transitions onto each other, so a state and its complement
 lead to the same counts. The pass starts from the empty prefix, and
 each of its n steps folds the layer and then places one more entry; the
-counts are the sum of the last layer's tables. The fold moves each
-position onto the smaller of itself and its complement, complementing
-its waiting sets with it; a position that is its own complement folds
-each waiting set on its own. Complementary prefixes then merge: the
-one-entry prefixes fold onto the first entries up to (n + 1) / 2, each
-but a middle one counted twice. The rule keeps its form under the
+counts are the sum of the last layer's tables. The fold works in
+place and merges only the positions whose complement is in the layer
+too: of such a pair, the smaller table is complemented, waiting sets
+and all, and added into the larger, which keeps its position. A
+position whose complement is absent is expanded as it stands, and a
+position that is its own complement folds each waiting set onto the
+smaller of it and its complement. The rule keeps its form under the
 complement: |c - a| is unchanged and a midpoint m maps to n + 1 - m, so
 the checked events commute with it.
 
@@ -230,9 +231,9 @@ def event_row(n: int, kind: str) -> dict[int, int]:
 def _flag_pass(n, width, kind) -> int:
     """Counts for `both` or `any` over S_n, packed ``width`` bits per
     slot, after every window is checked. From the empty prefix, each of
-    the n steps folds the layer by the complement and places one more
-    entry after every position; the counts are the sum of the last
-    layer's tables."""
+    the n steps merges the complementary positions of the layer in place
+    and places one more entry after every position; the counts are the
+    sum of the last layer's tables."""
     events = _check_windows(n)
     size = n + 1
     full = (1 << size) - 2
@@ -252,26 +253,31 @@ def _flag_pass(n, width, kind) -> int:
     first_flag, second_flag = (width, 0) if kind == "any" else (0, width)
     layer = {0: {0: 1}}  # the empty prefix: no value used, no entries
     for _ in range(n):
-        folded: dict[int, dict[int, int]] = {}
-        while layer:
-            pos, table = layer.popitem()
+        for pos in list(layer):
+            table = layer.get(pos)
+            if table is None:
+                continue  # merged into its twin
             twin = rev[pos & full] | flip[pos >> size & 255] << size
-            if twin <= pos:
-                # the waiting keys are complemented with the position;
-                # a self-complementary one folds each key on its own
-                whole, pos, table, own = twin < pos, twin, {}, table
-                for w, poly in own.items():
-                    t = rev[w & full] | rev[w >> size] << size
-                    if whole or t < w:
-                        w = t
-                    table[w] = table.get(w, 0) + poly
-            dest = folded.get(pos)
-            if dest is None:
-                folded[pos] = table
+            whole = twin != pos
+            if whole:
+                own = layer.get(twin)
+                if own is None:
+                    continue  # no twin: expanded in its own orientation
+                # the smaller table is complemented into the larger one,
+                # which keeps its position
+                if len(own) > len(table):
+                    own, table, twin = table, own, pos
+                del layer[twin]
             else:
-                for w, poly in table.items():
-                    dest[w] = dest.get(w, 0) + poly
-        layer = {}
+                # a self-complementary position folds each key on its own
+                own = table
+                table = layer[pos] = {}
+            for w, poly in own.items():
+                t = rev[w & full] | rev[w >> size] << size
+                if whole or t < w:
+                    w = t
+                table[w] = table.get(w, 0) + poly
+        folded, layer = layer, {}
         while folded:
             pos, table = folded.popitem()
             used = pos & full

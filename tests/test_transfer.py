@@ -48,6 +48,30 @@ def test_flag_pass_equals_the_keyed_pass(kind):
         assert transfer._flag_pass(n, width, kind) == expected, n
 
 
+@pytest.mark.parametrize("n", [4, 7, 10])
+def test_both_peaks_on_one_complementary_pair_when_n_is_1_mod_3(n):
+    # the top of `both` is 2(n - 1)/3, reached by 1 followed by the
+    # blocks 3j, 3j - 1, 3j + 1 and by its reverse, which is also its
+    # complement, and by no other permutation
+    top = 2 * (n - 1) // 3
+    word = (1,) + tuple(v for j in range(1, (n - 1) // 3 + 1)
+                        for v in (3 * j, 3 * j - 1, 3 * j + 1))
+    assert sorted(word) == list(range(1, n + 1))
+    assert word[::-1] == tuple(n + 1 - x for x in word)
+    row = transfer.distribution(n, "both")
+    assert max(row) == top and row[top] == 2
+    for w in (word, word[::-1]):
+        vm, hm, _ = separator_masks(w)
+        assert (vm & hm).bit_count() == top, w
+
+
+@pytest.mark.parametrize("n", [5, 8, 11])
+def test_both_peaks_at_two_thirds_of_n_minus_2_when_n_is_2_mod_3(n):
+    top = 2 * (n - 2) // 3
+    row = transfer.distribution(n, "both")
+    assert max(row) == top and row[top] == 8 * (n - 2) // 3
+
+
 @pytest.mark.parametrize("kind", ["both", "any"])
 @pytest.mark.parametrize("n", [0, 1])
 def test_flag_pass_counts_the_empty_and_the_one_entry_prefix(n, kind):
@@ -318,11 +342,10 @@ def _complement_mask(mask: int, n: int) -> int:
 
 @pytest.mark.parametrize("n", range(7))
 def test_complement_symmetry_behind_the_halved_pass(n):
-    # every step of the `both`/`any` pass folds its layer onto the
-    # smaller of each state and its complement, which halves the first
-    # entries to those up to (n + 1) / 2; on whole words, the complement
-    # x -> n + 1 - x keeps every statistic (the pass checks the window
-    # tables itself)
+    # every step of the `both`/`any` pass merges each position with its
+    # complement when both are in the layer, expanding either one for
+    # both; on whole words, the complement x -> n + 1 - x keeps every
+    # statistic (the pass checks the window tables itself)
     for word in itertools.permutations(range(1, n + 1)):
         vm, hm, b = separator_masks(word)
         cvm, chm, cb = separator_masks(tuple(n + 1 - x for x in word))
