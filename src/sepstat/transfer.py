@@ -62,17 +62,25 @@ still receive the other:
   entry (the entry after it decides its vertical flag).
 
 Each layer groups its states by position, the used values and the last
-two entries, and keeps one table of waiting sets per position, so what
-a position allows next is worked out once for all its states. A next
-entry that flags nothing (most of them) maps every waiting set of a
-position the same way, so its successor receives one projected table;
-only the others walk the waiting sets one by one.
+two entries, and keeps one table of waiting sets per position. The
+positions that differ only in the entry before the last, a, reach the
+same successors: placing c after the last entry b leads to the used
+values with c, the entries b and c, and every event but b's vertical
+flag depends on b and c alone. So a step expands each group of
+positions with the same used values and b once. Their tables are
+projected together, once, onto the waiting sets that can still
+matter, and each next entry c adds that one table to its successor, as
+it stands when c flags nothing (most of them) and walked once when c
+flags a horizontal separator. Only the tables whose a is c - 1 or
+c + 1, at most two for each c, are walked again to move their counts to
+b's vertical flag.
 
 The complement x -> n + 1 - x preserves all five statistics and maps
 this pass's transitions onto each other, so a state and its complement
 lead to the same counts. The pass starts from the empty prefix, and
-each of its n steps folds the layer and then places one more entry; the
-counts are the sum of the last layer's tables. The fold works in
+each step folds the layer and then places one more entry, until two
+values are left: each position places them in both orders and adds the
+flags of its two windows straight into the counts. The fold works in
 place and merges only the positions whose complement is in the layer
 too: of such a pair, the smaller table is complemented, waiting sets
 and all, and added into the larger, which keeps its position. A
@@ -147,6 +155,14 @@ def _check_windows(n: int) -> list:
     return events
 
 
+def _check_n(n) -> None:
+    """n must be an int that is not a bool, and >= 0."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"n {n!r} is not an integer")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+
+
 def distribution(n: int, kind: str) -> Counter:
     """Exact distribution of one statistic over S_n, as {value: count}
     with only nonzero counts.
@@ -156,8 +172,7 @@ def distribution(n: int, kind: str) -> Counter:
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; choose from {KINDS}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _check_n(n)
     if n > config.MAX_TRANSFER_N:
         raise ValueError(f"n={n} exceeds the transfer cap {config.MAX_TRANSFER_N}")
     if kind not in ("both", "any"):
@@ -194,8 +209,7 @@ def event_row(n: int, kind: str) -> dict[int, int]:
     """
     if kind not in (kinds := ("vertical", "horizontal", "bonds")):
         raise ValueError(f"unknown kind {kind!r}; choose from {kinds}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _check_n(n)
     if kind == "bonds":
         c = _line(n)
     else:
@@ -225,15 +239,21 @@ def event_row(n: int, kind: str) -> dict[int, int]:
 # are used it is stored as 0, which merges positions. The complement of
 # a key reverses its value sets over 1..n and maps b -> n + 1 - b and
 # a -> n + 1 - a, keeping a = 0 and b = 0. Position 0 is the empty
-# prefix: no value used and no entries.
+# prefix: no value used and no entries. The positions that share the
+# used values and b, and differ only in a, form a group: they reach the
+# same successors, and only b's vertical flag tells them apart.
 
 
 def _flag_pass(n, width, kind) -> int:
     """Counts for `both` or `any` over S_n, packed ``width`` bits per
-    slot, after every window is checked. From the empty prefix, each of
-    the n steps merges the complementary positions of the layer in place
-    and places one more entry after every position; the counts are the
-    sum of the last layer's tables."""
+    slot, after every window is checked. From the empty prefix, each
+    step merges the complementary positions of the layer in place and
+    places one more entry after each group of positions that share the
+    used values and b: the group's tables are projected together once,
+    each next entry c adds that one table to its successor, and only the
+    tables whose a is c - 1 or c + 1, which flag b vertical, are walked
+    again to move their counts. The last two entries are placed in both
+    orders straight into the counts."""
     events = _check_windows(n)
     size = n + 1
     full = (1 << size) - 2
@@ -251,8 +271,9 @@ def _flag_pass(n, width, kind) -> int:
     flip = [(size - b if b else 0) | (size - a if a else 0) << 4
             for a in range(16) for b in range(16)]
     first_flag, second_flag = (width, 0) if kind == "any" else (0, width)
+    group_of = (1 << size + 4) - 1  # the used values and b of a position
     layer = {0: {0: 1}}  # the empty prefix: no value used, no entries
-    for _ in range(n):
+    for step in range(n):
         for pos in list(layer):
             table = layer.get(pos)
             if table is None:
@@ -277,57 +298,116 @@ def _flag_pass(n, width, kind) -> int:
                 if whole or t < w:
                     w = t
                 table[w] = table.get(w, 0) + poly
-        folded, layer = layer, {}
-        while folded:
-            pos, table = folded.popitem()
-            used = pos & full
-            b = pos >> size & 15
-            erow = events[pos >> size + 4 & 15][b]
+        if step == n - 2:
+            # the two unused values x, y of each position in both orders:
+            # only the flags they add are counted, so the first window
+            # updates the waiting key only where the second reads it
+            total = 0
+            for pos, table in layer.items():
+                b = pos >> size & 15
+                erow = events[pos >> size + 4 & 15][b]
+                x, y = free[(pos & full) >> 1]
+                for c, d in (x, y), (y, x):
+                    windows = (b, erow[c]), (c, events[b][c][d])
+                    for w, poly in table.items():
+                        inc = 0
+                        for v, e in windows:
+                            if e & 1:  # v flagged vertical
+                                if w >> size + v & 1:
+                                    inc += second_flag
+                                else:
+                                    w |= 1 << v  # v may be the next midpoint
+                                    inc += first_flag
+                            if e & ~1:  # a midpoint flagged horizontal
+                                inc += second_flag if w & e else first_flag
+                        total += poly << inc
+            return total
+        # the positions of each group, by the entry before the last, a
+        groups = {}
+        for pos, table in layer.items():
+            groups.setdefault(pos & group_of, []).append((pos >> size + 4, table))
+        layer = {}
+        while groups:
+            key, members = groups.popitem()
+            used = key & full
+            b = key >> size
+            hrow = events[0][b]  # the horizontal events of (b, c)
             # A flag waits only while the values it needs are unused now
             # (c, the new last entry, among them): `wmask` keeps those of
             # a waiting key, the same for every c.
             avail = full ^ used
             wmask = avail << 1 & avail >> 1 | avail << size
+            lowb = 1 << b & wmask  # b flagged vertical, if it can wait
             # b is kept as the entry before the last while a value
             # neighbour of it other than c is unused.
             waiting = near[b] & ~used
             keep = b << size + 4 if waiting else 0
             lone = waiting.bit_length() - 1 if waiting & waiting - 1 == 0 else 0
-            quiet = {}
-            for w, poly in table.items():
+            # The group's tables are projected together, keeping the bits
+            # of b - 1 and b + 1, which c = b - 2 or b + 2 flags horizontal
+            # (`quiet` drops those too), and those whose a flags b vertical
+            # are listed by that c: a - 1 and a + 1, by the checked rule.
+            xmask = wmask | near[b]
+            merged, quiet, vertical = {}, {}, {}
+            for a, table in members:
+                if a:
+                    vertical.setdefault(a - 1, []).append(table)
+                    vertical.setdefault(a + 1, []).append(table)
+                for w, poly in table.items():
+                    w &= xmask
+                    merged[w] = merged.get(w, 0) + poly
+            for w, poly in merged.items():
                 w &= wmask
                 quiet[w] = quiet.get(w, 0) + poly
             for c in free[used >> 1]:
                 p2 = used | 1 << c | c << size | (0 if c == lone else keep)
                 dest = layer.get(p2)
-                e = erow[c]
-                if not e:  # c flags nothing: add the projected table
+                # The merged table goes in as if no a flagged b vertical.
+                # A midpoint of (b, c) flagged horizontal sits between two
+                # values that are used once c is, so its bit waiting for a
+                # horizontal flag goes with `wmask`.
+                hb = hrow[c]  # the bit of the midpoint
+                if not hb:  # c flags nothing: add the projected table
                     if dest is None:
-                        layer[p2] = quiet.copy()
+                        dest = layer[p2] = quiet.copy()
                     else:
                         for w, poly in quiet.items():
                             dest[w] = dest.get(w, 0) + poly
-                    continue
-                if dest is None:
-                    dest = layer[p2] = {}
-                vb = (e & 1) << b  # b flagged vertical
-                hb = e & ~1  # the bit of the value flagged horizontal
-                for w, poly in table.items():
-                    inc = 0
-                    if vb:
-                        if w >> size & vb:
-                            w ^= vb << size
+                else:
+                    if dest is None:
+                        dest = layer[p2] = {}
+                    for w, poly in merged.items():
+                        if w & hb:
                             inc = second_flag
                         else:
-                            w |= vb
-                            inc = first_flag
-                    if hb:
-                        if w & hb:
-                            w ^= hb
-                            inc += second_flag
-                        else:
                             w |= hb << size
-                            inc += first_flag
-                    w &= wmask
-                    dest[w] = dest.get(w, 0) + (poly << inc)
-    return sum(sum(table.values()) for table in layer.values())
+                            inc = first_flag
+                        w &= wmask
+                        dest[w] = dest.get(w, 0) + (poly << inc)
+                # Then each table whose a flags b vertical moves its counts
+                # to b's flagged key: where b waits for a vertical flag, the
+                # key stays and the counts gain a second flag; elsewhere
+                # they gain a first and b may wait for a horizontal one.
+                for table in vertical.get(c, ()):
+                    for w, poly in table.items():
+                        if hb:
+                            if w & hb:
+                                poly <<= second_flag
+                            else:
+                                w |= hb << size
+                                poly <<= first_flag
+                        if w >> size + b & 1:
+                            moved, inc = 0, second_flag
+                        else:
+                            moved, inc = lowb, first_flag
+                        w &= wmask
+                        if moved:
+                            left = dest[w] - poly
+                            if left:
+                                dest[w] = left
+                            else:  # no count is left at this key
+                                del dest[w]
+                            dest[w | moved] = dest.get(w | moved, 0) + (poly << inc)
+                        elif inc:
+                            dest[w] += (poly << inc) - poly
+    return sum(sum(table.values()) for table in layer.values())  # n < 2

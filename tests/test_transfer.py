@@ -72,6 +72,24 @@ def test_both_peaks_at_two_thirds_of_n_minus_2_when_n_is_2_mod_3(n):
     assert max(row) == top and row[top] == 8 * (n - 2) // 3
 
 
+@pytest.mark.parametrize(
+    "n, count", [(3, 4), (5, 20), (6, 16), (7, 56), (9, 208), (10, 176), (11, 536)]
+)
+def test_any_peaks_at_n_minus_1_when_4_does_not_divide_n(n, count):
+    row = transfer.distribution(n, "any")
+    assert max(row) == n - 1 and row[n - 1] == count
+
+
+@pytest.mark.parametrize("n, below", [(4, 8), (8, 96)])
+def test_any_peaks_at_n_when_4_divides_n(n, below):
+    # the top is the paper's 2^k k! permutations, k = n/4, in which every
+    # digit separates
+    k = n // 4
+    row = transfer.distribution(n, "any")
+    assert max(row) == n and row[n] == 2 ** k * math.factorial(k)
+    assert row[n - 1] == below
+
+
 @pytest.mark.parametrize("kind", ["both", "any"])
 @pytest.mark.parametrize("n", [0, 1])
 def test_flag_pass_counts_the_empty_and_the_one_entry_prefix(n, kind):
@@ -102,9 +120,12 @@ def _masks_events(n):
 # then the two waiting sets; the complement fold orients each whole key.
 def _keyed_flag_pass(n, width, kind, events) -> int:
     """The flag pass with one flat table per layer: each key packs the
-    used values, the last two entries and both waiting sets, and each
-    state is set up on its own. The reference for the grouped
-    :func:`transfer._flag_pass`; it makes no window checks of its own."""
+    used values, the last two entries and both waiting sets, each state
+    is set up and expanded on its own, and every layer is built to the
+    last. The reference for :func:`transfer._flag_pass`, which expands
+    each group of positions that differ only in the entry before the
+    last once and places the last two entries straight into the counts;
+    it makes no window checks of its own."""
     size = n + 1
     full = (1 << size) - 2
     vals = range(1, size)
@@ -205,12 +226,23 @@ def test_transfer_cap_is_checked_before_any_work(monkeypatch):
         (4, "both", "unknown kind 'both'"),
         (-1, "bonds", "n must be >= 0, got -1"),
         (-1, "horizontal", "n must be >= 0, got -1"),
+        (4.0, "bonds", "n 4.0 is not an integer"),
+        (False, "vertical", "n False is not an integer"),
     ],
 )
 def test_event_row_checks_its_kind_and_n(n, kind, message):
     # unchecked, any kind but bonds would be read as horizontal
     with pytest.raises(ValueError, match=re.escape(message)):
         transfer.event_row(n, kind)
+
+
+@pytest.mark.parametrize(
+    "n, kind",
+    [(True, "any"), (9.0, "any"), ("3", "bonds")],  # unchecked, True counts S_1
+)
+def test_distribution_requires_an_int_n(n, kind):
+    with pytest.raises(ValueError, match=re.escape(f"n {n!r} is not an integer")):
+        transfer.distribution(n, kind)
 
 
 def test_transfer_ignores_the_sweep_cap(monkeypatch):
