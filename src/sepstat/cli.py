@@ -11,6 +11,8 @@ worker count and of earlier calls in the process: `main` builds its
 parser once and looks up cmd_<command> by name on each call, while
 `build_parser()` returns a new parser. Only `verify` sweeps S_n and
 deals it over worker processes; `dist` accepts --threads and ignores it.
+Start-up loads only what the parser needs: each command imports the
+route it uses when it runs.
 """
 
 from __future__ import annotations
@@ -19,11 +21,10 @@ import argparse
 import errno
 import os
 import sys
-from decimal import Decimal, localcontext
-from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import config, exhaustive, transfer, verify
+from . import config
 from .perms import (
     ARROW,
     Permutation,
@@ -33,20 +34,22 @@ from .perms import (
     maximal_runs,
     parse_permutation,
 )
-from .separators import KINDS, VerificationError, separator_report
-from .series import (
-    BiSeries,
-    bond_gf,
-    bond_marked_gf,
-    vertical_marked_gf,
-    vertical_sep_gf,
+from .separators import (
+    EXPECTATION_KINDS,
+    KINDS,
+    VerificationError,
+    separator_report,
 )
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+# each series: its title, the name of its builder in `series`, its marker
 _SERIES = {
-    "h": ("vertical separator distribution", vertical_sep_gf, "u"),
-    "g": ("marked vertical separators", vertical_marked_gf, "v"),
-    "A": ("marked bonds", bond_marked_gf, "v"),
-    "B": ("bond distribution", bond_gf, "u"),
+    "h": ("vertical separator distribution", "vertical_sep_gf", "u"),
+    "g": ("marked vertical separators", "vertical_marked_gf", "v"),
+    "A": ("marked bonds", "bond_marked_gf", "v"),
+    "B": ("bond distribution", "bond_gf", "u"),
 }
 _SERIES_ALIASES = {
     "vertical": "h",
@@ -112,6 +115,8 @@ def _csv_text(rows) -> str:
 
 
 def _approx(x: Fraction, digits: int = 12) -> str:
+    from decimal import Decimal, localcontext
+
     with localcontext() as ctx:
         ctx.prec = digits
         return str(Decimal(x.numerator) / Decimal(x.denominator))
@@ -177,6 +182,8 @@ def cmd_report(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_dist(args: argparse.Namespace) -> tuple[int, str]:
+    from . import transfer
+
     counts = sorted(transfer.distribution(args.n, args.kind).items())
     if args.format == "json":
         by_m = {str(m): c for m, c in counts}
@@ -189,27 +196,31 @@ def cmd_dist(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_gf(args: argparse.Namespace) -> tuple[int, str]:
+    from . import series
+
     which = _SERIES_ALIASES.get(args.which, args.which)
     if args.order < 0 or args.order > config.MAX_ORDER:
         raise ValueError(
             f"order {args.order} outside 0..{config.MAX_ORDER}"
         )
     label, builder, var = _SERIES[which]
-    series: BiSeries = builder(args.order)
+    rows = getattr(series, builder)(args.order)
     if args.format == "json":
         # big integers as decimal strings
-        coeffs = {str(e): [str(c) for c in poly.coeffs] for e, poly in series}
+        coeffs = {str(e): [str(c) for c in poly.coeffs] for e, poly in rows}
         return 0, _json_dumps({"order": args.order, "coeffs": coeffs, "series": which})
     if args.format == "csv":
         return 0, _csv_text(
-            (e, m, c) for e, poly in series for m, c in enumerate(poly.coeffs) if c
+            (e, m, c) for e, poly in rows for m, c in enumerate(poly.coeffs) if c
         )
     lines = [f"{label} up to z^{args.order}"]
-    lines += [f"z^{e}: {_poly_str(poly, var)}" for e, poly in series]
+    lines += [f"z^{e}: {_poly_str(poly, var)}" for e, poly in rows]
     return 0, "\n".join(lines)
 
 
 def cmd_expect(args: argparse.Namespace) -> tuple[int, str]:
+    from . import exhaustive, transfer
+
     payload: dict = {"n": args.n, "kind": args.kind}
     lines = []
     means = {}
@@ -240,6 +251,8 @@ def cmd_expect(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_maxsep(args: argparse.Namespace) -> tuple[int, str]:
+    from . import exhaustive, transfer
+
     if args.k > config.MAX_MAXSEP_K:
         raise ValueError(f"k={args.k} exceeds the cap {config.MAX_MAXSEP_K}")
     n = 4 * args.k
@@ -273,6 +286,8 @@ def cmd_maxsep(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
+    from . import verify
+
     checks, tables = verify.run_check_suite(args.n_max, threads=args.threads)
     passed = all(c.passed for c in checks)
     code = 0 if passed else 1
@@ -355,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expect", help="expected number of separators")
     p.add_argument("n", type=_integer)
-    p.add_argument("--kind", choices=exhaustive.EXPECTATION_KINDS, default="any")
+    p.add_argument("--kind", choices=EXPECTATION_KINDS, default="any")
     p.add_argument("--mode", choices=("formula", "empirical", "both"), default="formula")
     common(p, ("plain", "json"))
 

@@ -25,14 +25,13 @@ from typing import Iterator
 from . import config
 from .perms import Permutation, inflate
 from .separators import (
+    EXPECTATION_KINDS,
     KINDS,
     VerificationError,
     has_knight_pair,
     separator_count,
     separator_masks,
 )
-
-EXPECTATION_KINDS = ("vertical", "both", "any")
 
 _MAX_SEP_BLOCKS = (Permutation((3, 1, 4, 2)), Permutation((2, 4, 1, 3)))
 

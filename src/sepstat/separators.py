@@ -47,6 +47,8 @@ from .perms import (
 # numbers of vertical, horizontal, both-type and any-type separators,
 # and the number of bonds.
 KINDS = ("vertical", "horizontal", "both", "any", "bonds")
+# The statistics with a closed-form expectation (`expect --kind`).
+EXPECTATION_KINDS = ("vertical", "both", "any")
 
 
 class VerificationError(RuntimeError):

@@ -14,7 +14,6 @@ from math import factorial
 from typing import NamedTuple
 
 from .exhaustive import (
-    EXPECTATION_KINDS,
     _check_cap,
     _mean,
     _part_words,
@@ -26,6 +25,7 @@ from .exhaustive import (
 )
 from .perms import Permutation, children, inverse, is_king, reverse
 from .separators import (
+    EXPECTATION_KINDS,
     KINDS,
     MarkedSepPermutation,
     VerificationError,

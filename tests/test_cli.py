@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from sepstat import cli, config, exhaustive, transfer, verify
+from sepstat import cli, config, exhaustive, series, transfer, verify
 from sepstat.cli import _SERIES, _csv_text, main
 
 
@@ -525,7 +525,8 @@ def test_csv_text_matches_csv_writer():
         for kind in exhaustive.KINDS
     ]
     tables += [
-        [(n, m, c) for n, poly in builder(64) for m, c in enumerate(poly.coeffs) if c]
+        [(n, m, c) for n, poly in getattr(series, builder)(64)
+         for m, c in enumerate(poly.coeffs) if c]
         for _, builder, _ in _SERIES.values()
     ]
     for rows in tables:
@@ -937,6 +938,90 @@ def test_only_a_pooled_verify_loads_the_pool():
     # the records are built without dataclasses, which would load inspect
     for step, modules, _ in steps:
         assert not {"dataclasses", "inspect"} & set(modules), step
+
+
+# Runs the command given as argv in a fresh interpreter and prints its
+# exit code and the sepstat modules, fractions and decimal loaded after
+# each step: the package, the parser, the command.
+_ROUTES_LOADED_AFTER_EACH_STEP = """
+import contextlib, io, sys
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.startswith("sepstat") or m in ("fractions", "decimal"))
+
+steps = []
+import sepstat
+steps.append(loaded())
+import sepstat.cli
+sepstat.cli.build_parser()
+steps.append(loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    code = sepstat.cli.main(sys.argv[1:])
+steps.append(loaded())
+print(repr((code, steps)))
+"""
+
+_EXACT = {"sepstat.exhaustive", "fractions", "decimal"}  # fractions imports decimal
+
+# what each command loads besides the parser's modules; the suite holds
+# the sweep against the series and needs no transfer count
+_LOADS = {
+    "report 2413": set(),
+    "gf --which h --order 64 --format csv": {"sepstat.series"},
+    "dist 9 --kind any": {"sepstat.transfer"},
+    "expect 6 --mode both": _EXACT | {"sepstat.transfer"},
+    "maxsep 1 --verify": _EXACT | {"sepstat.transfer"},
+    "verify --n-max 6": _EXACT | {"sepstat.series", "sepstat.verify"},
+}
+
+
+@pytest.mark.parametrize("argv", _LOADS)
+def test_each_command_loads_only_its_route(argv):
+    proc = _fresh_interpreter(_ROUTES_LOADED_AFTER_EACH_STEP, *argv.split())
+    assert proc.returncode == 0, proc.stderr
+    code, (package, parser, command) = ast.literal_eval(proc.stdout)
+    assert code == 0
+    assert package == ["sepstat"]
+    assert parser == [
+        "sepstat", "sepstat.cli", "sepstat.config", "sepstat.perms",
+        "sepstat.separators",
+    ]
+    assert set(command) - set(parser) == _LOADS[argv]
+
+
+# Makes the window check of `dist` fail through `separators`, before any
+# route is imported, then runs `dist 5` and `gf --order 65` as the first
+# calls: each imports its route and must still end in one error line.
+_FIRST_CALL_ERRORS = """
+import contextlib, io
+from sepstat import cli, separators
+
+real = separators.separator_masks
+
+def one_bond_too_many(word):
+    vm, hm, bonds = real(word)
+    return vm, hm, bonds + (tuple(word) == (1, 2))
+
+separators.separator_masks = one_bond_too_many
+results = []
+for argv in (["dist", "5"], ["gf", "--order", "65"]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    results.append((code, out.getvalue(), err.getvalue()))
+print(repr(results))
+"""
+
+
+def test_errors_of_a_route_the_first_call_imports():
+    proc = _fresh_interpreter(_FIRST_CALL_ERRORS)
+    assert proc.returncode == 0, proc.stderr
+    (dist_code, dist_out, dist_err), gf = ast.literal_eval(proc.stdout)
+    assert (dist_code, dist_out) == (1, "")
+    assert dist_err.startswith("error: ") and dist_err.count("\n") == 1
+    assert "window (1, 2)" in dist_err
+    assert gf == (2, "", "error: order 65 outside 0..64\n")
 
 
 # Runs a pooled verify in which the worker of part 0 dies once the worker
