@@ -1,10 +1,25 @@
-"""Default limits for the command-line tools.
+"""Default limits for the command-line tools, and the one check of a
+size against them.
 
 All tunables live here, each a constant: nothing in sepstat reads the
-environment, so a limit changes only by an edit to this file.
+environment, so a limit changes only by an edit to this file. Every
+size the library takes, the n of S_n or a series order, goes through
+`check_n`, which refuses a bool or any other non-int with ValueError.
 """
 
 from __future__ import annotations
+
+
+def check_n(n, cap: int | None = None, route: str = "", name: str = "n") -> None:
+    """``n`` must be an int that is not a bool, >= 0, and <= ``cap``
+    when a cap is given (``route`` names it in the message)."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"{name} {n!r} is not an integer")
+    if n < 0:
+        raise ValueError(f"{name} must be >= 0, got {n}")
+    if cap is not None and n > cap:
+        raise ValueError(f"{name}={n} exceeds the {route} cap {cap}")
+
 
 # Largest n accepted by the exhaustive sweeps of `verify` and the
 # library's reference `sweep` (10! permutations is the biggest job a

@@ -36,13 +36,6 @@ from .separators import (
 _MAX_SEP_BLOCKS = (Permutation((3, 1, 4, 2)), Permutation((2, 4, 1, 3)))
 
 
-def _check_cap(n: int) -> None:
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n > config.MAX_SWEEP_N:
-        raise ValueError(f"n={n} exceeds the enumeration cap {config.MAX_SWEEP_N}")
-
-
 # ---------------------------------------------------------------------------
 # Enumeration and the sweep: S_n split into parts by its first two
 # entries, one pass per permutation over raw words
@@ -124,7 +117,7 @@ def _first_disagreement(n: int, part: int, parts: int) -> None:
 def sweep(n: int) -> dict[str, Counter]:
     """Exhaustive tallies of all five statistics over S_n, in this
     process: the per-part tally of `verify` over the whole of S_n."""
-    _check_cap(n)
+    config.check_n(n, config.MAX_SWEEP_N, "enumeration")
     return _sweep_part(n, 0, 1)
 
 
@@ -183,8 +176,7 @@ def expectation_formula(n: int, kind: str) -> Fraction:
     """
     if kind not in EXPECTATION_KINDS:
         raise ValueError(f"unknown kind {kind!r}; choose from {EXPECTATION_KINDS}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    config.check_n(n)
     if n < 3:
         return Fraction(0)
     if kind == "vertical":

@@ -12,6 +12,8 @@ from __future__ import annotations
 from math import factorial
 from typing import Iterator, Mapping
 
+from . import config
+
 
 class MarkerPoly:
     """An integer polynomial in the marker variable, stored densely
@@ -107,8 +109,7 @@ class BiSeries:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: Mapping[int, MarkerPoly] | None = None):
-        if order < 0:
-            raise ValueError(f"series order {order} out of range")
+        config.check_n(order, name="order")
         clean: dict[int, MarkerPoly] = {}
         if coeffs:
             for e, poly in coeffs.items():
@@ -160,8 +161,7 @@ def run_table(size: int) -> list[list[int]]:
     >>> run_table(3)
     [[1, 0, 0, 0], [1, 2, 2, 2], [1, 4, 8, 12], [1, 6, 18, 38]]
     """
-    if size < 0:
-        raise ValueError("size must be >= 0")
+    config.check_n(size, name="size")
     table = [[1] + [0] * size]
     for _ in range(size):
         prev, row = table[-1], [1]
@@ -182,8 +182,7 @@ def bond_marked_gf(order: int) -> BiSeries:
     [z^n v^k] = (n - k)! R[n - k][k]. The empty permutation (m = 0)
     gives the constant term 1.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    config.check_n(order, name="order")
     table = run_table(order)
     weight = [factorial(m) for m in range(order + 1)]
     return BiSeries(order, {
@@ -221,8 +220,7 @@ def vertical_marked_gf(order: int) -> BiSeries:
     slot of the product holds a sum of at most sum x * sum y, which
     fits in w bits and never carries into the next slot.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    config.check_n(order, name="order")
     half = (order + 1) // 2  # entries in the longer half at size order
     table = run_table(half)
     weight = [factorial(m) for m in range(2 * half + 1)]

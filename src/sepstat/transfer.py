@@ -155,14 +155,6 @@ def _check_windows(n: int) -> list:
     return events
 
 
-def _check_n(n) -> None:
-    """n must be an int that is not a bool, and >= 0."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"n {n!r} is not an integer")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-
-
 def distribution(n: int, kind: str) -> Counter:
     """Exact distribution of one statistic over S_n, as {value: count}
     with only nonzero counts.
@@ -172,9 +164,7 @@ def distribution(n: int, kind: str) -> Counter:
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; choose from {KINDS}")
-    _check_n(n)
-    if n > config.MAX_TRANSFER_N:
-        raise ValueError(f"n={n} exceeds the transfer cap {config.MAX_TRANSFER_N}")
+    config.check_n(n, config.MAX_TRANSFER_N, "transfer")
     if kind not in ("both", "any"):
         _check_windows(n)
         return Counter(event_row(n, kind))
@@ -209,7 +199,7 @@ def event_row(n: int, kind: str) -> dict[int, int]:
     """
     if kind not in (kinds := ("vertical", "horizontal", "bonds")):
         raise ValueError(f"unknown kind {kind!r}; choose from {kinds}")
-    _check_n(n)
+    config.check_n(n)
     if kind == "bonds":
         c = _line(n)
     else:

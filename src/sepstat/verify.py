@@ -13,8 +13,8 @@ from collections import Counter
 from math import factorial
 from typing import NamedTuple
 
+from . import config
 from .exhaustive import (
-    _check_cap,
     _mean,
     _part_words,
     _sweep_part,
@@ -200,7 +200,7 @@ def run_check_suite(
     the tables swept before it. A pool worker that dies raises
     ``ChildProcessError``.
     """
-    _check_cap(n_max)
+    config.check_n(n_max, config.MAX_SWEEP_N, "enumeration")
     results: list[CheckResult] = []
 
     def add(name: str, passed: bool, detail: str) -> None:

@@ -213,6 +213,25 @@ def test_expect_negative_n_is_input_error(capsys):
         assert err == "error: n must be >= 0, got -5\n"
 
 
+def test_expect_both_mismatch_exits_1(capsys, monkeypatch):
+    real = exhaustive.expectation_formula
+
+    def off(n, kind):
+        return real(n, kind) + 1 if (n, kind) == (4, "any") else real(n, kind)
+
+    monkeypatch.setattr(exhaustive, "expectation_formula", off)
+    code, out, err = run_cli(capsys, "expect", "4", "--kind", "any", "--mode", "both")
+    assert code == 1 and err == ""
+    assert out.splitlines()[-1] == "17/6 != 11/6 MISMATCH"
+    code, out, err = run_cli(
+        capsys, "expect", "4", "--kind", "any", "--mode", "both", "--format", "json"
+    )
+    assert code == 1 and err == ""
+    assert json.loads(out)["match"] is False
+    code, out, _ = run_cli(capsys, "expect", "4", "--kind", "both", "--mode", "both")
+    assert code == 0 and out.endswith(" MATCH\n")
+
+
 def test_expect_json(capsys):
     code, out, _ = run_cli(
         capsys, "expect", "4", "--kind", "any", "--mode", "both", "--format", "json"
@@ -269,6 +288,14 @@ def test_maxsep_verify_ignores_the_sweep_cap(capsys, monkeypatch):
     monkeypatch.setattr(config, "MAX_SWEEP_N", 7)
     code, out, _ = run_cli(capsys, "maxsep", "2", "--verify")
     assert code == 0 and out.endswith("exhaustive cross-check: PASS\n")
+
+
+def test_maxsep_construction_failure_exits_1(capsys, monkeypatch):
+    # the check inside the generator itself, behind its structural guarantee
+    monkeypatch.setattr(exhaustive, "separator_count", lambda p: 0)
+    code, out, err = run_cli(capsys, "maxsep", "1")
+    assert code == 1 and out == ""
+    assert err == "error: constructed [3142] has a non-separating digit\n"
 
 
 def test_maxsep_verify_k3():

@@ -368,6 +368,81 @@ def test_series_check_names_its_first_mismatch(
     assert bad.detail == f"first mismatch {detail}"
 
 
+# The other checks of the suite, each broken alone by one patch of what
+# it reads from `sepstat.verify`.
+
+
+def _off_expectation(monkeypatch):
+    real = verify.expectation_formula
+
+    def off(n, kind):
+        return real(n, kind) + 1 if (n, kind) == (4, "both") else real(n, kind)
+
+    monkeypatch.setattr(verify, "expectation_formula", off)
+
+
+def _one_max_separator_perm_short(monkeypatch):
+    real = verify.max_separator_perms
+    monkeypatch.setattr(verify, "max_separator_perms", lambda k: real(k)[1:])
+
+
+def _no_convergence_at_100(monkeypatch):
+    real = verify.expectation_convergence_ok
+    monkeypatch.setattr(
+        verify, "expectation_convergence_ok", lambda n: n != 100 and real(n)
+    )
+
+
+def _one_more_horizontal_count(monkeypatch):
+    real = verify._sweep_part
+
+    def off(n, part, parts):
+        tallies = real(n, part, parts)
+        if n == 4:
+            tallies["horizontal"][1] += 1
+        return tallies
+
+    monkeypatch.setattr(verify, "_sweep_part", off)
+
+
+def _mark_lost_in_the_split(monkeypatch):
+    # The split of [132] with its vertical separator marked drops the
+    # mark, and the comb that follows gives the marked permutation back,
+    # so the round trip holds and only the count of marks is off.
+    marked = verify.comb_marked(MarkedWord((1, 2), frozenset({1})), MarkedWord((3,)))
+    real_split, real_comb = verify.split_marked, verify.comb_marked
+    last = []
+
+    def split(msp):
+        last[:] = [msp]
+        odd, even = real_split(msp)
+        return (MarkedWord(odd.values), even) if msp == marked else (odd, even)
+
+    def comb(odd, even):
+        return marked if last[0] == marked else real_comb(odd, even)
+
+    monkeypatch.setattr(verify, "split_marked", split)
+    monkeypatch.setattr(verify, "comb_marked", comb)
+
+
+@pytest.mark.parametrize(
+    "check, patch",
+    [
+        ("expectation formulas match averages", _off_expectation),
+        ("all-digits-separate structure", _one_max_separator_perm_short),
+        ("expectation convergence (formula level)", _no_convergence_at_100),
+        ("vertical/horizontal distributions identical", _one_more_horizontal_count),
+        ("mark conservation across comb", _mark_lost_in_the_split),
+    ],
+)
+def test_each_table_check_can_fail(monkeypatch, check, patch):
+    count = len(run_check_suite(5)[0])
+    patch(monkeypatch)
+    checks, _ = run_check_suite(5)
+    assert [c.name for c in checks if not c.passed] == [check]
+    assert len(checks) == count
+
+
 # ---------------------------------------------------------------------------
 # All digits separate
 

@@ -28,11 +28,11 @@ SIBLINGS = sorted(path.stem for path in PACKAGE.glob("*.py"))
 ROUTES = {
     "config": set(),
     "perms": set(),
-    "series": set(),
+    "series": {"config"},
     "separators": {"perms"},
     "transfer": {"config", "separators"},
     "exhaustive": {"config", "perms", "separators"},
-    "verify": {"exhaustive", "perms", "separators", "series"},
+    "verify": {"config", "exhaustive", "perms", "separators", "series"},
     "cli": {
         "config", "exhaustive", "perms", "separators", "series", "transfer", "verify"
     },

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from sepstat import config, transfer
+from sepstat import config, series, transfer
 from sepstat.exhaustive import (
     EXPECTATION_KINDS,
     KINDS,
@@ -14,6 +14,7 @@ from sepstat.exhaustive import (
 )
 from sepstat.separators import VerificationError, separator_masks
 from sepstat.series import bond_gf, coeff, vertical_sep_gf
+from sepstat.verify import run_check_suite
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -243,6 +244,37 @@ def test_event_row_checks_its_kind_and_n(n, kind, message):
 def test_distribution_requires_an_int_n(n, kind):
     with pytest.raises(ValueError, match=re.escape(f"n {n!r} is not an integer")):
         transfer.distribution(n, kind)
+
+
+# Every entry point that takes a size, the n of S_n or a series order,
+# and the name its message gives it. Unchecked, True swept S_1, ran the
+# suite at n <= 1 or built a series of order 1, and a float or a string
+# raised TypeError.
+_SIZED = {
+    "sweep": ("n", sweep),
+    "run_check_suite": ("n", run_check_suite),
+    "expectation_formula": ("n", lambda n: expectation_formula(n, "any")),
+    "distribution": ("n", lambda n: transfer.distribution(n, "any")),
+    "event_row": ("n", lambda n: transfer.event_row(n, "bonds")),
+    "bond_marked_gf": ("order", series.bond_marked_gf),
+    "bond_gf": ("order", series.bond_gf),
+    "vertical_marked_gf": ("order", series.vertical_marked_gf),
+    "vertical_sep_gf": ("order", series.vertical_sep_gf),
+    "run_table": ("size", series.run_table),
+    "BiSeries": ("order", series.BiSeries),
+}
+
+
+@pytest.mark.parametrize("n", [True, 3.0, "3", -1])
+@pytest.mark.parametrize("entry", _SIZED)
+def test_every_size_is_checked_alike(entry, n):
+    name, build = _SIZED[entry]
+    if n == -1:
+        message = f"{name} must be >= 0, got -1"
+    else:
+        message = f"{name} {n!r} is not an integer"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build(n)
 
 
 def test_transfer_ignores_the_sweep_cap(monkeypatch):
