@@ -133,6 +133,7 @@ def max_separator_perms(k: int) -> list[Permutation]:
     >>> [str(p) for p in max_separator_perms(1)]
     ['[3142]', '[2413]']
     """
+    config.check_n(k, name="k")
     if k < 1:
         raise ValueError("k must be >= 1")
     out: list[Permutation] = []

@@ -11,7 +11,8 @@ permutation (n = 0) is a valid value and acts as the counting unit.
 from __future__ import annotations
 
 from enum import Enum
-from functools import total_ordering
+from functools import cache, total_ordering
+from itertools import accumulate
 from operator import attrgetter
 from typing import Collection, NamedTuple, Sequence
 
@@ -28,6 +29,8 @@ class Direction(Enum):
 
 
 ARROW = {Direction.UP: "↑", Direction.DOWN: "↓", Direction.NONE: ""}
+# for the run loop: an Enum member lookup costs a call
+_UP, _DOWN, _NONE = Direction.UP, Direction.DOWN, Direction.NONE
 
 
 class Run(NamedTuple):
@@ -44,23 +47,40 @@ class Run(NamedTuple):
     direction: Direction
 
 
+_new_tuple = tuple.__new__
+
+
 class Record:
-    """An immutable record: its class names the fields once in ``__slots__``,
-    and a checking ``__init__`` sets each once through ``object.__setattr__``."""
+    """An immutable record: its class names the fields once in ``__slots__``
+    (one or two of them), and a checking ``__init__`` sets each once
+    through ``object.__setattr__``.
+    ``cls._trusted(*fields)`` builds the record unchecked, setting each
+    field through its slot descriptor."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         names = cls.__slots__  # the field tuple, or a lone field read from its slot
         cls._key = property(attrgetter(*names)) if names[1:] else getattr(cls, names[0])
+        new = object.__new__
+        set_first, *set_rest = [getattr(cls, name).__set__ for name in names]
+        if set_rest:
+            (set_second,) = set_rest
 
-    @classmethod
-    def _trusted(cls, *fields):
-        """The record with these fields, built unchecked."""
-        record = object.__new__(cls)
-        for name, value in zip(cls.__slots__, fields):
-            object.__setattr__(record, name, value)
-        return record
+            def trusted(first, second):
+                record = new(cls)
+                set_first(record, first)
+                set_second(record, second)
+                return record
+
+        else:
+
+            def trusted(first):
+                record = new(cls)
+                set_first(record, first)
+                return record
+
+        cls._trusted = staticmethod(trusted)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -123,12 +143,13 @@ class Permutation(Record):
             seen[v] = True
         object.__setattr__(self, "entries", entries)
 
-    @classmethod
-    def _trusted(cls, entries: tuple[int, ...]) -> Permutation:
-        """`Record._trusted` for the one field, without its loop."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "entries", entries)
-        return p
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.entries == other.entries
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
 
     def __lt__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -191,10 +212,11 @@ def standardize(values: Sequence[int]) -> Permutation:
     >>> standardize((2, 4, 6, 1, 7, 3))
     Permutation([2, 4, 5, 1, 6, 3])
     """
-    if len(set(values)) != len(values):
+    distinct = set(values)
+    if len(distinct) != len(values):
         raise ValueError("standardization requires distinct values")
-    rank = {v: r for r, v in enumerate(sorted(values), start=1)}
-    return Permutation._trusted(tuple([rank[v] for v in values]))
+    rank = dict(zip(sorted(distinct), range(1, len(values) + 1)))
+    return Permutation._trusted(tuple(map(rank.__getitem__, values)))
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +254,13 @@ def split_runs(word: Sequence[int], joined: Collection[int]) -> list[Run]:
         if i in joined:
             continue
         if i - start == 1:
-            direction = Direction.NONE
+            direction = _NONE
         elif word[start + 1] > word[start]:
-            direction = Direction.UP
+            direction = _UP
         else:
-            direction = Direction.DOWN
-        runs.append(Run(start + 1, i - start, direction))
+            direction = _DOWN
+        # tuple.__new__ is what Run(...) calls, without its Python frame
+        runs.append(_new_tuple(Run, (start + 1, i - start, direction)))
         start = i
     return runs
 
@@ -296,13 +319,25 @@ def _delete(e: tuple[int, ...], pos: int) -> tuple[int, ...]:
     return tuple([v - 1 if v > removed else v for v in e if v != removed])
 
 
+@cache
+def _drop_tables() -> tuple[bytes, ...]:
+    """The `bytes.translate` tables of `children`: table v keeps each
+    byte up to v and lowers each byte above it by one. Built on the
+    first call, not at import."""
+    identity = bytes(range(256))
+    return tuple([identity[: v + 1] + identity[v:255] for v in range(256)])
+
+
 def children(p: Permutation) -> frozenset[Permutation]:
     """The distinct permutations one level down in the containment
     order; there are exactly n - (number of bonds) of them, since
     deleting either end of a bond yields the same child.
 
     All n deletions are made as raw words, and one `Permutation` is
-    built for each distinct word among them.
+    built for each distinct word among them. When every entry fits in
+    a byte (n <= 255), the word is a ``bytes``, and one
+    ``bytes.translate`` call drops entry v and lowers the entries above
+    it; longer words go through `_delete`.
 
     >>> sorted(str(c) for c in children(Permutation((5, 3, 2, 4, 1))))
     ['[3241]', '[4213]', '[4231]', '[4321]']
@@ -310,7 +345,12 @@ def children(p: Permutation) -> frozenset[Permutation]:
     e = p.entries
     if not e:
         raise ValueError("the empty permutation has no children")
-    words = {_delete(e, i) for i in range(1, len(e) + 1)}
+    if len(e) > 255:
+        words = {_delete(e, i) for i in range(1, len(e) + 1)}
+    else:
+        b, drop = bytes(e), _drop_tables()
+        # b[i : i + 1] is the byte of entry v, which translate deletes
+        words = map(tuple, {b.translate(drop[v], b[i : i + 1]) for i, v in enumerate(b)})
     return frozenset(map(Permutation._trusted, words))
 
 
@@ -335,21 +375,22 @@ def inflate(pattern: Permutation, blocks: Sequence[Permutation]) -> Permutation:
     words = [b.entries for b in blocks]
     if () in words:
         raise ValueError("inflation blocks must be nonempty")
-    # value interval of the block in slot i is the pattern.entries[i]-th
-    # lowest; its base offset is the total size of lower-ranked blocks
-    size_by_rank = [0] * (k + 1)
-    for r, w in zip(pattern.entries, words):
-        size_by_rank[r] = len(w)
-    base_by_rank = [0] * (k + 1)
-    acc = 0
-    for r in range(1, k + 1):
-        base_by_rank[r] = acc
-        acc += size_by_rank[r]
     out: list[int] = []
-    for r, w in zip(pattern.entries, words):
-        base = base_by_rank[r]
-        out += [base + v for v in w]
+    for base, w in zip(_block_bases(pattern.entries, list(map(len, words))), words):
+        out += map(base.__add__, w)
     return Permutation._trusted(tuple(out))
+
+
+def _block_bases(pattern: tuple[int, ...], sizes: Sequence[int]) -> list[int]:
+    """The value offset of each block of an inflation of ``pattern``
+    by blocks of these sizes: the block in slot i takes the
+    pattern[i]-th lowest value interval, so its offset is the total
+    size of the blocks of lower rank."""
+    size_by_rank = [0] * len(sizes)
+    for r, size in zip(pattern, sizes):
+        size_by_rank[r - 1] = size
+    base_by_rank = [0, *accumulate(size_by_rank)]  # index r - 1 for rank r
+    return [base_by_rank[r - 1] for r in pattern]
 
 
 def comb(odd: Sequence[int], even: Sequence[int]) -> Permutation:
@@ -365,12 +406,9 @@ def comb(odd: Sequence[int], even: Sequence[int]) -> Permutation:
         raise ValueError(
             f"comb halves of sizes {len(odd)} and {len(even)} do not interleave"
         )
-    out: list[int] = []
-    for i in range(len(even)):
-        out.append(odd[i])
-        out.append(even[i])
-    if len(odd) > len(even):
-        out.append(odd[-1])
+    out = [0] * (len(odd) + len(even))
+    out[0::2] = odd
+    out[1::2] = even
     return Permutation(tuple(out))
 
 

@@ -24,7 +24,7 @@ their comb interleaving.
 
 from __future__ import annotations
 
-from functools import cache
+from itertools import accumulate
 from typing import Collection, NamedTuple, Sequence
 
 from .perms import (
@@ -32,10 +32,10 @@ from .perms import (
     Direction,
     Permutation,
     Record,
+    _block_bases,
     bonds,
     comb,
     comb_split,
-    inflate,
     split_runs,
     standardize,
 )
@@ -116,7 +116,8 @@ def subsets(mask: int) -> list[frozenset[int]]:
     out = [frozenset()]
     for bit in range(mask.bit_length()):
         if mask >> bit & 1:
-            out += [s | {bit} for s in out]
+            one = frozenset((bit,))
+            out += [s | one for s in out]
     return out
 
 
@@ -292,8 +293,9 @@ def encode_marked(mw: MarkedWord) -> tuple[ArrowedComposition, Permutation]:
     """
     e = Permutation(mw.values).entries  # must be a permutation of {1..n}
     runs = split_runs(e, mw.marked)
-    comp = ArrowedComposition._trusted(tuple([(r.length, r.direction) for r in runs]))
-    return comp, standardize([e[r.start - 1] for r in runs])
+    # run[1:] is the (length, direction) pair as a plain tuple
+    comp = ArrowedComposition._trusted(tuple([run[1:] for run in runs]))
+    return comp, standardize([e[run[0] - 1] for run in runs])
 
 
 def decode_marked(comp: ArrowedComposition, sigma: Permutation) -> MarkedWord:
@@ -312,24 +314,17 @@ def decode_marked(comp: ArrowedComposition, sigma: Permutation) -> MarkedWord:
             f"permutation of {sigma.n} runs does not match "
             f"{len(comp.parts)} composition parts"
         )
-    if not comp.parts:
-        return MarkedWord._trusted((), frozenset())
-    word = inflate(sigma, [_run_block(*part) for part in comp.parts])
-    marked: set[int] = set()
-    offset = 0
-    for size, _ in comp.parts:
-        marked.update(range(offset + 1, offset + size))
-        offset += size
-    return MarkedWord._trusted(word.entries, frozenset(marked))
-
-
-@cache
-def _run_block(size: int, direction: Direction) -> Permutation:
-    """The monotone run of ``size`` entries in ``direction``, shared by
-    every decode (a Permutation is immutable)."""
-    if direction is Direction.DOWN:
-        return Permutation(tuple(range(size, 0, -1)))
-    return Permutation(tuple(range(1, size + 1)))
+    sizes = [size for size, _ in comp.parts]
+    word: list[int] = []
+    down = Direction.DOWN  # an Enum member lookup costs a call
+    for base, (size, direction) in zip(_block_bases(sigma.entries, sizes), comp.parts):
+        if direction is down:
+            word += range(base + size, base, -1)
+        else:
+            word += range(base + 1, base + size + 1)
+    # every adjacency is marked but the ends of the runs
+    marked = frozenset(range(1, len(word))).difference(accumulate(sizes))
+    return MarkedWord._trusted(tuple(word), marked)
 
 
 def enumerate_markings(p: Permutation) -> list[MarkedWord]:
@@ -353,8 +348,8 @@ def comb_marked(odd: MarkedWord, even: MarkedWord) -> MarkedSepPermutation:
     (Permutation([3, 2, 6, 1, 5, 7, 4, 8]), [4, 6, 7])
     """
     p = comb(odd.values, even.values)
-    marked = frozenset({2 * i for i in odd.marked} | {2 * i + 1 for i in even.marked})
-    return MarkedSepPermutation._trusted(p, marked)
+    marked = [2 * i for i in odd.marked] + [2 * i + 1 for i in even.marked]
+    return MarkedSepPermutation._trusted(p, frozenset(marked))
 
 
 def split_marked(msp: MarkedSepPermutation) -> tuple[MarkedWord, MarkedWord]:
@@ -362,14 +357,8 @@ def split_marked(msp: MarkedSepPermutation) -> tuple[MarkedWord, MarkedWord]:
     marked separator back into the bond of the opposite-parity half.
     """
     odd_values, even_values = comb_split(msp.perm)
-    odd_marked: set[int] = set()
-    even_marked: set[int] = set()
-    for i in msp.marked_sep_positions:
-        if i % 2 == 0:
-            odd_marked.add(i // 2)
-        else:
-            even_marked.add(i // 2)
+    marks = msp.marked_sep_positions
     return (
-        MarkedWord._trusted(odd_values, frozenset(odd_marked)),
-        MarkedWord._trusted(even_values, frozenset(even_marked)),
+        MarkedWord._trusted(odd_values, frozenset([i // 2 for i in marks if i % 2 == 0])),
+        MarkedWord._trusted(even_values, frozenset([i // 2 for i in marks if i % 2])),
     )

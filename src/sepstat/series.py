@@ -140,7 +140,9 @@ def substitute_marker(a: BiSeries, offset: int) -> BiSeries:
 
 def coeff(a: BiSeries, n: int) -> MarkerPoly:
     """The z^n coefficient; beyond the truncation order is an error,
-    not zero."""
+    not zero, and so is an exponent that is a bool or not an int."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"exponent {n!r} is not an integer")
     if not 0 <= n <= a.order:
         raise ValueError(f"exponent {n} outside the exact range 0..{a.order}")
     return a.coeffs.get(n) or MarkerPoly()

@@ -471,8 +471,14 @@ def test_max_separator_exhaustive_cross_check_n4():
 
 
 def test_max_separator_rejects_k0():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^k must be >= 1$"):
         max_separator_perms(0)
+
+
+@pytest.mark.parametrize("k", [True, 2.0, "1", -1])
+def test_max_separator_requires_an_int_k(k):
+    with pytest.raises(ValueError, match=r"^k "):
+        max_separator_perms(k)
 
 
 _P3142, _P1234 = Permutation((3, 1, 4, 2)), Permutation((1, 2, 3, 4))
@@ -571,3 +577,21 @@ def test_run_check_suite_small():
     names = {c.name for c in checks}
     assert "series-vs-enumeration (vertical separators)" in names
     assert "king children count is n - separators" in names
+
+
+def test_suite_checks_every_word_it_did_not_build(monkeypatch):
+    # The walk builds what it can vouch for unchecked. encode_marked and
+    # comb still check each word they are handed: one per marking of the
+    # bonds (3,496) and of the vertical separators (2,666) of S_<=6, and
+    # max_separator_perms checks its 1 + 2 patterns (README's figure).
+    calls = Counter()
+    for cls in (Permutation, MarkedWord, ArrowedComposition, MarkedSepPermutation):
+
+        def init(self, *args, _real=cls.__init__, _name=cls.__name__):
+            calls[_name] += 1
+            _real(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", init)
+    checks, _ = run_check_suite(8, threads=1)
+    assert all(c.passed for c in checks)
+    assert calls == {"Permutation": 3496 + 2666 + 3}

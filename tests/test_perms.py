@@ -1,4 +1,5 @@
 import itertools
+import random
 from enum import IntEnum
 
 import pytest
@@ -250,6 +251,30 @@ def test_children_are_the_distinct_deletions(word):
     assert children(p) == frozenset(
         delete_and_standardize(p, i) for i in range(1, p.n + 1)
     )
+
+
+# Up to 255 entries each word is a bytes and its deletions are made by
+# bytes.translate; past that, entry by entry. On both sides of the line:
+# a bond-free word (the evens, then the odds), the rising runs of seven
+# values taken from the top block down, and a shuffled word.
+def _long_words(n):
+    blocks = [range(v, min(v + 7, n + 1)) for v in range(1, n + 1, 7)]
+    shuffled = list(range(1, n + 1))
+    random.Random(n).shuffle(shuffled)
+    return [
+        [*range(2, n + 1, 2), *range(1, n + 1, 2)],
+        [v for block in reversed(blocks) for v in block],
+        shuffled,
+    ]
+
+
+@pytest.mark.parametrize("n", [254, 255, 256, 300])
+def test_children_of_long_words(n):
+    for word in _long_words(n):
+        p = Permutation(tuple(word))
+        kids = children(p)
+        assert kids == {delete_and_standardize(p, i) for i in range(1, n + 1)}
+        assert len(kids) == n - len(bonds(p))
 
 
 def test_children_of_empty_rejected():

@@ -508,6 +508,12 @@ def test_record_contract(record, names):
     assert record != fields and fields != record
     twin = type(record)(*fields)
     assert twin == record and hash(twin) == hash(record)
+    # the unchecked constructor sets the same fields through the slots
+    trusted = type(record)._trusted(*fields)
+    assert type(trusted) is type(record) and trusted == twin and twin == trusted
+    assert hash(trusted) == hash(twin) and repr(trusted) == repr(twin)
+    with pytest.raises(AttributeError):
+        setattr(trusted, names[0], fields[0])
     for back in pickle.loads(pickle.dumps(record)), copy.copy(record):
         assert back == record and repr(back) == repr(record)
     if type(record) is not Permutation:

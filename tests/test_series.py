@@ -181,10 +181,16 @@ def test_coeff_bounds():
     h = vertical_sep_gf(3)
     assert coeff(h, 0) == MarkerPoly((1,))
     assert coeff(h, 3).coeffs[1] == 4
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^exponent 4 outside the exact range 0\.\.3$"):
         coeff(h, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^exponent -1 outside the exact range 0\.\.3$"):
         coeff(h, -1)
+
+
+@pytest.mark.parametrize("n", [True, 1.0, "1"])
+def test_coeff_requires_an_int_exponent(n):
+    with pytest.raises(ValueError, match=rf"^exponent {n!r} is not an integer$"):
+        coeff(bond_gf(3), n)
 
 
 def test_absent_rows_share_no_zero():
