@@ -39,11 +39,13 @@ MAX_SWEEP_N = 10
 # row takes 0.03-0.05 ms. The first command in a process also builds
 # the parser (1.3-1.7 ms). `both` and `any`,
 # whose states carry the used values and the values waiting for a second
-# flag (grouped by position, folded by the complement), take 0.26-0.49 s
-# (+6-8 MB peak RSS) at n = 11 and 1.0-1.6 s (+16-22 MB) at n = 12
-# (distribution() alone, 5 fresh processes each), and each n costs them
-# 3-4x the one before. The `both`/`any` pass packs each entry into 4
-# bits of its position keys, so for them the cap can never pass 15.
+# flag (grouped by the used values and the last entry, each group folded
+# with its complement group), take 0.11-0.12 s (`both`) and 0.14-0.24 s
+# (`any`) at n = 11 and 0.32-0.39 s and 0.44-0.50 s at n = 12
+# (distribution() alone, 5 fresh processes each), with a whole-process
+# peak RSS of 18-19 MB at n = 11 and 25-29 MB at n = 12 (14 MB once
+# imported), and each n costs them about 3x the one before. The `both`/`any` pass packs each entry into 4 bits of its
+# position keys, so for them the cap can never pass 15.
 MAX_TRANSFER_N = 12
 
 # Default z-truncation order for the series commands, and the largest

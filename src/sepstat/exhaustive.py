@@ -133,9 +133,9 @@ def max_separator_perms(k: int) -> list[Permutation]:
     >>> [str(p) for p in max_separator_perms(1)]
     ['[3142]', '[2413]']
     """
-    config.check_n(k, name="k")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if isinstance(k, int) and not isinstance(k, bool) and k < 1:
+        raise ValueError(f"k must be >= 1, got {k}" if k else "k must be >= 1")
+    config.check_n(k, name="k")  # a bool or any other non-int
     out: list[Permutation] = []
     for pattern_word in itertools.permutations(range(1, k + 1)):
         pattern = Permutation(pattern_word)

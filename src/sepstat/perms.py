@@ -14,7 +14,7 @@ from enum import Enum
 from functools import cache, total_ordering
 from itertools import accumulate
 from operator import attrgetter
-from typing import Collection, NamedTuple, Sequence
+from typing import Collection, Iterator, NamedTuple, Sequence
 
 
 class Direction(Enum):
@@ -232,8 +232,15 @@ def bonds(word: Permutation | Sequence[int]) -> frozenset[int]:
     >>> sorted(bonds((2, 1, 6, 5, 9)))
     [1, 3]
     """
-    e = word.entries if isinstance(word, Permutation) else word
-    return frozenset([i for i in range(1, len(e)) if abs(e[i - 1] - e[i]) == 1])
+    return frozenset(_bond_positions(
+        word.entries if isinstance(word, Permutation) else word))
+
+
+def _bond_positions(e: Sequence[int]) -> Iterator[int]:
+    """The bonds of the word ``e``, left to right, one at a time."""
+    for i in range(1, len(e)):
+        if abs(e[i - 1] - e[i]) == 1:
+            yield i
 
 
 def split_runs(word: Sequence[int], joined: Collection[int]) -> list[Run]:
@@ -271,8 +278,9 @@ def maximal_runs(p: Permutation) -> list[Run]:
 
 
 def is_king(p: Permutation) -> bool:
-    """True iff the permutation has no bonds (non-attacking kings)."""
-    return not bonds(p)
+    """True iff the permutation has no bonds (non-attacking kings); it
+    stops at the first bond."""
+    return next(_bond_positions(p.entries), 0) == 0
 
 
 # ---------------------------------------------------------------------------

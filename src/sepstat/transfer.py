@@ -78,17 +78,21 @@ b's vertical flag.
 The complement x -> n + 1 - x preserves all five statistics and maps
 this pass's transitions onto each other, so a state and its complement
 lead to the same counts. The pass starts from the empty prefix, and
-each step folds the layer and then places one more entry, until two
-values are left: each position places them in both orders and adds the
-flags of its two windows straight into the counts. The fold works in
-place and merges only the positions whose complement is in the layer
-too: of such a pair, the smaller table is complemented, waiting sets
-and all, and added into the larger, which keeps its position. A
-position whose complement is absent is expanded as it stands, and a
-position that is its own complement folds each waiting set onto the
-smaller of it and its complement. The rule keeps its form under the
-complement: |c - a| is unchanged and a midpoint m maps to n + 1 - m, so
-the checked events commute with it.
+each step groups the layer, folds the groups and then places one more
+entry, until two values are left: each position places them in both
+orders and adds the flags of its two windows straight into the counts.
+The fold works on whole groups, in place. Of a group and its complement
+group, when both are in the layer, the one with fewer waiting sets is
+complemented into the other member by member: the table of a goes to
+the member n + 1 - a (0 stays 0), its waiting sets complemented, so the
+pair is expanded once even where their members do not pair up. A group
+whose complement is absent is expanded as it stands. A group that is
+its own complement merges its members a and n + 1 - a, the smaller
+table complemented into the larger, and a member that is its own
+complement folds each waiting set onto the smaller of it and its
+complement. The rule keeps its form under the complement: |c - a| is
+unchanged and a midpoint m maps to n + 1 - m, so the checked events
+commute with it.
 
 Each state's counts are one packed int, coefficient m in slot m of
 ``factorial(n).bit_length() + 1`` bits, so a transition is one exact
@@ -221,7 +225,7 @@ def event_row(n: int, kind: str) -> dict[int, int]:
 # A layer maps position keys to tables that map waiting keys to counts.
 # Position keys pack the used-value mask (bit v for value v) in the low
 # n + 1 bits, then the last entry b and the one before it, a, in 4 bits
-# each (values are at most 12). Waiting keys pack the values flagged
+# each (4 bits hold values up to 15). Waiting keys pack the values flagged
 # vertical, waiting for horizontal, in the low n + 1 bits and the values
 # flagged horizontal, waiting for vertical, above them. The entry before
 # the last only decides whether the last is vertical, which needs the
@@ -237,13 +241,14 @@ def event_row(n: int, kind: str) -> dict[int, int]:
 def _flag_pass(n, width, kind) -> int:
     """Counts for `both` or `any` over S_n, packed ``width`` bits per
     slot, after every window is checked. From the empty prefix, each
-    step merges the complementary positions of the layer in place and
-    places one more entry after each group of positions that share the
-    used values and b: the group's tables are projected together once,
-    each next entry c adds that one table to its successor, and only the
-    tables whose a is c - 1 or c + 1, which flag b vertical, are walked
-    again to move their counts. The last two entries are placed in both
-    orders straight into the counts."""
+    step groups the positions of the layer that share the used values
+    and b, folds each group and its complement group into one (member a
+    into member n + 1 - a, every waiting set complemented), and places
+    one more entry after each group: the group's tables are projected
+    together once, each next entry c adds that one table to its
+    successor, and only the tables whose a is c - 1 or c + 1, which flag
+    b vertical, are walked again to move their counts. The last two
+    entries are placed in both orders straight into the counts."""
     events = _check_windows(n)
     size = n + 1
     full = (1 << size) - 2
@@ -253,69 +258,86 @@ def _flag_pass(n, width, kind) -> int:
     # the unused values of each used mask, which never holds bit 0, at
     # index used >> 1
     free = [[c for c in vals if not used >> c & 1] for used in range(0, 1 << size, 2)]
-    # each value set reversed over 1..n, and the (b, a) byte complemented
+    # each value set reversed over 1..n, and each entry complemented
     rev = [0] * (1 << size)
     for mask in range(2, 1 << size, 2):
         low = mask & -mask
         rev[mask] = rev[mask ^ low] | (1 << size) // low
-    flip = [(size - b if b else 0) | (size - a if a else 0) << 4
-            for a in range(16) for b in range(16)]
+    mirror = [0, *range(n, 0, -1)]  # 0 stands for "no entry"
+
+    def fold(dest, table):
+        """Add ``table`` into ``dest`` with every waiting key complemented."""
+        for w, poly in table.items():
+            w = rev[w & full] | rev[w >> size] << size
+            dest[w] = dest.get(w, 0) + poly
+
     first_flag, second_flag = (width, 0) if kind == "any" else (0, width)
     group_of = (1 << size + 4) - 1  # the used values and b of a position
     layer = {0: {0: 1}}  # the empty prefix: no value used, no entries
     for step in range(n):
-        for pos in list(layer):
-            table = layer.get(pos)
-            if table is None:
-                continue  # merged into its twin
-            twin = rev[pos & full] | flip[pos >> size & 255] << size
-            whole = twin != pos
-            if whole:
-                own = layer.get(twin)
-                if own is None:
+        # the tables of each group, by the entry before the last, a
+        groups = {}
+        for pos, table in layer.items():
+            groups.setdefault(pos & group_of, {})[pos >> size + 4] = table
+        for key in list(groups):
+            members = groups.get(key)
+            if members is None:
+                continue  # folded into its twin
+            twin = rev[key & full] | mirror[key >> size] << size
+            if twin != key:
+                other = groups.get(twin)
+                if other is None:
                     continue  # no twin: expanded in its own orientation
-                # the smaller table is complemented into the larger one,
-                # which keeps its position
-                if len(own) > len(table):
-                    own, table, twin = table, own, pos
-                del layer[twin]
-            else:
-                # a self-complementary position folds each key on its own
-                own = table
-                table = layer[pos] = {}
-            for w, poly in own.items():
-                t = rev[w & full] | rev[w >> size] << size
-                if whole or t < w:
-                    w = t
-                table[w] = table.get(w, 0) + poly
+                # the group with fewer waiting keys is complemented, member
+                # a into member n + 1 - a, into the other
+                if sum(map(len, members.values())) < sum(map(len, other.values())):
+                    members, other, twin = other, members, key
+                del groups[twin]
+                for a, table in other.items():
+                    fold(members.setdefault(mirror[a], {}), table)
+                continue
+            # a self-complementary group: of members a and n + 1 - a, the
+            # smaller table is complemented into the larger, and a member
+            # that is its own complement folds each key on its own
+            for a in list(members):
+                ma = mirror[a]
+                if ma == a:
+                    table = members[a]
+                    members[a] = own = {}
+                    for w, poly in table.items():
+                        t = rev[w & full] | rev[w >> size] << size
+                        if t < w:
+                            w = t
+                        own[w] = own.get(w, 0) + poly
+                elif a < ma and ma in members:
+                    if len(members[a]) < len(members[ma]):
+                        a, ma = ma, a
+                    fold(members[a], members.pop(ma))
         if step == n - 2:
             # the two unused values x, y of each position in both orders:
             # only the flags they add are counted, so the first window
             # updates the waiting key only where the second reads it
             total = 0
-            for pos, table in layer.items():
-                b = pos >> size & 15
-                erow = events[pos >> size + 4 & 15][b]
-                x, y = free[(pos & full) >> 1]
-                for c, d in (x, y), (y, x):
-                    windows = (b, erow[c]), (c, events[b][c][d])
-                    for w, poly in table.items():
-                        inc = 0
-                        for v, e in windows:
-                            if e & 1:  # v flagged vertical
-                                if w >> size + v & 1:
-                                    inc += second_flag
-                                else:
-                                    w |= 1 << v  # v may be the next midpoint
-                                    inc += first_flag
-                            if e & ~1:  # a midpoint flagged horizontal
-                                inc += second_flag if w & e else first_flag
-                        total += poly << inc
+            for key, members in groups.items():
+                b = key >> size
+                x, y = free[(key & full) >> 1]
+                for a, table in members.items():
+                    erow = events[a][b]
+                    for c, d in (x, y), (y, x):
+                        windows = (b, erow[c]), (c, events[b][c][d])
+                        for w, poly in table.items():
+                            inc = 0
+                            for v, e in windows:
+                                if e & 1:  # v flagged vertical
+                                    if w >> size + v & 1:
+                                        inc += second_flag
+                                    else:
+                                        w |= 1 << v  # v may be the next midpoint
+                                        inc += first_flag
+                                if e & ~1:  # a midpoint flagged horizontal
+                                    inc += second_flag if w & e else first_flag
+                            total += poly << inc
             return total
-        # the positions of each group, by the entry before the last, a
-        groups = {}
-        for pos, table in layer.items():
-            groups.setdefault(pos & group_of, []).append((pos >> size + 4, table))
         layer = {}
         while groups:
             key, members = groups.popitem()
@@ -339,7 +361,7 @@ def _flag_pass(n, width, kind) -> int:
             # are listed by that c: a - 1 and a + 1, by the checked rule.
             xmask = wmask | near[b]
             merged, quiet, vertical = {}, {}, {}
-            for a, table in members:
+            for a, table in members.items():
                 if a:
                     vertical.setdefault(a - 1, []).append(table)
                     vertical.setdefault(a + 1, []).append(table)

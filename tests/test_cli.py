@@ -272,6 +272,15 @@ def test_maxsep_k_capped_before_generating(capsys, monkeypatch):
     assert err == "error: k=7 exceeds the cap 6\n"
 
 
+@pytest.mark.parametrize(
+    "k, message", [("0", "k must be >= 1"), ("-1", "k must be >= 1, got -1")]
+)
+def test_maxsep_k_below_1_names_its_rule(capsys, k, message):
+    code, out, err = run_cli(capsys, "maxsep", k)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_maxsep_verify_needs_cap(capsys, monkeypatch):
     # the count behind --verify is the transfer pass, capped at n = 12,
     # and the cap is checked before anything is generated

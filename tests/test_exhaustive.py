@@ -481,6 +481,12 @@ def test_max_separator_requires_an_int_k(k):
         max_separator_perms(k)
 
 
+@pytest.mark.parametrize("k", [-1, -4])
+def test_max_separator_rejects_a_negative_k_by_its_rule(k):
+    with pytest.raises(ValueError, match=rf"^k must be >= 1, got {k}$"):
+        max_separator_perms(k)
+
+
 _P3142, _P1234 = Permutation((3, 1, 4, 2)), Permutation((1, 2, 3, 4))
 
 

@@ -298,6 +298,12 @@ def test_is_king():
     assert sum(is_king(p) for p in all_perms(4)) == 2
 
 
+def test_is_king_means_no_bonds():
+    for n in range(8):
+        for p in all_perms(n):
+            assert is_king(p) == (not bonds(p)), p
+
+
 # ---------------------------------------------------------------------------
 # Inflation
 

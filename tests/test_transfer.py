@@ -43,7 +43,7 @@ def test_transfer_means_equal_formulas_past_the_sweep(n, kind):
 
 @pytest.mark.parametrize("kind", ["both", "any"])
 def test_flag_pass_equals_the_keyed_pass(kind):
-    for n in range(2, 11):
+    for n in range(2, 12):
         width = math.factorial(n).bit_length() + 1
         expected = _keyed_flag_pass(n, width, kind, _masks_events(n))
         assert transfer._flag_pass(n, width, kind) == expected, n
@@ -406,10 +406,10 @@ def _complement_mask(mask: int, n: int) -> int:
 
 @pytest.mark.parametrize("n", range(7))
 def test_complement_symmetry_behind_the_halved_pass(n):
-    # every step of the `both`/`any` pass merges each position with its
-    # complement when both are in the layer, expanding either one for
-    # both; on whole words, the complement x -> n + 1 - x keeps every
-    # statistic (the pass checks the window tables itself)
+    # every step of the `both`/`any` pass folds each group of positions
+    # into its complement group when both are in the layer, expanding
+    # one for both; on whole words, the complement x -> n + 1 - x keeps
+    # every statistic (the pass checks the window tables itself)
     for word in itertools.permutations(range(1, n + 1)):
         vm, hm, b = separator_masks(word)
         cvm, chm, cb = separator_masks(tuple(n + 1 - x for x in word))
