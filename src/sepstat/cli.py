@@ -154,6 +154,7 @@ def cmd_report(args: argparse.Namespace) -> tuple[int, str]:
     p = parse_permutation(args.perm)
     rep = separator_report(p)
     runs = maximal_runs(p)
+    bond_set, king = bonds(p), is_king(p)
     if args.format == "json":
         return 0, _json_dumps({
             "perm": list(p.entries),
@@ -161,13 +162,13 @@ def cmd_report(args: argparse.Namespace) -> tuple[int, str]:
             "horizontal": sorted(rep.horizontal),
             "both": sorted(rep.both),
             "sep_count": rep.sep_count,
-            "bonds": sorted(bonds(p)),
-            "bond_count": len(bonds(p)),
+            "bonds": sorted(bond_set),
+            "bond_count": len(bond_set),
             "runs": [
                 {"start": r.start, "length": r.length, "direction": r.direction.value}
                 for r in runs
             ],
-            "king": is_king(p),
+            "king": king,
         })
     return 0, "\n".join([
         f"permutation:  {format_permutation(p)}",
@@ -175,9 +176,9 @@ def cmd_report(args: argparse.Namespace) -> tuple[int, str]:
         f"horizontal:   {_value_set(rep.horizontal)}",
         f"both:         {_value_set(rep.both)}",
         f"separators:   {rep.sep_count}",
-        f"bonds:        {_value_set(bonds(p))} (count {len(bonds(p))})",
+        f"bonds:        {_value_set(bond_set)} (count {len(bond_set)})",
         f"runs:         {' '.join(_run_str(p, r) for r in runs)}",
-        f"king:         {'yes' if is_king(p) else 'no'}",
+        f"king:         {'yes' if king else 'no'}",
     ])
 
 

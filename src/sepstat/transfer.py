@@ -78,19 +78,15 @@ b's vertical flag.
 The complement x -> n + 1 - x preserves all five statistics and maps
 this pass's transitions onto each other, so a state and its complement
 lead to the same counts. The pass starts from the empty prefix, and
-each step groups the layer, folds the groups and then places one more
-entry, until two values are left: each position places them in both
-orders and adds the flags of its two windows straight into the counts.
-The fold works on whole groups, in place. Of a group and its complement
-group, when both are in the layer, the one with fewer waiting sets is
+each of its n steps groups the layer, folds the groups and then places
+one more entry; the counts are the sum of the last layer. The fold
+works on whole groups, in place. Of a group and its complement group,
+when both are in the layer, the one with fewer waiting sets is
 complemented into the other member by member: the table of a goes to
 the member n + 1 - a (0 stays 0), its waiting sets complemented, so the
 pair is expanded once even where their members do not pair up. A group
-whose complement is absent is expanded as it stands. A group that is
-its own complement merges its members a and n + 1 - a, the smaller
-table complemented into the larger, and a member that is its own
-complement folds each waiting set onto the smaller of it and its
-complement. The rule keeps its form under the complement: |c - a| is
+whose complement is absent, or that is its own complement, is expanded
+as it stands. The rule keeps its form under the complement: |c - a| is
 unchanged and a midpoint m maps to n + 1 - m, so the checked events
 commute with it.
 
@@ -112,9 +108,8 @@ def _check_windows(n: int) -> list:
     """Check every window of distinct values in 1..n, in one loop over
     a = 0..n: a = 0 stands for "no entry" and gives the pairs (b, c),
     which flag no vertical and form no pair (a, b); the others give the
-    triples (a, b, c). Return the event of each as ``events[a][b][c]``:
-    bit 0 flags b vertical, the rest is the horizontal mask of (b, c).
-    ``events[0][0]``, where b is "no entry" as well, is all 0.
+    triples (a, b, c). Return the horizontal mask of each pair (b, c)
+    as ``table[b][c]``; row 0 and column 0, "no entry", are all 0.
 
     Each window's :func:`separator_masks` must be what the value-distance
     rule gives: b vertical exactly when |c - a| = 1, the midpoint of
@@ -127,18 +122,17 @@ def _check_windows(n: int) -> list:
     size = n + 1
     values = range(1, size)
     # the rule for the adjacent pair (x, y): its horizontal mask and bonds;
-    # row 0 is "no entry", which forms no pair
+    # row and column 0 are "no entry", which forms no pair
     pair = [[(0, 0)] * size] + [
-        [(1 << (x + y >> 1) if abs(x - y) == 2 else 0, int(abs(x - y) == 1))
-         for y in range(size)] for x in values]
-    events = [[[0] * size for _ in range(size)] for _ in range(size)]
+        [(0, 0)] + [(1 << (x + y >> 1) if abs(x - y) == 2 else 0,
+                     int(abs(x - y) == 1)) for y in values] for x in values]
     # the knight oracle must find a pair exactly when a mask is nonempty
     for a in range(size):
         for b in values:
             if b == a:
                 continue
             ha, ba = pair[a][b]
-            rule, row = pair[b], events[a][b]
+            rule = pair[b]
             for c in values:
                 if c != a and c != b:
                     vertical = a and abs(c - a) == 1
@@ -155,8 +149,7 @@ def _check_windows(n: int) -> list:
                         raise VerificationError(
                             f"separator-free oracles disagree on window {window}"
                         )
-                    row[c] = vertical | hm
-    return events
+    return [[hm for hm, _ in row] for row in pair]
 
 
 def distribution(n: int, kind: str) -> Counter:
@@ -247,9 +240,9 @@ def _flag_pass(n, width, kind) -> int:
     one more entry after each group: the group's tables are projected
     together once, each next entry c adds that one table to its
     successor, and only the tables whose a is c - 1 or c + 1, which flag
-    b vertical, are walked again to move their counts. The last two
-    entries are placed in both orders straight into the counts."""
-    events = _check_windows(n)
+    b vertical, are walked again to move their counts. The counts are
+    the sum of the last layer."""
+    hmask = _check_windows(n)
     size = n + 1
     full = (1 << size) - 2
     vals = range(1, size)
@@ -264,86 +257,36 @@ def _flag_pass(n, width, kind) -> int:
         low = mask & -mask
         rev[mask] = rev[mask ^ low] | (1 << size) // low
     mirror = [0, *range(n, 0, -1)]  # 0 stands for "no entry"
-
-    def fold(dest, table):
-        """Add ``table`` into ``dest`` with every waiting key complemented."""
-        for w, poly in table.items():
-            w = rev[w & full] | rev[w >> size] << size
-            dest[w] = dest.get(w, 0) + poly
-
     first_flag, second_flag = (width, 0) if kind == "any" else (0, width)
     group_of = (1 << size + 4) - 1  # the used values and b of a position
     layer = {0: {0: 1}}  # the empty prefix: no value used, no entries
-    for step in range(n):
+    for _ in range(n):
         # the tables of each group, by the entry before the last, a
         groups = {}
         for pos, table in layer.items():
             groups.setdefault(pos & group_of, {})[pos >> size + 4] = table
         for key in list(groups):
             members = groups.get(key)
-            if members is None:
-                continue  # folded into its twin
             twin = rev[key & full] | mirror[key >> size] << size
-            if twin != key:
-                other = groups.get(twin)
-                if other is None:
-                    continue  # no twin: expanded in its own orientation
-                # the group with fewer waiting keys is complemented, member
-                # a into member n + 1 - a, into the other
-                if sum(map(len, members.values())) < sum(map(len, other.values())):
-                    members, other, twin = other, members, key
-                del groups[twin]
-                for a, table in other.items():
-                    fold(members.setdefault(mirror[a], {}), table)
-                continue
-            # a self-complementary group: of members a and n + 1 - a, the
-            # smaller table is complemented into the larger, and a member
-            # that is its own complement folds each key on its own
-            for a in list(members):
-                ma = mirror[a]
-                if ma == a:
-                    table = members[a]
-                    members[a] = own = {}
-                    for w, poly in table.items():
-                        t = rev[w & full] | rev[w >> size] << size
-                        if t < w:
-                            w = t
-                        own[w] = own.get(w, 0) + poly
-                elif a < ma and ma in members:
-                    if len(members[a]) < len(members[ma]):
-                        a, ma = ma, a
-                    fold(members[a], members.pop(ma))
-        if step == n - 2:
-            # the two unused values x, y of each position in both orders:
-            # only the flags they add are counted, so the first window
-            # updates the waiting key only where the second reads it
-            total = 0
-            for key, members in groups.items():
-                b = key >> size
-                x, y = free[(key & full) >> 1]
-                for a, table in members.items():
-                    erow = events[a][b]
-                    for c, d in (x, y), (y, x):
-                        windows = (b, erow[c]), (c, events[b][c][d])
-                        for w, poly in table.items():
-                            inc = 0
-                            for v, e in windows:
-                                if e & 1:  # v flagged vertical
-                                    if w >> size + v & 1:
-                                        inc += second_flag
-                                    else:
-                                        w |= 1 << v  # v may be the next midpoint
-                                        inc += first_flag
-                                if e & ~1:  # a midpoint flagged horizontal
-                                    inc += second_flag if w & e else first_flag
-                            total += poly << inc
-            return total
+            other = groups.get(twin)
+            if members is None or other is None or twin == key:
+                continue  # folded, or expanded in its own orientation
+            # the group with fewer waiting keys is complemented, member a
+            # into member n + 1 - a, into the other
+            if sum(map(len, members.values())) < sum(map(len, other.values())):
+                members, other, twin = other, members, key
+            del groups[twin]
+            for a, table in other.items():
+                dest = members.setdefault(mirror[a], {})
+                for w, poly in table.items():
+                    w = rev[w & full] | rev[w >> size] << size
+                    dest[w] = dest.get(w, 0) + poly
         layer = {}
         while groups:
             key, members = groups.popitem()
             used = key & full
             b = key >> size
-            hrow = events[0][b]  # the horizontal events of (b, c)
+            hrow = hmask[b]  # the horizontal masks of (b, c)
             # A flag waits only while the values it needs are unused now
             # (c, the new last entry, among them): `wmask` keeps those of
             # a waiting key, the same for every c.
@@ -422,4 +365,4 @@ def _flag_pass(n, width, kind) -> int:
                             dest[w | moved] = dest.get(w | moved, 0) + (poly << inc)
                         elif inc:
                             dest[w] += (poly << inc) - poly
-    return sum(sum(table.values()) for table in layer.values())  # n < 2
+    return sum(sum(table.values()) for table in layer.values())

@@ -49,6 +49,17 @@ def test_flag_pass_equals_the_keyed_pass(kind):
         assert transfer._flag_pass(n, width, kind) == expected, n
 
 
+def test_check_windows_returns_the_horizontal_mask_of_each_pair():
+    # the flag pass reads only the horizontal masks of the pairs (b, c);
+    # the vertical flag of b follows from |c - a| = 1 alone
+    for n in range(13):
+        table = transfer._check_windows(n)
+        assert len(table) == n + 1 and all(len(row) == n + 1 for row in table)
+        assert not any(table[0]) and not any(row[0] for row in table), n
+        for b, c in itertools.permutations(range(1, n + 1), 2):
+            assert table[b][c] == separator_masks((b, c))[1], (n, b, c)
+
+
 @pytest.mark.parametrize("n", [4, 7, 10])
 def test_both_peaks_on_one_complementary_pair_when_n_is_1_mod_3(n):
     # the top of `both` is 2(n - 1)/3, reached by 1 followed by the
@@ -101,9 +112,9 @@ def test_flag_pass_counts_the_empty_and_the_one_entry_prefix(n, kind):
 
 
 def _masks_events(n):
-    """``events[a][b][c]`` as :func:`transfer._flag_pass` reads them, but
-    read off :func:`separator_masks` window by window rather than built
-    from the value-distance rule: bit 0 flags b vertical in (a, b, c),
+    """``events[a][b][c]`` for :func:`_keyed_flag_pass`, read off
+    :func:`separator_masks` window by window rather than built from the
+    value-distance rule: bit 0 flags b vertical in (a, b, c),
     the rest is the horizontal mask of (b, c); a = 0 is "no entry"."""
     size = n + 1
     events = [[[0] * size for _ in range(size)] for _ in range(size)]
@@ -125,8 +136,8 @@ def _keyed_flag_pass(n, width, kind, events) -> int:
     is set up and expanded on its own, and every layer is built to the
     last. The reference for :func:`transfer._flag_pass`, which expands
     each group of positions that differ only in the entry before the
-    last once and places the last two entries straight into the counts;
-    it makes no window checks of its own."""
+    last once and folds whole groups; it makes no window checks of its
+    own."""
     size = n + 1
     full = (1 << size) - 2
     vals = range(1, size)
