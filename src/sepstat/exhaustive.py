@@ -134,7 +134,7 @@ def max_separator_perms(k: int) -> list[Permutation]:
     ['[3142]', '[2413]']
     """
     if isinstance(k, int) and not isinstance(k, bool) and k < 1:
-        raise ValueError(f"k must be >= 1, got {k}" if k else "k must be >= 1")
+        raise ValueError(f"k must be >= 1, got {k}")
     config.check_n(k, name="k")  # a bool or any other non-int
     out: list[Permutation] = []
     for pattern_word in itertools.permutations(range(1, k + 1)):

@@ -54,6 +54,11 @@ def test_report_json(capsys):
     assert data["both"] == [2]
     assert data["sep_count"] == 3
     assert data["king"] is True  # no adjacent pair differs by 1
+    code, out, _ = run_cli(capsys, "report", "132465879", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["vertical"] == [2, 3, 6, 7]
+    assert data["horizontal"] == [2, 3, 5, 8]
 
 
 def test_report_singleton(capsys):
@@ -72,6 +77,10 @@ def test_report_invalid_permutation(capsys):
     code, out, err = run_cli(capsys, "report", "1_0,2,3,4,5,6,7,8,9,1")
     assert code == 2 and out == ""
     assert err == "error: cannot parse permutation from '1_0,2,3,4,5,6,7,8,9,1'\n"
+    # an empty field is a typo, not a delimiter
+    code, out, err = run_cli(capsys, "report", "3,,1,2")
+    assert code == 2 and out == ""
+    assert err == "error: cannot parse permutation from '3,,1,2'\n"
 
 
 # ---------------------------------------------------------------------------
@@ -92,12 +101,22 @@ def test_dist_json(capsys):
     code, out, _ = run_cli(capsys, "dist", "3", "--format", "json")
     assert code == 0
     assert json.loads(out) == {"n": 3, "kind": "vertical", "counts": {"0": 2, "1": 4}}
+    # the JSON counts are the CSV rows
+    _, out, _ = run_cli(capsys, "dist", "9", "--kind", "any", "--format", "json")
+    counts = sorted(json.loads(out)["counts"].items(), key=lambda mc: int(mc[0]))
+    rows = [f"9,{m},{c}" for m, c in counts]
+    _, out, _ = run_cli(capsys, "dist", "9", "--kind", "any", "--format", "csv")
+    assert rows and out.splitlines()[1:] == rows
 
 
 def test_dist_empty_group(capsys):
     code, out, _ = run_cli(capsys, "dist", "0", "--format", "csv")
     assert code == 0
     assert out.splitlines() == ["n,m,count", "0,0,1"]
+    # the flag pass starts from the empty prefix, with no case for n < 2
+    for n, kind in (("0", "both"), ("1", "any")):
+        code, out, _ = run_cli(capsys, "dist", n, "--kind", kind)
+        assert code == 0 and out.splitlines()[-1] == "0  1"
 
 
 def test_dist_over_cap(capsys):
@@ -114,8 +133,10 @@ def test_dist_env_cap(capsys, monkeypatch):
 
 
 def test_dist_rejects_unknown_kind(capsys):
-    code, _, _ = run_cli(capsys, "dist", "3", "--kind", "sideways")
-    assert code == 2
+    code, out, err = run_cli(capsys, "dist", "3", "--kind", "sideways")
+    assert code == 2 and out == ""
+    assert "argument --kind: invalid choice: 'sideways'" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +294,7 @@ def test_maxsep_k_capped_before_generating(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "k, message", [("0", "k must be >= 1"), ("-1", "k must be >= 1, got -1")]
+    "k, message", [("0", "k must be >= 1, got 0"), ("-1", "k must be >= 1, got -1")]
 )
 def test_maxsep_k_below_1_names_its_rule(capsys, k, message):
     code, out, err = run_cli(capsys, "maxsep", k)
@@ -369,7 +390,10 @@ def test_verify_over_cap(capsys):
 
 
 def test_verify_cap_ignores_the_environment(capsys, monkeypatch):
-    # the cap is config.MAX_SWEEP_N alone; no variable raises it
+    # the cap is config.MAX_SWEEP_N alone; no variable raises it or breaks it
+    monkeypatch.setenv("SEPSTAT_MAX_N", "1_0")
+    assert run_cli(capsys, "verify", "--n-max", "3")[0] == 0
+
     def refuse(*args):
         raise AssertionError("sweep started")
 
@@ -427,10 +451,12 @@ def test_threads_rejected_where_nothing_is_dealt(capsys, argv):
 )
 @pytest.mark.parametrize("value", ["1_0", "\u0663", "+1", " 7"])
 def test_integer_arguments_are_ascii_digits(capsys, argv, value):
+    at = argv.index("N")
+    name = argv[at - 1] if at > 1 else "k" if argv[0] == "maxsep" else "n"
     argv = [value if a == "N" else a for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err.endswith(f": invalid int value: {value!r}\n")
+    assert err.endswith(f"argument {name}: invalid int value: {value!r}\n")
     assert "Traceback" not in err
 
 
@@ -590,8 +616,10 @@ def test_gf_output_digest(capsys):
 
 # SHA-256 over exit code, stdout and stderr of `dist`, `expect` and
 # `maxsep --verify` below, recorded before `dist` formatted the transfer
-# counts itself and the expectations shared one mean.
-COUNTS_DIGEST = "48cab254c2eca86fe0f392c9dae54c1c2e2a46bc6e5734e9111fac775f3fab17"
+# counts itself and the expectations shared one mean, and re-recorded
+# when `maxsep 0` came to name its k (`error: k must be >= 1, got 0`),
+# the one output that changed.
+COUNTS_DIGEST = "6efc2eb5b88315315401f35eebe772d1be7c207aee3f38d5e6df2d0cf1d38361"
 
 
 def test_counts_output_digest():
@@ -700,8 +728,10 @@ def test_closed_stdout_is_input_error(argv):
 
 
 def test_no_arguments_is_usage_error(capsys):
-    code, _, _ = run_cli(capsys)
-    assert code == 2
+    code, out, err = run_cli(capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: sepstat ")
+    assert "Traceback" not in err
 
 
 def test_verify_verbose_shows_rows(capsys):

@@ -471,7 +471,7 @@ def test_max_separator_exhaustive_cross_check_n4():
 
 
 def test_max_separator_rejects_k0():
-    with pytest.raises(ValueError, match=r"^k must be >= 1$"):
+    with pytest.raises(ValueError, match=r"^k must be >= 1, got 0$"):
         max_separator_perms(0)
 
 

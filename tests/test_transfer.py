@@ -17,7 +17,7 @@ from sepstat.series import bond_gf, coeff, vertical_sep_gf
 from sepstat.verify import run_check_suite
 
 
-@pytest.mark.parametrize("n", range(9))
+@pytest.mark.parametrize("n", range(10))
 def test_transfer_equals_sweep(n):
     tables = sweep(n)
     for kind in KINDS:
