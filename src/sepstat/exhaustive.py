@@ -54,8 +54,7 @@ def _part_words(n: int, part: int, parts: int) -> Iterator[tuple[int, ...]]:
     values = range(1, n + 1)
     for prefix in list(itertools.permutations(values, min(n, 2)))[part::parts]:
         rest = [v for v in values if v not in prefix]
-        for tail in itertools.permutations(rest):
-            yield prefix + tail
+        yield from map(prefix.__add__, itertools.permutations(rest))
 
 
 def _sweep_part(n: int, part: int, parts: int) -> dict[str, Counter]:

@@ -277,10 +277,16 @@ def maximal_runs(p: Permutation) -> list[Run]:
     return split_runs(p.entries, bonds(p))
 
 
-def is_king(p: Permutation) -> bool:
-    """True iff the permutation has no bonds (non-attacking kings); it
-    stops at the first bond."""
-    return next(_bond_positions(p.entries), 0) == 0
+def is_king(word: Permutation | Sequence[int]) -> bool:
+    """True iff the permutation, or any word of distinct integers (such
+    as a child word of `_child_words`), has no bonds (non-attacking
+    kings); it stops at the first bond.
+
+    >>> is_king(Permutation((2, 4, 1, 3))), is_king((3, 1, 2))
+    (True, False)
+    """
+    return next(_bond_positions(
+        word.entries if isinstance(word, Permutation) else word), 0) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -322,18 +328,39 @@ def delete_and_standardize(p: Permutation, pos: int) -> Permutation:
 
 def _delete(e: tuple[int, ...], pos: int) -> tuple[int, ...]:
     """The word ``e`` without its entry at 1-indexed ``pos``, standardized:
-    the one deletion behind `delete_and_standardize` and `children`."""
+    the one deletion behind `delete_and_standardize` and, past 255
+    entries, `_child_words`."""
     removed = e[pos - 1]
     return tuple([v - 1 if v > removed else v for v in e if v != removed])
 
 
 @cache
 def _drop_tables() -> tuple[bytes, ...]:
-    """The `bytes.translate` tables of `children`: table v keeps each
+    """The `bytes.translate` tables of `_child_words`: table v keeps each
     byte up to v and lowers each byte above it by one. Built on the
     first call, not at import."""
     identity = bytes(range(256))
     return tuple([identity[: v + 1] + identity[v:255] for v in range(256)])
+
+
+def _child_words(e: tuple[int, ...]) -> set[bytes] | set[tuple[int, ...]]:
+    """The distinct words one level down from the word ``e``: all of its
+    deletions, standardized, with each repeat made once.
+
+    When every entry fits in a byte (n <= 255), the word is a ``bytes``,
+    and one ``bytes.translate`` call drops entry v and lowers the
+    entries above it, so the children are ``bytes``; longer words go
+    through `_delete`, and their children are tuples. Either way a
+    child reads as the sequence of its entries.
+
+    >>> sorted(map(tuple, _child_words((2, 1, 3))))
+    [(1, 2), (2, 1)]
+    """
+    if len(e) > 255:
+        return {_delete(e, i) for i in range(1, len(e) + 1)}
+    b, drop = bytes(e), _drop_tables()
+    # b[i : i + 1] is the byte of entry v, which translate deletes
+    return {b.translate(drop[v], b[i : i + 1]) for i, v in enumerate(b)}
 
 
 def children(p: Permutation) -> frozenset[Permutation]:
@@ -341,11 +368,8 @@ def children(p: Permutation) -> frozenset[Permutation]:
     order; there are exactly n - (number of bonds) of them, since
     deleting either end of a bond yields the same child.
 
-    All n deletions are made as raw words, and one `Permutation` is
-    built for each distinct word among them. When every entry fits in
-    a byte (n <= 255), the word is a ``bytes``, and one
-    ``bytes.translate`` call drops entry v and lowers the entries above
-    it; longer words go through `_delete`.
+    The deletions are made on the word by `_child_words`, and one
+    `Permutation` is built for each distinct word among them.
 
     >>> sorted(str(c) for c in children(Permutation((5, 3, 2, 4, 1))))
     ['[3241]', '[4213]', '[4231]', '[4321]']
@@ -353,13 +377,8 @@ def children(p: Permutation) -> frozenset[Permutation]:
     e = p.entries
     if not e:
         raise ValueError("the empty permutation has no children")
-    if len(e) > 255:
-        words = {_delete(e, i) for i in range(1, len(e) + 1)}
-    else:
-        b, drop = bytes(e), _drop_tables()
-        # b[i : i + 1] is the byte of entry v, which translate deletes
-        words = map(tuple, {b.translate(drop[v], b[i : i + 1]) for i, v in enumerate(b)})
-    return frozenset(map(Permutation._trusted, words))
+    # tuple() makes each bytes child a tuple and returns a tuple child itself
+    return frozenset(map(Permutation._trusted, map(tuple, _child_words(e))))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .exhaustive import (
     is_all_separating_set,
     max_separator_perms,
 )
-from .perms import Permutation, children, inverse, is_king, reverse
+from .perms import Permutation, _child_words, inverse, is_king, reverse
 from .separators import (
     EXPECTATION_KINDS,
     KINDS,
@@ -76,7 +76,9 @@ _CONSERVED = "mark conservation across comb"
 def _suite_chunk(n_max: int, part: int, parts: int) -> tuple:
     """One part of the suite's exhaustive work: the sweep of part
     ``part`` of every S_n, n <= n_max, then the per-permutation checks
-    over its part of S_<=7 (the marked round-trips over S_<=6).
+    over its part of S_<=7 (the marked round-trips over S_<=6). The
+    children and king children of each word are counted on the words
+    of `_child_words`, with no `Permutation` built for a child.
 
     Returns ``(tables, failure, broken)``. ``failure`` is None,
     or ``(n, word, message)`` for the first word of the part on which
@@ -107,7 +109,7 @@ def _suite_chunk(n_max: int, part: int, parts: int) -> tuple:
             if rv != vm or rh != hm:
                 broken.add(_REVERSE)
             if n >= 1:
-                kids = children(p)
+                kids = _child_words(word)
                 if len(kids) != n - n_bonds:
                     broken.add(_CHILDREN)
                 if not n_bonds:

@@ -273,17 +273,19 @@ _BROKEN_CALLS = [
     pytest.param(_DUAL, "inverse", (_P,), _P_WRONG_VERTICAL, id="inverse-v"),
     pytest.param(_REVERSE, "reverse", (_P,), _P_WRONG_HORIZONTAL, id="reverse-h"),
     pytest.param(_REVERSE, "reverse", (_P,), _P_WRONG_VERTICAL, id="reverse-v"),
+    # the walk counts children on the words of `_child_words` ...
     pytest.param(
         "children count is n - bonds",
-        "children",
-        (Permutation((1, 2, 3)),),
-        frozenset(),
+        "_child_words",
+        ((1, 2, 3),),
+        set(),
         id="children",
     ),
+    # ... and asks `is_king` of each one: S_1's child is the empty word
     pytest.param(
         "king children count is n - separators",
         "is_king",
-        (Permutation(()),),
+        (b"",),
         False,
         id="is_king",
     ),

@@ -1,6 +1,6 @@
 """The closed-form rows of `vertical`, `horizontal` and `bonds`
-(:func:`sepstat.transfer.event_row`), against the series, the sweep,
-OEIS A002464 and moments counted from value pairs.
+(:func:`sepstat.transfer.event_row`), against the series, the marked
+series, the sweep, OEIS A002464 and moments counted from value pairs.
 
 The file keeps the name it had when these rows came from insertion
 recurrences, so that its test ids stay the same.
@@ -13,7 +13,14 @@ import pytest
 
 from sepstat import config
 from sepstat.exhaustive import sweep
-from sepstat.series import bond_gf, coeff, vertical_sep_gf
+from sepstat.series import (
+    MarkerPoly,
+    bond_gf,
+    bond_marked_gf,
+    coeff,
+    vertical_marked_gf,
+    vertical_sep_gf,
+)
 from sepstat.transfer import event_row
 
 ORDER = config.MAX_ORDER
@@ -33,6 +40,17 @@ def test_rows_equal_series_rows_up_to_the_largest_order():
     h = _series_rows(vertical_sep_gf(ORDER))
     assert _rows("horizontal") == h
     assert _rows("vertical") == h
+
+
+@pytest.mark.parametrize("builder, kind", [(bond_marked_gf, "bonds"),
+                                           (vertical_marked_gf, "vertical")],
+                         ids=["bonds", "vertical"])
+def test_marked_rows_are_the_binomial_transform_of_the_rows(builder, kind):
+    # marking any k of a permutation's j events: [v^k] = sum_j C(j, k) count_j
+    series = builder(ORDER)
+    for n, row in enumerate(_rows(kind)):
+        marked = [sum(comb(j, k) * c for j, c in row.items()) for k in range(n + 1)]
+        assert coeff(series, n) == MarkerPoly(marked), n
 
 
 @pytest.mark.parametrize("n", range(9))

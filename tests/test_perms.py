@@ -9,6 +9,7 @@ from sepstat.perms import (
     Direction,
     Permutation,
     Run,
+    _child_words,
     bonds,
     children,
     comb,
@@ -286,6 +287,19 @@ def test_children_of_empty_rejected():
 def test_children_count_is_n_minus_bonds(n):
     for p in all_perms(n):
         assert len(children(p)) == n - len(bonds(p))
+
+
+# One deletion, two readers: `children` builds a Permutation from each
+# word of `_child_words`, and the verify walk reads the words as they are.
+@pytest.mark.parametrize("n", range(1, 7))
+def test_children_are_the_permutations_of_the_child_words(n):
+    for p in all_perms(n):
+        words = _child_words(p.entries)
+        kids = {Permutation(word) for word in words}  # checked: each a permutation
+        assert children(p) == kids
+        assert len(kids) == len(words)
+        for word in words:
+            assert is_king(word) == is_king(Permutation(word)), (p, word)
 
 
 # ---------------------------------------------------------------------------
