@@ -665,6 +665,23 @@ def test_flag_pass_output_digest(capsys):
     assert digest.hexdigest() == FLAG_PASS_DIGEST
 
 
+# SHA-256 over exit code and stdout of `verify -v` for every n_max up to
+# 8 and both formats in one process, recorded before the walk of S_<=7
+# shared the sweep's separator scan and ran on words.
+VERIFY_DIGEST = "08bfe6419ab889ad224ed69945d2f3722b55763653b4d3c969c01f72403a9b23"
+
+
+def test_verify_output_digest(capsys):
+    digest = hashlib.sha256()
+    for n_max in range(9):
+        for fmt in ("plain", "json"):
+            argv = ("verify", "--n-max", str(n_max), "--format", fmt, "-v",
+                    "--threads", "1")
+            code, out, _ = run_cli(capsys, *argv)
+            digest.update(f"{' '.join(argv)}\0{code}\0{out}\0".encode())
+    assert digest.hexdigest() == VERIFY_DIGEST
+
+
 def test_byte_identical_reruns(capsys):
     first = run_cli(capsys, "dist", "5", "--format", "json", "--threads", "2")
     second = run_cli(capsys, "dist", "5", "--format", "json", "--threads", "3")
