@@ -20,7 +20,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from math import factorial
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import config
 from .perms import Permutation, inflate
@@ -57,27 +57,35 @@ def _part_words(n: int, part: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield from map(prefix.__add__, itertools.permutations(rest))
 
 
-def _sweep_part(n: int, part: int, parts: int) -> dict[str, Counter]:
+def _sweep_part(
+    n: int, part: int, parts: int, masks: Iterable[tuple] | None = None
+) -> dict[str, Counter]:
     """Tally all five statistics over part ``part`` of ``parts`` of S_n
     (see `_part_words`).
 
     Each word is put to ``separator_masks`` and to the knight-move test,
     the separately written oracle for having no separator, and the words
     are counted by the pair of answers: S_8's 40,320 words give 4,302
-    distinct pairs. A pair whose masks find no separator where the
-    knight scan finds a knight's move, or the other way round, would
-    mean a bug in one of the two definitions: the part is then scanned
-    again for the first word giving such a pair, which raises
-    ``VerificationError``. Otherwise the five statistics are read once
-    per distinct masks triple.
+    distinct pairs. ``masks``, when given, holds the ``separator_masks``
+    of the part's words in their order, read by a caller that scanned
+    them already (the `verify` walk); the sweep then scans no word
+    itself. A pair whose masks find no separator where the knight scan
+    finds a knight's move, or the other way round, would mean a bug in
+    one of the two definitions: the part is then scanned again for the
+    first word giving such a pair, which raises ``VerificationError``.
+    Otherwise the five statistics are read once per distinct masks
+    triple.
     """
-    words, again = itertools.tee(_part_words(n, part, parts))
-    pairs = Counter(zip(map(separator_masks, words), map(has_knight_pair, again)))
-    masks: Counter = Counter()
+    words = _part_words(n, part, parts)
+    if masks is None:
+        words, again = itertools.tee(words)
+        masks = map(separator_masks, again)
+    pairs = Counter(zip(masks, map(has_knight_pair, words)))
+    by_masks: Counter = Counter()
     for (key, knight), count in pairs.items():
         if (key[0] | key[1] == 0) == knight:
             _first_disagreement(n, part, parts)
-        masks[key] += count
+        by_masks[key] += count
     tallies: dict[str, Counter] = {kind: Counter() for kind in KINDS}
     t_v, t_h, t_b, t_a, t_bonds = (
         tallies["vertical"],
@@ -86,7 +94,7 @@ def _sweep_part(n: int, part: int, parts: int) -> dict[str, Counter]:
         tallies["any"],
         tallies["bonds"],
     )
-    for (vm, hm, b), count in masks.items():
+    for (vm, hm, b), count in by_masks.items():
         t_bonds[b] += count
         t_v[vm.bit_count()] += count
         t_h[hm.bit_count()] += count

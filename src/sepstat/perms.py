@@ -299,10 +299,17 @@ def inverse(p: Permutation) -> Permutation:
     >>> inverse(Permutation((3, 1, 4, 2)))
     Permutation([2, 4, 1, 3])
     """
-    out = [0] * p.n
-    for i, v in enumerate(p.entries, start=1):
+    return Permutation._trusted(_inverse_word(p.entries))
+
+
+def _inverse_word(e: Sequence[int]) -> tuple[int, ...]:
+    """The inverse of the permutation word ``e``, as a word: entry v is
+    the position of v in ``e``. `inverse` builds its `Permutation` on
+    it, and the `verify` walk reads it as it is."""
+    out = [0] * len(e)
+    for i, v in enumerate(e, start=1):
         out[v - 1] = i
-    return Permutation._trusted(tuple(out))
+    return tuple(out)
 
 
 def reverse(p: Permutation) -> Permutation:

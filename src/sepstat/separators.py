@@ -98,11 +98,23 @@ def position_mask(word: Sequence[int], mask: int) -> int:
     """The positions of the values set in ``mask``: bit i is set when
     bit word[i - 1] is (positions count from 1).
 
+    Only the set bits of ``mask`` are visited, each value found with
+    ``word.index``. Callers only pass masks read off that word, so a
+    bit that is no value of the word raises ``ValueError``.
+
     >>> vm, hm, _ = separator_masks((3, 1, 5, 2, 4))
     >>> bin(vm), bin(position_mask((3, 1, 5, 2, 4), vm))
     ('0b100100', '0b11000')
+    >>> position_mask((2, 1), 0b1000)
+    Traceback (most recent call last):
+    ValueError: tuple.index(x): x not in tuple
     """
-    return sum([1 << i for i, v in enumerate(word, 1) if mask >> v & 1])
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 2 << word.index(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def subsets(mask: int) -> list[frozenset[int]]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from math import factorial
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import config
@@ -23,7 +24,7 @@ from .exhaustive import (
     is_all_separating_set,
     max_separator_perms,
 )
-from .perms import Permutation, _child_words, inverse, is_king, reverse
+from .perms import Permutation, _child_words, _inverse_word, is_king
 from .separators import (
     EXPECTATION_KINDS,
     KINDS,
@@ -71,14 +72,16 @@ _KING = "king children count is n - separators"
 _ENCODE = "marked encode/decode round-trip"
 _COMB = "marked comb/split round-trip"
 _CONSERVED = "mark conservation across comb"
+# the reverse of a word, word[::-1], as a callable for map
+_reversed = itemgetter(slice(None, None, -1))
 
 
 def _suite_chunk(n_max: int, part: int, parts: int) -> tuple:
-    """One part of the suite's exhaustive work: the sweep of part
-    ``part`` of every S_n, n <= n_max, then the per-permutation checks
-    over its part of S_<=7 (the marked round-trips over S_<=6). The
-    children and king children of each word are counted on the words
-    of `_child_words`, with no `Permutation` built for a child.
+    """One part of the suite's exhaustive work, n by n: the sweep of part
+    ``part`` of every S_n, n <= n_max, and the per-permutation checks
+    of `_walk` over its part of S_<=7. For n <= 7 the part's words are
+    scanned once by ``separator_masks``, and those masks feed both the
+    sweep's tally and the walk; past 7 the sweep scans its words itself.
 
     Returns ``(tables, failure, broken)``. ``failure`` is None,
     or ``(n, word, message)`` for the first word of the part on which
@@ -91,48 +94,63 @@ def _suite_chunk(n_max: int, part: int, parts: int) -> tuple:
     tables: dict[int, dict[str, Counter]] = {}
     broken: set[str] = set()
     for n in range(n_max + 1):
+        masks = None
+        if n <= _WALK_N:
+            words = list(_part_words(n, part, parts))
+            masks = list(map(separator_masks, words))
         try:
-            tables[n] = _sweep_part(n, part, parts)
+            tables[n] = _sweep_part(n, part, parts, masks)
         except VerificationError as exc:
             return tables, (n, exc.word, str(exc)), broken
-
-    for n in range(min(n_max, _WALK_N) + 1):
-        for word in _part_words(n, part, parts):
-            p = Permutation._trusted(word)  # a tuple of itertools.permutations
-            vm, hm, n_bonds = separator_masks(word)
-            vpos = position_mask(word, vm)
-            # the values of the inverse are the positions of p
-            qv, qh, _ = separator_masks(inverse(p).entries)
-            if qh != vpos or qv != position_mask(word, hm):
-                broken.add(_DUAL)
-            rv, rh, _ = separator_masks(reverse(p).entries)
-            if rv != vm or rh != hm:
-                broken.add(_REVERSE)
-            if n >= 1:
-                kids = _child_words(word)
-                if len(kids) != n - n_bonds:
-                    broken.add(_CHILDREN)
-                if not n_bonds:
-                    king_kids = sum(map(is_king, kids))
-                    if king_kids != n - (vm | hm).bit_count():
-                        broken.add(_KING)
-            if n > _MARKED_N:
-                continue
-            for mw in enumerate_markings(p):
-                comp, sigma = encode_marked(mw)
-                if decode_marked(comp, sigma) != mw:
-                    broken.add(_ENCODE)
-            for subset in subsets(vpos):  # marks on vertical separators
-                msp = MarkedSepPermutation._trusted(p, subset)
-                odd, even = split_marked(msp)
-                back = comb_marked(odd, even)
-                if back != msp:
-                    broken.add(_COMB)
-                if len(msp.marked_sep_positions) != len(odd.marked) + len(
-                    even.marked
-                ):
-                    broken.add(_CONSERVED)
+        if n <= _WALK_N:
+            _walk(n, words, masks, broken)
     return tables, None, broken
+
+
+def _walk(n: int, words: list, masks: list, broken: set[str]) -> None:
+    """Check each word of S_n in ``words`` against its ``masks`` triple,
+    adding the name of each check that fails to ``broken``. The checks
+    run on words: the inverse of `perms._inverse_word`, the reverse
+    slice and the children of `perms._child_words`. Only the marked
+    checks of S_<=6 build a `Permutation`, unchecked, since the words
+    come from ``itertools.permutations``.
+    """
+    inverses = map(separator_masks, map(_inverse_word, words))
+    reverses = map(separator_masks, map(_reversed, words))
+    for word, (vm, hm, n_bonds), (qv, qh, _), (rv, rh, _) in zip(
+        words, masks, inverses, reverses
+    ):
+        vpos = position_mask(word, vm)
+        # the values of the inverse are the positions of the word
+        if qh != vpos or qv != position_mask(word, hm):
+            broken.add(_DUAL)
+        if rv != vm or rh != hm:
+            broken.add(_REVERSE)
+        if n >= 1:
+            kids = _child_words(word)
+            if len(kids) != n - n_bonds:
+                broken.add(_CHILDREN)
+            if not n_bonds:
+                king_kids = sum(map(is_king, kids))
+                if king_kids != n - (vm | hm).bit_count():
+                    broken.add(_KING)
+        if n > _MARKED_N:
+            continue
+        p = Permutation._trusted(word)
+        for mw in enumerate_markings(p):
+            comp, sigma = encode_marked(mw)
+            if decode_marked(comp, sigma) != mw:
+                broken.add(_ENCODE)
+        for subset in subsets(vpos):  # marks on vertical separators
+            msp = MarkedSepPermutation._trusted(p, subset)
+            odd, even = split_marked(msp)
+            back = comb_marked(odd, even)
+            if back != msp:
+                broken.add(_COMB)
+            if len(msp.marked_sep_positions) != len(odd.marked) + len(
+                even.marked
+            ):
+                broken.add(_CONSERVED)
 
 
 def _deal(n: int, threads: int | None, fn, *args) -> list:
@@ -191,9 +209,10 @@ def run_check_suite(
     by their first two entries (see `_part_words`), as one job per part
     on one pool of at most ``n_max`` workers (none below 7!); the parts'
     tallies and broken walk checks merge into the same result for every
-    worker count. The walk reads each permutation's separators once,
-    with one ``separator_masks`` call each for it, its inverse and its
-    reverse, and compares the masks.
+    worker count. Each word of S_<=7 has one ``separator_masks`` scan,
+    which both its sweep tally and the walk read; the walk scans the
+    inverse and the reverse of the word as words too, and compares the
+    masks. Past the walk, each S_n is swept on its own.
 
     Returns the checks together with the sweep tables behind them,
     keyed by n. A sweep that finds the separator-free oracles

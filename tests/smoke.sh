@@ -140,7 +140,15 @@ for n, kind, top in ((13, "both", (8, 2)), (13, "any", (12, 2024)),
     assert _mean(n, row) == expectation_formula(n, kind), (n, kind)
     assert max(row.items()) == top, (n, kind, max(row.items()))'
 # the whole verify suite dealt over a pool gives the one-process
-# output, for an even and an odd worker count
+# output, for an even and an odd worker count: at n_max 7, the
+# largest that is pooled with every table read off the walk's own
+# scan, and at 8, past it
+one=$(python -m sepstat.cli verify --n-max 7 -v --format json --threads 1)
+two=$(python -m sepstat.cli verify --n-max 7 -v --format json --threads 2)
+three=$(python -m sepstat.cli verify --n-max 7 -v --format json --threads 3)
+test -n "$one"
+test "$one" = "$two"
+test "$one" = "$three"
 one=$(python -m sepstat.cli verify --n-max 8 -v --format json --threads 1)
 two=$(python -m sepstat.cli verify --n-max 8 -v --format json --threads 2)
 three=$(python -m sepstat.cli verify --n-max 8 -v --format json --threads 3)

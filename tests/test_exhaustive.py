@@ -157,6 +157,13 @@ def test_sweep_parallel_merge_is_deterministic():
         assert merged == whole, parts
 
 
+@pytest.mark.parametrize("n, part, parts", [(0, 0, 1), (5, 0, 1), (7, 1, 2)])
+def test_sweep_of_given_masks_is_the_sweep(n, part, parts):
+    # the masks `verify` reads once for the walk give the sweep's own tally
+    masks = list(map(separator_masks, _part_words(n, part, parts)))
+    assert _sweep_part(n, part, parts, masks) == _sweep_part(n, part, parts)
+
+
 def test_dist_table_helpers():
     # the mean that `expect --mode empirical` and the suite take of a table
     counts = distribution(3, "vertical")
@@ -256,23 +263,61 @@ def test_separator_free_disagreement_stops_the_suite(monkeypatch):
     assert sorted(tables) == [0, 1, 2, 3]
 
 
-_DUAL = "inverse duality of separator sets"
+@pytest.mark.parametrize(
+    "threads",
+    [
+        1,
+        pytest.param(
+            2,
+            marks=pytest.mark.skipif(
+                multiprocessing.get_start_method() != "fork",
+                reason="the patched oracle reaches pool workers only through fork",
+            ),
+        ),
+    ],
+)
+def test_disagreement_past_the_walk_stops_the_suite(monkeypatch, threads):
+    # S_<=7 is swept and walked in one pass; the sweep of S_8 that follows
+    # finds the flipped word (in part 1 of 2) and ends the suite with only
+    # that failure, and the tables of n = 0..7. A walk check broken as
+    # well is not reported.
+    flipped = (2, 4, 6, 8, 1, 3, 5, 7)
+    assert flipped in set(_part_words(8, 1, 2))
+    real = exhaustive.has_knight_pair
+    monkeypatch.setattr(
+        exhaustive,
+        "has_knight_pair",
+        lambda word: real(word) != (tuple(word) == flipped),
+    )
+    real_kids = verify._child_words
+    monkeypatch.setattr(
+        verify, "_child_words", lambda e: set() if e == (1, 2, 3) else real_kids(e)
+    )
+    [check], tables = run_check_suite(8, threads=threads)
+    assert check.name == "separator-free dual oracle" and not check.passed
+    assert check.detail.startswith("separator-free oracles disagree on [24681357]")
+    assert list(tables) == list(range(8))
+    assert tables[7]["any"] == sweep(7)["any"]
+
+
+_DUAL ="inverse duality of separator sets"
 _REVERSE = "reverse invariance of separator sets"
-_P = Permutation((1, 2, 4, 3))
+_P = (1, 2, 4, 3)
 # p = [1243], its inverse (itself) and its reverse [3421] all have
 # vertical mask {4} and horizontal mask {3}. [1342] gets the vertical
 # mask right and the horizontal one wrong ({2, 3}), [1423] the other way
 # round ({2, 4}), so each fails exactly one comparison of either check.
-_P_WRONG_HORIZONTAL = Permutation((1, 3, 4, 2))
-_P_WRONG_VERTICAL = Permutation((1, 4, 2, 3))
+_P_WRONG_HORIZONTAL = (1, 3, 4, 2)
+_P_WRONG_VERTICAL = (1, 4, 2, 3)
 
 # Each walk check, and one call of a name it reads from `sepstat.verify`
 # given a wrong answer: (check name, patched name, arguments, wrong result).
 _BROKEN_CALLS = [
-    pytest.param(_DUAL, "inverse", (_P,), _P_WRONG_HORIZONTAL, id="inverse-h"),
-    pytest.param(_DUAL, "inverse", (_P,), _P_WRONG_VERTICAL, id="inverse-v"),
-    pytest.param(_REVERSE, "reverse", (_P,), _P_WRONG_HORIZONTAL, id="reverse-h"),
-    pytest.param(_REVERSE, "reverse", (_P,), _P_WRONG_VERTICAL, id="reverse-v"),
+    # the walk reads the inverse and the reverse of each word as words
+    pytest.param(_DUAL, "_inverse_word", (_P,), _P_WRONG_HORIZONTAL, id="inverse-h"),
+    pytest.param(_DUAL, "_inverse_word", (_P,), _P_WRONG_VERTICAL, id="inverse-v"),
+    pytest.param(_REVERSE, "_reversed", (_P,), _P_WRONG_HORIZONTAL, id="reverse-h"),
+    pytest.param(_REVERSE, "_reversed", (_P,), _P_WRONG_VERTICAL, id="reverse-v"),
     # the walk counts children on the words of `_child_words` ...
     pytest.param(
         "children count is n - bonds",
@@ -398,8 +443,8 @@ def _no_convergence_at_100(monkeypatch):
 def _one_more_horizontal_count(monkeypatch):
     real = verify._sweep_part
 
-    def off(n, part, parts):
-        tallies = real(n, part, parts)
+    def off(n, part, parts, masks=None):
+        tallies = real(n, part, parts, masks)
         if n == 4:
             tallies["horizontal"][1] += 1
         return tallies
