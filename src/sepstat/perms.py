@@ -212,11 +212,21 @@ def standardize(values: Sequence[int]) -> Permutation:
     >>> standardize((2, 4, 6, 1, 7, 3))
     Permutation([2, 4, 5, 1, 6, 3])
     """
-    distinct = set(values)
-    if len(distinct) != len(values):
+    if len(set(values)) != len(values):
         raise ValueError("standardization requires distinct values")
-    rank = dict(zip(sorted(distinct), range(1, len(values) + 1)))
-    return Permutation._trusted(tuple(map(rank.__getitem__, values)))
+    return Permutation._trusted(_ranks(values))
+
+
+def _ranks(values: Sequence[int]) -> tuple[int, ...]:
+    """The rank of each of the distinct ``values`` among them, counted
+    from 1: the one ranking, behind `standardize` and the run order of
+    `separators._encode_word`.
+
+    >>> _ranks((20, 40, 10))
+    (2, 3, 1)
+    """
+    rank = dict(zip(sorted(values), range(1, len(values) + 1)))
+    return tuple(map(rank.__getitem__, values))
 
 
 # ---------------------------------------------------------------------------
@@ -245,31 +255,50 @@ def _bond_positions(e: Sequence[int]) -> Iterator[int]:
 
 def split_runs(word: Sequence[int], joined: Collection[int]) -> list[Run]:
     """Cut a word at every adjacency i (between positions i and i + 1)
-    outside ``joined``, a subset of its bonds, into runs left to right.
-
-    Consecutive bonds cannot change direction (a value would have to
-    repeat), so each run is monotone and its first step gives its
-    direction.
+    outside ``joined``, a subset of its bonds, into runs left to right:
+    the `Run` records of the cuts of `_cut_runs`.
 
     >>> [(r.start, r.length, r.direction.value)
     ...  for r in split_runs((2, 3, 4, 1), {1})]
     [(1, 2, 'up'), (3, 1, 'none'), (4, 1, 'none')]
     """
-    runs: list[Run] = []
+    parts, starts = _cut_runs(word, joined)
+    # tuple.__new__ is what Run(...) calls, without its Python frame
+    return [
+        _new_tuple(Run, (start + 1, *part)) for start, part in zip(starts, parts)
+    ]
+
+
+def _cut_runs(
+    word: Sequence[int], joined: Collection[int]
+) -> tuple[list[tuple[int, Direction]], list[int]]:
+    """The one run splitter: the (length, direction) pair and the
+    0-indexed first position of each run of ``word`` cut at every
+    adjacency outside ``joined``, left to right. `split_runs` builds
+    its records on it, and `separators._encode_word` reads it as it is.
+
+    Consecutive bonds cannot change direction (a value would have to
+    repeat), so each run is monotone and its first step gives its
+    direction.
+
+    >>> _cut_runs((2, 3, 4, 1), {1})
+    ([(2, Direction.UP), (1, Direction.NONE), (1, Direction.NONE)], [0, 2, 3])
+    """
+    parts: list[tuple[int, Direction]] = []
+    starts: list[int] = []
     start = 0  # 0-indexed first entry of the current run
     for i in range(1, len(word) + 1):  # i = len(word) closes the last run
         if i in joined:
             continue
         if i - start == 1:
-            direction = _NONE
+            parts.append((1, _NONE))
         elif word[start + 1] > word[start]:
-            direction = _UP
+            parts.append((i - start, _UP))
         else:
-            direction = _DOWN
-        # tuple.__new__ is what Run(...) calls, without its Python frame
-        runs.append(_new_tuple(Run, (start + 1, i - start, direction)))
+            parts.append((i - start, _DOWN))
+        starts.append(start)
         start = i
-    return runs
+    return parts, starts
 
 
 def maximal_runs(p: Permutation) -> list[Run]:
@@ -440,10 +469,21 @@ def comb(odd: Sequence[int], even: Sequence[int]) -> Permutation:
         raise ValueError(
             f"comb halves of sizes {len(odd)} and {len(even)} do not interleave"
         )
+    return Permutation(_interleave(odd, even))
+
+
+def _interleave(odd: Sequence[int], even: Sequence[int]) -> tuple[int, ...]:
+    """The word with ``odd`` in its odd positions and ``even`` in its
+    even ones, unchecked: the halves must interleave, as `comb` checks
+    they do. The `verify` walk reads it on the halves of its words.
+
+    >>> _interleave((3, 6, 5), (2, 1))
+    (3, 2, 6, 1, 5)
+    """
     out = [0] * (len(odd) + len(even))
     out[0::2] = odd
     out[1::2] = even
-    return Permutation(tuple(out))
+    return tuple(out)
 
 
 def comb_split(p: Permutation) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -28,16 +28,18 @@ from itertools import accumulate
 from typing import Collection, NamedTuple, Sequence
 
 from .perms import (
+    _DOWN,
     ARROW,
     Direction,
     Permutation,
     Record,
     _block_bases,
+    _bond_positions,
+    _cut_runs,
+    _ranks,
     bonds,
     comb,
     comb_split,
-    split_runs,
-    standardize,
 )
 
 # ---------------------------------------------------------------------------
@@ -200,7 +202,8 @@ class MarkedWord(Record):
     ``MarkedWord((2, 1))``. Outside input is always checked.
     `enumerate_markings`, `decode_marked` and `split_marked` skip the
     check: their marks are bonds of words that are permutations, or
-    halves of one, by construction.
+    halves of one, by construction. The `verify` walk builds none: it
+    checks the word kernels behind them.
     """
 
     __slots__ = ("values", "marked")
@@ -230,8 +233,8 @@ class ArrowedComposition(Record):
     Parts are (size, direction) pairs; a part of size 1 has direction
     NONE and larger parts are UP or DOWN. Construction stores the parts
     as a tuple of pairs. Outside input is always checked;
-    `encode_marked` skips the check, since `split_runs` gives a run
-    direction NONE exactly when it has length 1.
+    `encode_marked` skips the check, since `perms._cut_runs` gives a
+    run direction NONE exactly when it has length 1.
     """
 
     __slots__ = ("parts",)
@@ -263,8 +266,9 @@ class MarkedSepPermutation(Record):
     Construction stores the marked positions as a frozenset. Outside
     input is always checked. `comb_marked` skips the check: each marked
     bond of a half lands on a vertical separator, and `comb` checks the
-    permutation itself. So does the `verify` walk, which marks subsets
-    of the vertical separator positions it reads.
+    permutation itself. The `verify` walk builds none: it checks the
+    mark kernels `_split_marks` and `_comb_marks` on subsets of the
+    vertical separator positions it reads.
     """
 
     __slots__ = ("perm", "marked_sep_positions")
@@ -296,23 +300,38 @@ def encode_marked(mw: MarkedWord) -> tuple[ArrowedComposition, Permutation]:
     Returns the arrowed composition of run lengths/directions together
     with the relative order of the runs (standardization of one
     representative per run; the first entry is used, and any choice
-    gives the same answer because runs are value-contiguous).
+    gives the same answer because runs are value-contiguous): the two
+    words of `_encode_word`, once ``mw.values`` has passed the
+    `Permutation` check, as records built unchecked.
 
     >>> comp, sigma = encode_marked(
     ...     MarkedWord((2, 4, 5, 6, 1, 9, 8, 7, 3), frozenset({2, 6, 7})))
     >>> comp.compact(), sigma
     ('1,2↑,1,1,3↓,1', Permutation([2, 4, 5, 1, 6, 3]))
     """
-    e = Permutation(mw.values).entries  # must be a permutation of {1..n}
-    runs = split_runs(e, mw.marked)
-    # run[1:] is the (length, direction) pair as a plain tuple
-    comp = ArrowedComposition._trusted(tuple([run[1:] for run in runs]))
-    return comp, standardize([e[run[0] - 1] for run in runs])
+    parts, sigma = _encode_word(Permutation(mw.values).entries, mw.marked)
+    return ArrowedComposition._trusted(parts), Permutation._trusted(sigma)
+
+
+def _encode_word(
+    word: tuple[int, ...], marks: Collection[int]
+) -> tuple[tuple[tuple[int, Direction], ...], tuple[int, ...]]:
+    """`encode_marked` on a permutation word and its marked bonds: the
+    (size, direction) part of each run of `perms._cut_runs`, cut at
+    every unmarked adjacency, and the ranks of the runs' first entries.
+
+    >>> _encode_word((2, 3, 1), frozenset({1}))
+    (((2, Direction.UP), (1, Direction.NONE)), (2, 1))
+    """
+    parts, starts = _cut_runs(word, marks)
+    return tuple(parts), _ranks(list(map(word.__getitem__, starts)))
 
 
 def decode_marked(comp: ArrowedComposition, sigma: Permutation) -> MarkedWord:
     """Inverse of :func:`encode_marked`: inflate ``sigma`` by monotone
-    runs described by ``comp`` and mark every intra-run adjacency.
+    runs described by ``comp`` and mark every intra-run adjacency. Once
+    the sizes match, this is `_decode_word`, as a record built
+    unchecked.
 
     >>> d = Direction
     >>> comp = ArrowedComposition(
@@ -326,24 +345,39 @@ def decode_marked(comp: ArrowedComposition, sigma: Permutation) -> MarkedWord:
             f"permutation of {sigma.n} runs does not match "
             f"{len(comp.parts)} composition parts"
         )
-    sizes = [size for size, _ in comp.parts]
+    return MarkedWord._trusted(*_decode_word(comp.parts, sigma.entries))
+
+
+def _decode_word(
+    parts: Sequence[tuple[int, Direction]], sigma_word: tuple[int, ...]
+) -> tuple[tuple[int, ...], frozenset[int]]:
+    """`decode_marked` on words: the runs of ``parts`` placed by the
+    block offsets of `perms._block_bases`, and the marks between the
+    entries of each run.
+
+    >>> _decode_word(((2, Direction.UP), (1, Direction.NONE)), (2, 1))
+    ((2, 3, 1), frozenset({1}))
+    """
+    sizes = [size for size, _ in parts]
     word: list[int] = []
-    down = Direction.DOWN  # an Enum member lookup costs a call
-    for base, (size, direction) in zip(_block_bases(sigma.entries, sizes), comp.parts):
-        if direction is down:
+    for base, (size, direction) in zip(_block_bases(sigma_word, sizes), parts):
+        if direction is _DOWN:
             word += range(base + size, base, -1)
         else:
             word += range(base + 1, base + size + 1)
     # every adjacency is marked but the ends of the runs
-    marked = frozenset(range(1, len(word))).difference(accumulate(sizes))
-    return MarkedWord._trusted(tuple(word), marked)
+    return tuple(word), frozenset(range(1, len(word))).difference(accumulate(sizes))
+
+
+def _bond_mask(word: Sequence[int]) -> int:
+    """The bonds of a word as a mask: bit i is set when bond i is."""
+    return sum([1 << i for i in _bond_positions(word)])
 
 
 def enumerate_markings(p: Permutation) -> list[MarkedWord]:
     """All 2^(number of bonds) markings of a permutation's bonds,
     in a deterministic order."""
-    bond_mask = sum([1 << i for i in bonds(p)])
-    return [MarkedWord._trusted(p.entries, s) for s in subsets(bond_mask)]
+    return [MarkedWord._trusted(p.entries, s) for s in subsets(_bond_mask(p.entries))]
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +386,8 @@ def enumerate_markings(p: Permutation) -> list[MarkedWord]:
 
 def comb_marked(odd: MarkedWord, even: MarkedWord) -> MarkedSepPermutation:
     """Interleave marked halves; each marked bond of a half flags the
-    entry of the other half sitting between its endpoints.
+    entry of the other half sitting between its endpoints. The word is
+    `comb`'s, checked, and the marks `_comb_marks`'s.
 
     >>> msp = comb_marked(MarkedWord((3, 6, 5, 4), frozenset({2, 3})),
     ...                   MarkedWord((2, 1, 7, 8), frozenset({3})))
@@ -360,17 +395,41 @@ def comb_marked(odd: MarkedWord, even: MarkedWord) -> MarkedSepPermutation:
     (Permutation([3, 2, 6, 1, 5, 7, 4, 8]), [4, 6, 7])
     """
     p = comb(odd.values, even.values)
-    marked = [2 * i for i in odd.marked] + [2 * i + 1 for i in even.marked]
-    return MarkedSepPermutation._trusted(p, frozenset(marked))
+    return MarkedSepPermutation._trusted(p, _comb_marks(odd.marked, even.marked))
+
+
+def _comb_marks(odd_marks: Collection[int], even_marks: Collection[int]) -> frozenset[int]:
+    """The marked separator positions of a comb: bond i of the odd half
+    flags position 2i, and bond i of the even half position 2i + 1.
+
+    >>> sorted(_comb_marks({2, 3}, {3}))
+    [4, 6, 7]
+    """
+    return frozenset([2 * i for i in odd_marks] + [2 * i + 1 for i in even_marks])
 
 
 def split_marked(msp: MarkedSepPermutation) -> tuple[MarkedWord, MarkedWord]:
     """Inverse of :func:`comb_marked`: split into halves and turn each
     marked separator back into the bond of the opposite-parity half.
+    The halves are the slices of `comb_split` and the marks
+    `_split_marks`'s, as records built unchecked.
     """
     odd_values, even_values = comb_split(msp.perm)
-    marks = msp.marked_sep_positions
+    odd_marks, even_marks = _split_marks(msp.marked_sep_positions)
     return (
-        MarkedWord._trusted(odd_values, frozenset([i // 2 for i in marks if i % 2 == 0])),
-        MarkedWord._trusted(even_values, frozenset([i // 2 for i in marks if i % 2])),
+        MarkedWord._trusted(odd_values, odd_marks),
+        MarkedWord._trusted(even_values, even_marks),
+    )
+
+
+def _split_marks(marks: Collection[int]) -> tuple[frozenset[int], frozenset[int]]:
+    """The inverse of `_comb_marks`: the marked bonds of the odd half
+    and of the even half.
+
+    >>> [sorted(half) for half in _split_marks({4, 6, 7})]
+    [[2, 3], [3]]
+    """
+    return (
+        frozenset([i // 2 for i in marks if i % 2 == 0]),
+        frozenset([i // 2 for i in marks if i % 2]),
     )

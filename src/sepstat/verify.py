@@ -24,19 +24,18 @@ from .exhaustive import (
     is_all_separating_set,
     max_separator_perms,
 )
-from .perms import Permutation, _child_words, _inverse_word, is_king
+from .perms import _child_words, _interleave, _inverse_word, is_king
 from .separators import (
     EXPECTATION_KINDS,
     KINDS,
-    MarkedSepPermutation,
     VerificationError,
-    comb_marked,
-    decode_marked,
-    encode_marked,
-    enumerate_markings,
+    _bond_mask,
+    _comb_marks,
+    _decode_word,
+    _encode_word,
+    _split_marks,
     position_mask,
     separator_masks,
-    split_marked,
     subsets,
 )
 from .series import bond_gf, coeff, vertical_sep_gf
@@ -79,9 +78,10 @@ _reversed = itemgetter(slice(None, None, -1))
 def _suite_chunk(n_max: int, part: int, parts: int) -> tuple:
     """One part of the suite's exhaustive work, n by n: the sweep of part
     ``part`` of every S_n, n <= n_max, and the per-permutation checks
-    of `_walk` over its part of S_<=7. For n <= 7 the part's words are
-    scanned once by ``separator_masks``, and those masks feed both the
-    sweep's tally and the walk; past 7 the sweep scans its words itself.
+    of `_walk` over its part of S_<=7, on words, with no record built.
+    For n <= 7 the part's words are scanned once by ``separator_masks``,
+    and those masks feed both the sweep's tally and the walk; past 7 the
+    sweep scans its words itself.
 
     Returns ``(tables, failure, broken)``. ``failure`` is None,
     or ``(n, word, message)`` for the first word of the part on which
@@ -110,10 +110,16 @@ def _suite_chunk(n_max: int, part: int, parts: int) -> tuple:
 def _walk(n: int, words: list, masks: list, broken: set[str]) -> None:
     """Check each word of S_n in ``words`` against its ``masks`` triple,
     adding the name of each check that fails to ``broken``. The checks
-    run on words: the inverse of `perms._inverse_word`, the reverse
-    slice and the children of `perms._child_words`. Only the marked
-    checks of S_<=6 build a `Permutation`, unchecked, since the words
-    come from ``itertools.permutations``.
+    run on words and build no record: the inverse of
+    `perms._inverse_word`, the reverse slice and the children of
+    `perms._child_words`. For n <= 6, every marking of the word's bonds
+    round-trips through the kernels `_encode_word` and `_decode_word`,
+    and every marking of its vertical separators through `_split_marks`
+    and `_comb_marks`, while the halves ``word[0::2]`` and
+    ``word[1::2]`` go back through `_interleave`; the marks must be
+    conserved. The public `encode_marked`, `decode_marked`,
+    `split_marked` and `comb_marked` are these kernels wrapped in
+    records.
     """
     inverses = map(separator_masks, map(_inverse_word, words))
     reverses = map(separator_masks, map(_reversed, words))
@@ -136,20 +142,17 @@ def _walk(n: int, words: list, masks: list, broken: set[str]) -> None:
                     broken.add(_KING)
         if n > _MARKED_N:
             continue
-        p = Permutation._trusted(word)
-        for mw in enumerate_markings(p):
-            comp, sigma = encode_marked(mw)
-            if decode_marked(comp, sigma) != mw:
+        for marks in subsets(_bond_mask(word)):  # marks on bonds
+            if _decode_word(*_encode_word(word, marks)) != (word, marks):
                 broken.add(_ENCODE)
-        for subset in subsets(vpos):  # marks on vertical separators
-            msp = MarkedSepPermutation._trusted(p, subset)
-            odd, even = split_marked(msp)
-            back = comb_marked(odd, even)
-            if back != msp:
-                broken.add(_COMB)
-            if len(msp.marked_sep_positions) != len(odd.marked) + len(
-                even.marked
+        for marks in subsets(vpos):  # marks on vertical separators
+            odd_marks, even_marks = _split_marks(marks)
+            if (
+                _interleave(word[0::2], word[1::2]) != word
+                or _comb_marks(odd_marks, even_marks) != marks
             ):
+                broken.add(_COMB)
+            if len(marks) != len(odd_marks) + len(even_marks):
                 broken.add(_CONSERVED)
 
 

@@ -161,3 +161,27 @@ one=$(python -m sepstat.cli verify --n-max 9 -v --format json --threads 1)
 two=$(python -m sepstat.cli verify --n-max 9 -v --format json --threads 2)
 test -n "$one"
 test "$one" = "$two"
+# one size past the walk's marked bound of S_6, where verify checks
+# the word kernels: every marking of the bonds of S_7 (22,230) round
+# trips through the public encode_marked and decode_marked, and every
+# marking of its vertical separators (17,576) through split_marked
+# and comb_marked, with the marks conserved (about 0.6 s)
+python -c 'from itertools import permutations
+from sepstat.perms import Permutation, bonds
+from sepstat.separators import (MarkedSepPermutation, MarkedWord,
+    comb_marked, decode_marked, encode_marked, position_mask,
+    separator_masks, split_marked, subsets)
+markings = separator_markings = 0
+for word in permutations(range(1, 8)):
+    p = Permutation(word)
+    for marks in subsets(sum(1 << i for i in bonds(p))):
+        mw = MarkedWord(word, marks)
+        assert decode_marked(*encode_marked(mw)) == mw, mw
+        markings += 1
+    for marks in subsets(position_mask(word, separator_masks(word)[0])):
+        msp = MarkedSepPermutation(p, marks)
+        odd, even = split_marked(msp)
+        assert len(marks) == len(odd.marked) + len(even.marked), msp
+        assert comb_marked(odd, even) == msp, msp
+        separator_markings += 1
+assert (markings, separator_markings) == (22230, 17576), (markings, separator_markings)'

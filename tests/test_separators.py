@@ -20,10 +20,15 @@ from sepstat.perms import (
     reverse,
     standardize,
 )
+from sepstat.perms import _interleave
 from sepstat.separators import (
     ArrowedComposition,
     MarkedSepPermutation,
     MarkedWord,
+    _comb_marks,
+    _decode_word,
+    _encode_word,
+    _split_marks,
     comb_marked,
     decode_marked,
     encode_marked,
@@ -397,6 +402,43 @@ def test_comb_split_marked_roundtrip_and_conservation(n):
             odd, even = split_marked(msp)
             assert len(chosen) == len(odd.marked) + len(even.marked)
             assert comb_marked(odd, even) == msp
+
+
+def test_marked_bijections_are_their_word_kernels():
+    # The verify walk checks the kernels, not the public functions, so
+    # each public function is pinned to its kernel: every marking of the
+    # bonds of S_<=6 and every marking of its vertical separators gives
+    # the kernel's words and mark sets, as they are, in the records.
+    markings = separator_markings = 0
+    for n in range(7):
+        for word in itertools.permutations(range(1, n + 1)):
+            p = Permutation(word)
+            for marks in subsets(bits(bonds(word))):
+                parts, sigma_word = _encode_word(word, marks)
+                comp, sigma = encode_marked(MarkedWord(word, marks))
+                assert (comp.parts, sigma.entries) == (parts, sigma_word)
+                back = _decode_word(parts, sigma_word)
+                mw = decode_marked(comp, sigma)
+                assert (mw.values, mw.marked) == back == (word, marks)
+                assert_as_if_checked(sigma)
+                assert_marked_as_if_checked(comp)
+                assert_marked_as_if_checked(mw)
+                markings += 1
+            vpos = position_mask(word, separator_masks(word)[0])
+            for marks in subsets(vpos):
+                odd_marks, even_marks = _split_marks(marks)
+                odd, even = split_marked(MarkedSepPermutation(p, marks))
+                assert (odd.values, even.values) == (word[0::2], word[1::2])
+                assert (odd.marked, even.marked) == (odd_marks, even_marks)
+                assert len(marks) == len(odd_marks) + len(even_marks)
+                msp = comb_marked(odd, even)
+                assert msp.perm.entries == _interleave(odd.values, even.values) == word
+                back_marks = _comb_marks(odd_marks, even_marks)
+                assert msp.marked_sep_positions == back_marks == marks
+                for obj in odd, even, msp:
+                    assert_marked_as_if_checked(obj)
+                separator_markings += 1
+    assert (markings, separator_markings) == (3496, 2666)
 
 
 # ---------------------------------------------------------------------------
