@@ -28,11 +28,11 @@ from itertools import accumulate
 from typing import Collection, NamedTuple, Sequence
 
 from .perms import (
-    _DOWN,
     ARROW,
     Direction,
     Permutation,
     Record,
+    _DOWN,
     _block_bases,
     _bond_positions,
     _cut_runs,

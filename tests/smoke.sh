@@ -1,7 +1,8 @@
 # The CLI smoke that tier-1 does not make: README's examples as written,
-# a real Ctrl-C and a killed pool worker, the rows past the sweep's cap and
-# the pool's output at n = 8 and 9. It runs `python -m sepstat.cli`, so it
-# tests the sepstat that python imports from the caller's directory:
+# a real Ctrl-C and a killed pool worker, the rows past the sweep's cap,
+# the pool's output at n = 8 and 9 and the marked bijections of S_7. It
+# runs `python -m sepstat.cli` and `python -c`, so it tests the sepstat
+# that python imports from the caller's directory:
 #
 #   PYTHONPATH=src bash tests/smoke.sh    # a checkout, from its root
 #   bash path/to/tests/smoke.sh           # an installed package, run from

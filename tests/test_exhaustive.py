@@ -335,8 +335,8 @@ _BROKEN_CALLS = [
         id="is_king",
     ),
     # the marked checks of S_<=6 run on the word kernels: [123] unmarked
-    # is one part of each size, and one composition (3 up) with one run
-    # is [123] with both its bonds marked
+    # encodes as three parts of size 1, and the one part (3 up) decodes
+    # to [123] with both of its bonds marked
     pytest.param(
         "marked encode/decode round-trip",
         "_encode_word",
