@@ -398,7 +398,9 @@ def comb_marked(odd: MarkedWord, even: MarkedWord) -> MarkedSepPermutation:
     return MarkedSepPermutation._trusted(p, _comb_marks(odd.marked, even.marked))
 
 
-def _comb_marks(odd_marks: Collection[int], even_marks: Collection[int]) -> frozenset[int]:
+def _comb_marks(
+    odd_marks: Collection[int], even_marks: Collection[int]
+) -> frozenset[int]:
     """The marked separator positions of a comb: bond i of the odd half
     flags position 2i, and bond i of the even half position 2i + 1.
 
