@@ -62,7 +62,14 @@ class VerificationError(RuntimeError):
         self.word = word
 
 
-def separator_masks(word: Sequence[int]) -> tuple[int, int, int]:
+def separator_masks(
+    word: Sequence[int],
+    vmask: int = 0,
+    hmask: int = 0,
+    bonds: int = 0,
+    a: int = -2,
+    b: int = -2,
+) -> tuple[int, int, int]:
     """(vertical, horizontal, bonds) of a word: bit v of the first two
     masks is set when digit v is a separator of that type, and bonds
     counts the adjacent pairs that differ by 1.
@@ -71,14 +78,22 @@ def separator_masks(word: Sequence[int]) -> tuple[int, int, int]:
     the middle entry is vertical when the outer two differ by 1, value a
     is horizontal when some adjacent pair differs by 2 with midpoint a
     (that pair is {a-1, a+1}), and an adjacent pair differing by 1 is a
-    bond.
+    bond. The scan goes left to right, carrying the three counts and
+    the two entries ``a``, ``b`` before each entry; -2, never within 2
+    of a value, stands for "no entry".
+
+    The scan resumes where a prefix p left off: given p's masks and its
+    last two entries (-2 for each that p lacks), it reads the rest t of
+    the word p + t with the same steps as a scan from the start, so
+    ``separator_masks(t, *separator_masks(p), a, b)`` is
+    ``separator_masks(p + t)``.
 
     >>> vm, hm, b = separator_masks((3, 1, 5, 2, 4))
     >>> bin(vm), bin(hm), b
     ('0b100100', '0b1100', 0)
+    >>> separator_masks((2, 4), *separator_masks((3, 1, 5)), 1, 5)
+    (36, 12, 0)
     """
-    vmask = hmask = bonds = 0
-    a = b = -2  # the two entries before c; -2 is never within 2 of a value
     for c in word:
         d = b - c
         if d == 2 or d == -2:
@@ -169,7 +184,7 @@ def separator_count(p: Permutation) -> int:
     return (v | h).bit_count()
 
 
-def has_knight_pair(word: Sequence[int]) -> bool:
+def has_knight_pair(word: Sequence[int], a: int = -2, b: int = -2) -> bool:
     """True iff two entries of a one-line word sit a knight's move
     apart.
 
@@ -179,13 +194,23 @@ def has_knight_pair(word: Sequence[int]) -> bool:
     either type iff its matrix carries n non-attacking empresses (rook
     + knight), that is iff this is False; it is written independently
     of :func:`separator_masks` so that each checks the other.
+
+    The scan goes left to right, carrying the two entries ``a``, ``b``
+    before each entry c (-2 for "no entry"), and stops at the first c
+    with |b - c| = 2 or |a - c| = 1. Given the last two entries of a
+    prefix p, it reads the rest t of p + t with the same steps, so
+    ``has_knight_pair(p + t)`` is ``has_knight_pair(p) or
+    has_knight_pair(t, a, b)``.
+
+    >>> has_knight_pair((3, 1, 4, 2)), has_knight_pair((1, 2, 3))
+    (True, False)
+    >>> has_knight_pair((4,), 1, 2), has_knight_pair((4,), 2, 1)
+    (True, False)
     """
-    n = len(word)
-    for i in range(n - 1):
-        if abs(word[i] - word[i + 1]) == 2:
+    for c in word:
+        if abs(b - c) == 2 or abs(a - c) == 1:
             return True
-        if i + 2 < n and abs(word[i] - word[i + 2]) == 1:
-            return True
+        a, b = b, c
     return False
 
 

@@ -81,7 +81,8 @@ def _suite_chunk(n_max: int, part: int, parts: int) -> tuple:
     of `_walk` over its part of S_<=7, on words, with no record built.
     For n <= 7 the part's words are scanned once by ``separator_masks``,
     and those masks feed both the sweep's tally and the walk; past 7 the
-    sweep scans its words itself.
+    sweep scans its words itself, each shared prefix once, resumed on
+    every tail.
 
     Returns ``(tables, failure, broken)``. ``failure`` is None,
     or ``(n, word, message)`` for the first word of the part on which
@@ -215,7 +216,8 @@ def run_check_suite(
     worker count. Each word of S_<=7 has one ``separator_masks`` scan,
     which both its sweep tally and the walk read; the walk scans the
     inverse and the reverse of the word as words too, and compares the
-    masks. Past the walk, each S_n is swept on its own.
+    masks. Past the walk, each S_n is swept on its own, with each
+    shared prefix scanned once and both oracles resumed on every tail.
 
     Returns the checks together with the sweep tables behind them,
     keyed by n. A sweep that finds the separator-free oracles

@@ -15,6 +15,8 @@ from sepstat.exhaustive import (
     EXPECTATION_KINDS,
     KINDS,
     _mean,
+    _part_heads,
+    _part_pairs,
     _part_words,
     _sweep_part,
     expectation_convergence_ok,
@@ -50,7 +52,7 @@ def test_sweep_respects_cap(monkeypatch):
     def refuse(*args):
         raise AssertionError("sweep started")
 
-    monkeypatch.setattr(exhaustive, "_part_words", refuse)
+    monkeypatch.setattr(exhaustive, "_part_heads", refuse)
     with pytest.raises(ValueError, match="cap 10"):
         sweep(11)
     with pytest.raises(ValueError, match="n must be >= 0"):
@@ -157,6 +159,30 @@ def test_sweep_parallel_merge_is_deterministic():
         assert merged == whole, parts
 
 
+@pytest.mark.parametrize("parts", [1, 2, 3])
+@pytest.mark.parametrize("n", range(9))
+def test_resumed_sweep_is_the_per_word_tally(n, parts):
+    # heads scanned once and both oracles resumed on their tails count
+    # each word as both oracles put to the whole word do
+    for part in range(parts):
+        words = list(_part_words(n, part, parts))
+        assert _part_pairs(n, part, parts) == Counter(
+            zip(map(separator_masks, words), map(has_knight_pair, words))
+        )
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_heads_and_their_tails_are_the_part_words(n):
+    for tail, parts in itertools.product(range(n + 2), (1, 2, 3)):
+        for part in range(parts):
+            words = [
+                head + rest
+                for head, values in _part_heads(n, part, parts, tail)
+                for rest in itertools.permutations(values)
+            ]
+            assert words == list(_part_words(n, part, parts))
+
+
 @pytest.mark.parametrize("n, part, parts", [(0, 0, 1), (5, 0, 1), (7, 1, 2)])
 def test_sweep_of_given_masks_is_the_sweep(n, part, parts):
     # the masks `verify` reads once for the walk give the sweep's own tally
@@ -237,23 +263,45 @@ def _interrupting_part(part, parts):
     reason="the workers' parent is this process only under fork",
 )
 def test_interrupted_pool_stops_its_workers_quietly(capfd):
+    # Python installs no KeyboardInterrupt handler when it starts with
+    # SIGINT ignored, as a background job of a shell script does
+    old = signal.signal(signal.SIGINT, signal.default_int_handler)
     start = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
-        verify._deal(7, 2, _interrupting_part)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            verify._deal(7, 2, _interrupting_part)
+    finally:
+        signal.signal(signal.SIGINT, old)
     assert time.monotonic() - start < 30  # the sleeping workers were stopped
     assert multiprocessing.active_children() == []
     assert capfd.readouterr().err == ""  # and printed no traceback
 
 
-def test_separator_free_disagreement_stops_the_suite(monkeypatch):
-    from sepstat import exhaustive
-
+def _knight_blind_to(monkeypatch, flipped):
+    """Make the knight-move oracle of the sweep find no knight pair in
+    the word ``flipped``, however the sweep reads it: whole (the part's
+    rescan, and the sweeps of S_<=7 in `verify`), or as a head scanned
+    from its start and then the rest of the word, resumed after the
+    head's last two entries. For the resumed read to be asked at all,
+    the oracle must miss the pairs of the head too, so it answers False
+    for each prefix of ``flipped`` scanned from its start; the other
+    tails of that head are scanned as before."""
     real = exhaustive.has_knight_pair
-    monkeypatch.setattr(
-        exhaustive,
-        "has_knight_pair",
-        lambda word: real(word) != (tuple(word) == (2, 4, 1, 3)),
-    )
+
+    def knight(word, a=-2, b=-2):
+        word = tuple(word)
+        cut = len(flipped) - len(word)
+        if (a, b) == (-2, -2) and word == flipped[: len(word)]:
+            return False
+        if word == flipped[cut:] and (a, b) == (-2, -2, *flipped[:cut])[-2:]:
+            return False
+        return real(word, a, b)
+
+    monkeypatch.setattr(exhaustive, "has_knight_pair", knight)
+
+
+def test_separator_free_disagreement_stops_the_suite(monkeypatch):
+    _knight_blind_to(monkeypatch, (2, 4, 1, 3))
     with pytest.raises(RuntimeError, match=r"disagree on \[2413\]"):
         sweep(4)
     checks, tables = run_check_suite(5)
@@ -283,12 +331,7 @@ def test_disagreement_past_the_walk_stops_the_suite(monkeypatch, threads):
     # well is not reported.
     flipped = (2, 4, 6, 8, 1, 3, 5, 7)
     assert flipped in set(_part_words(8, 1, 2))
-    real = exhaustive.has_knight_pair
-    monkeypatch.setattr(
-        exhaustive,
-        "has_knight_pair",
-        lambda word: real(word) != (tuple(word) == flipped),
-    )
+    _knight_blind_to(monkeypatch, flipped)
     real_kids = verify._child_words
     monkeypatch.setattr(
         verify, "_child_words", lambda e: set() if e == (1, 2, 3) else real_kids(e)

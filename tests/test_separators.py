@@ -208,6 +208,33 @@ def test_knight_equivalence(n):
         assert (separator_count(p) == 0) == (not has_knight_pair(p.entries))
 
 
+def reference_knight(word):
+    """Some two entries at positions i < j with (j - i, |value gap|)
+    equal to (1, 2) or (2, 1)."""
+    return any(
+        (j - i, abs(word[i] - word[j])) in ((1, 2), (2, 1))
+        for i in range(len(word))
+        for j in range(i + 1, min(i + 3, len(word)))
+    )
+
+
+@given(st.lists(st.integers(min_value=1, max_value=40), unique=True, max_size=12))
+def test_both_oracles_resume_where_a_prefix_left_off(word):
+    # cut at every point, the empty and one- and two-entry prefixes too:
+    # the scan of a tail from the prefix's state is the scan of the word
+    word = tuple(word)
+    assert has_knight_pair(word) == reference_knight(word)
+    for cut in range(len(word) + 1):
+        p, t = word[:cut], word[cut:]
+        last_two = (-2, -2, *p)[-2:]
+        assert separator_masks(p + t) == separator_masks(
+            t, *separator_masks(p), *last_two
+        )
+        assert has_knight_pair(p + t) == (
+            has_knight_pair(p) or has_knight_pair(t, *last_two)
+        )
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_king_downset(n):
     for p in all_perms(n):
