@@ -50,17 +50,18 @@ MAX_TRANSFER_N = 12
 
 # Default z-truncation order for the series commands, and the largest
 # order the CLI accepts. Building is not what limits it; the checks
-# are. At order 64 (best / median of 30 in one process, 2 shared vCPUs,
-# Python 3.11) the builders take 1.6-1.7 / 1.7 ms for g, 1.1 / 1.1 ms
-# for A, 4.8-5.0 / 5.2-9.0 ms for h and 4.4-4.5 / 4.7 ms for B; h and B
-# are g and A plus one marker shift of all 65 rows. Whole rows of h and
-# B equal the sweep for n <= 8 (`verify`) and the closed-form rows
-# (transfer.event_row, which shares no code with the series) at every n
-# up to this cap (the tests, which read it), and the v^1 term of g
-# equals n! times the vertical expectation at every n <= 64. The
-# closed form builds every B and H row up to 64 in about 0.05 s (1.0 ms
-# for H and 1.3 ms for B at n = 64), so raising the cap needs only the
-# build cost at the new order measured.
+# are. At order 64 (best / median of 30 in one process, 5 processes,
+# 2 shared vCPUs, Python 3.11) the builders take 1.6-1.8 / 1.6-1.9 ms
+# for g, 0.7-0.8 / 0.7-0.8 ms for A, 3.9-4.4 / 3.9-4.7 ms for h and
+# 3.1-3.3 / 3.2-3.5 ms for B; h and B are g and A plus one marker shift
+# (v -> u - 1, whose Horner step takes no product) of all 65 rows.
+# Whole rows of h and B equal the sweep for n <= 8 (`verify`) and the
+# closed-form rows (transfer.event_row, which shares no code with the
+# series) at every n up to this cap (the tests, which read it), and the
+# v^1 term of g equals n! times the vertical expectation at every
+# n <= 64. The closed form builds every B and H row up to 64 in about
+# 0.05 s (1.0 ms for H and 1.3 ms for B at n = 64), so raising the cap
+# needs only the build cost at the new order measured.
 DEFAULT_ORDER = 12
 MAX_ORDER = 64
 

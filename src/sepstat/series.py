@@ -75,7 +75,9 @@ class MarkerPoly:
         so a slot of w >= bit_length(M) + 1 bits (rounded up to whole
         bytes) holds q_j + 2^(w - 1) in 0..2^w - 1. Adding that bias
         to every slot makes the integer nonnegative and lets the slots
-        be cut out of its bytes.
+        be cut out of its bytes. For offset -1 (the builders' v -> u - 1)
+        and +1 the Horner step acc * X + c is (acc << w) -/+ acc + c,
+        which builds no product.
         """
         coeffs = self.coeffs
         if offset == 0 or not coeffs:
@@ -87,8 +89,15 @@ class MarkerPoly:
         size = (bound.bit_length() + 8) // 8  # bytes per slot
         width = 8 * size
         acc = 0
-        for c in reversed(coeffs):
-            acc = (acc << width) + offset * acc + c
+        if offset == -1:
+            for c in reversed(coeffs):
+                acc = (acc << width) - acc + c
+        elif offset == 1:
+            for c in reversed(coeffs):
+                acc = (acc << width) + acc + c
+        else:
+            for c in reversed(coeffs):
+                acc = (acc << width) + offset * acc + c
         half = 1 << (width - 1)
         bias = int.from_bytes((b"\0" * (size - 1) + b"\x80") * len(coeffs), "little")
         raw = (acc + bias).to_bytes(size * len(coeffs), "little")

@@ -166,7 +166,9 @@ def distribution(n: int, kind: str) -> Counter:
         _check_windows(n)
         return Counter(event_row(n, kind))
     width = factorial(n).bit_length() + 1
-    total = _flag_pass(n, width, kind)
+    # `any` counts a value's first flag, `both` its second
+    first, second = (width, 0) if kind == "any" else (0, width)
+    total = _flag_pass(n, first, second)
     slot = (1 << width) - 1
     counts = Counter()
     for m in range(n + 1):
@@ -231,17 +233,19 @@ def event_row(n: int, kind: str) -> dict[int, int]:
 # same successors, and only b's vertical flag tells them apart.
 
 
-def _flag_pass(n, width, kind) -> int:
-    """Counts for `both` or `any` over S_n, packed ``width`` bits per
-    slot, after every window is checked. From the empty prefix, each
-    step groups the positions of the layer that share the used values
-    and b, folds each group and its complement group into one (member a
-    into member n + 1 - a, every waiting set complemented), and places
-    one more entry after each group: the group's tables are projected
-    together once, each next entry c adds that one table to its
-    successor, and only the tables whose a is c - 1 or c + 1, which flag
-    b vertical, are walked again to move their counts. The counts are
-    the sum of the last layer."""
+def _flag_pass(n, first, second) -> int:
+    """Counts over S_n, packed in slots of a width w no count can fill,
+    after every window is checked. Each value's first flag (vertical or
+    horizontal) shifts its permutation's count ``first`` bits and its
+    second flag ``second`` bits: (w, 0) counts `any` and (0, w) counts
+    `both`. From the empty prefix, each step groups the positions of the
+    layer that share the used values and b, folds each group and its
+    complement group into one (member a into member n + 1 - a, every
+    waiting set complemented), and places one more entry after each
+    group: the group's tables are projected together once, each next
+    entry c adds that one table to its successor, and only the tables
+    whose a is c - 1 or c + 1, which flag b vertical, are walked again
+    to move their counts. The counts are the sum of the last layer."""
     hmask = _check_windows(n)
     size = n + 1
     full = (1 << size) - 2
@@ -257,7 +261,6 @@ def _flag_pass(n, width, kind) -> int:
         low = mask & -mask
         rev[mask] = rev[mask ^ low] | (1 << size) // low
     mirror = [0, *range(n, 0, -1)]  # 0 stands for "no entry"
-    first_flag, second_flag = (width, 0) if kind == "any" else (0, width)
     group_of = (1 << size + 4) - 1  # the used values and b of a position
     layer = {0: {0: 1}}  # the empty prefix: no value used, no entries
     for _ in range(n):
@@ -333,10 +336,10 @@ def _flag_pass(n, width, kind) -> int:
                         dest = layer[p2] = {}
                     for w, poly in merged.items():
                         if w & hb:
-                            inc = second_flag
+                            inc = second
                         else:
                             w |= hb << size
-                            inc = first_flag
+                            inc = first
                         w &= wmask
                         dest[w] = dest.get(w, 0) + (poly << inc)
                 # Then each table whose a flags b vertical moves its counts
@@ -347,14 +350,14 @@ def _flag_pass(n, width, kind) -> int:
                     for w, poly in table.items():
                         if hb:
                             if w & hb:
-                                poly <<= second_flag
+                                poly <<= second
                             else:
                                 w |= hb << size
-                                poly <<= first_flag
+                                poly <<= first
                         if w >> size + b & 1:
-                            moved, inc = 0, second_flag
+                            moved, inc = 0, second
                         else:
-                            moved, inc = lowb, first_flag
+                            moved, inc = lowb, first
                         w &= wmask
                         if moved:
                             left = dest[w] - poly

@@ -36,7 +36,7 @@ from sepstat.separators import (
     separator_report,
 )
 from sepstat.series import BiSeries, MarkerPoly
-from sepstat.transfer import distribution
+from sepstat.transfer import distribution, event_row
 from sepstat.verify import run_check_suite
 
 
@@ -169,6 +169,34 @@ def test_resumed_sweep_is_the_per_word_tally(n, parts):
         assert _part_pairs(n, part, parts) == Counter(
             zip(map(separator_masks, words), map(has_knight_pair, words))
         )
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_separators_over_kings_total_the_insertion_count(n):
+    """Summed over the kings of S_n (no bond), `any` is
+    n·K_n − (n − 2)²·K_{n−1}, K_m the kings of S_m (row 0 of the bonds
+    closed form).
+
+    Count the pairs (king p, position i) where deleting p_i leaves a
+    king. A king's children that are kings number n − any(p) (the
+    suite's king-children check), so there are Σ_p (n − any(p)) pairs.
+    Count them again by inserting a value v into a gap of a king q of
+    S_{n−1}, q's values ≥ v shifted up. Pairs of q that stay adjacent
+    are still ≥ 2 apart after the shift, and the new entry forms a bond
+    with a neighbour whose value in q is x exactly when v ∈ {x, x + 1}.
+    q has no bond, so the four values barred at an inner gap are
+    distinct: n − 4 values at each of the n − 2 inner gaps and n − 2 at
+    each of the 2 end gaps, (n − 2)² insertions in all when n ≥ 2. For
+    n = 1 the empty word takes its one value: 1 = (1 − 2)².
+    """
+    kings = total = 0
+    for ((vm, hm, bond_count), _), words in _part_pairs(n, 0, 1).items():
+        if not bond_count:
+            kings += words
+            total += (vm | hm).bit_count() * words
+    k_prev, k_n = (event_row(m, "bonds").get(0, 0) for m in (n - 1, n))
+    assert kings == k_n
+    assert total == n * k_n - (n - 2) ** 2 * k_prev
 
 
 @pytest.mark.parametrize("n", range(8))
