@@ -109,12 +109,9 @@ def _json_dumps(obj) -> str:
 
 
 def _csv_text(rows) -> str:
-    """The n,m,count table of (n, counts) rows, one line for each nonzero
-    counts[m], as csv.writer renders it without the final newline: no
-    field needs quoting."""
-    return "\n".join(["n,m,count"] + [
-        f"{n},{m},{c}" for n, counts in rows for m, c in enumerate(counts) if c
-    ])
+    """The n,m,count table of (n, m, count) integer rows, as csv.writer
+    renders it without the final newline: no field needs quoting."""
+    return "\n".join(["n,m,count"] + [f"{n},{m},{c}" for n, m, c in rows])
 
 
 def _approx(x: Fraction, digits: int = 12) -> str:
@@ -188,13 +185,12 @@ def cmd_report(args: argparse.Namespace) -> tuple[int, str]:
 def cmd_dist(args: argparse.Namespace) -> tuple[int, str]:
     from . import transfer
 
-    table = transfer.distribution(args.n, args.kind)  # a Counter: 0 where absent
-    counts = sorted(table.items())
+    counts = sorted(transfer.distribution(args.n, args.kind).items())
     if args.format == "json":
         by_m = {str(m): c for m, c in counts}
         return 0, _json_dumps({"n": args.n, "kind": args.kind, "counts": by_m})
     if args.format == "csv":
-        return 0, _csv_text([(args.n, [table[m] for m in range(args.n + 1)])])
+        return 0, _csv_text((args.n, m, c) for m, c in counts)
     lines = [f"distribution of {args.kind} over S_{args.n}", "m  count"]
     lines += [f"{m}  {c}" for m, c in counts]
     return 0, "\n".join(lines)
@@ -215,7 +211,9 @@ def cmd_gf(args: argparse.Namespace) -> tuple[int, str]:
         coeffs = {str(e): [str(c) for c in poly.coeffs] for e, poly in rows}
         return 0, _json_dumps({"order": args.order, "coeffs": coeffs, "series": which})
     if args.format == "csv":
-        return 0, _csv_text((e, poly.coeffs) for e, poly in rows)
+        return 0, _csv_text(
+            (e, m, c) for e, poly in rows for m, c in enumerate(poly.coeffs) if c
+        )
     lines = [f"{label} up to z^{args.order}"]
     lines += [f"z^{e}: {_poly_str(poly, var)}" for e, poly in rows]
     return 0, "\n".join(lines)

@@ -76,8 +76,8 @@ class MarkerPoly:
         bytes) holds q_j + 2^(w - 1) in 0..2^w - 1. Adding that bias
         to every slot makes the integer nonnegative and lets the slots
         be cut out of its bytes. For offset -1 (the builders' v -> u - 1)
-        and +1 the Horner step acc * X + c is (acc << w) -/+ acc + c,
-        which builds no product.
+        the Horner step acc * X + c is (acc << w) - acc + c, which
+        builds no product.
         """
         coeffs = self.coeffs
         if offset == 0 or not coeffs:
@@ -92,9 +92,6 @@ class MarkerPoly:
         if offset == -1:
             for c in reversed(coeffs):
                 acc = (acc << width) - acc + c
-        elif offset == 1:
-            for c in reversed(coeffs):
-                acc = (acc << width) + acc + c
         else:
             for c in reversed(coeffs):
                 acc = (acc << width) + offset * acc + c

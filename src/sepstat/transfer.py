@@ -166,9 +166,7 @@ def distribution(n: int, kind: str) -> Counter:
         _check_windows(n)
         return Counter(event_row(n, kind))
     width = factorial(n).bit_length() + 1
-    # `any` counts a value's first flag, `both` its second
-    first, second = (width, 0) if kind == "any" else (0, width)
-    total = _flag_pass(n, first, second)
+    total = _flag_pass(n, *_flag_shifts(width, kind))
     slot = (1 << width) - 1
     counts = Counter()
     for m in range(n + 1):
@@ -233,12 +231,19 @@ def event_row(n: int, kind: str) -> dict[int, int]:
 # same successors, and only b's vertical flag tells them apart.
 
 
+def _flag_shifts(width, kind) -> tuple[int, int]:
+    """The (first, second) flag shifts of `_flag_pass` that count
+    `kind` in slots of ``width`` bits: `any` counts a value's first
+    flag, `both` its second."""
+    return (width, 0) if kind == "any" else (0, width)
+
+
 def _flag_pass(n, first, second) -> int:
     """Counts over S_n, packed in slots of a width w no count can fill,
     after every window is checked. Each value's first flag (vertical or
     horizontal) shifts its permutation's count ``first`` bits and its
-    second flag ``second`` bits: (w, 0) counts `any` and (0, w) counts
-    `both`. From the empty prefix, each step groups the positions of the
+    second flag ``second`` bits (`_flag_shifts` gives them for `any` and
+    `both`). From the empty prefix, each step groups the positions of the
     layer that share the used values and b, folds each group and its
     complement group into one (member a into member n + 1 - a, every
     waiting set complemented), and places one more entry after each

@@ -580,20 +580,19 @@ def csv_writer_text(rows):
 
 
 def test_csv_text_matches_csv_writer():
-    # (n, counts) rows as `dist` and `gf` hand them over, zero counts
-    # included; csv.writer gets one (n, m, count) row per nonzero count
     tables = [[]]
-    for n in range(10):
-        for kind in exhaustive.KINDS:
-            row = transfer.distribution(n, kind)
-            tables.append([(n, [row[m] for m in range(n + 1)])])
     tables += [
-        [(n, poly.coeffs) for n, poly in getattr(series, builder)(64)]
+        [(n, m, c) for m, c in sorted(transfer.distribution(n, kind).items())]
+        for n in range(10)
+        for kind in exhaustive.KINDS
+    ]
+    tables += [
+        [(n, m, c) for n, poly in getattr(series, builder)(64)
+         for m, c in enumerate(poly.coeffs) if c]
         for _, builder, _ in _SERIES.values()
     ]
     for rows in tables:
-        triples = [(n, m, c) for n, counts in rows for m, c in enumerate(counts) if c]
-        assert _csv_text(rows) == csv_writer_text(triples)
+        assert _csv_text(rows) == csv_writer_text(rows)
 
 
 # SHA-256 over exit code, stdout and stderr of `gf` for every series,

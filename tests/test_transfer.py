@@ -46,7 +46,7 @@ def test_flag_pass_equals_the_keyed_pass(kind):
     for n in range(2, 12):
         width = math.factorial(n).bit_length() + 1
         expected = _keyed_flag_pass(n, width, kind, _masks_events(n))
-        shifts = (width, 0) if kind == "any" else (0, width)
+        shifts = transfer._flag_shifts(width, kind)
         assert transfer._flag_pass(n, *shifts) == expected, n
 
 
@@ -109,7 +109,7 @@ def test_flag_pass_counts_the_empty_and_the_one_entry_prefix(n, kind):
     # from the empty prefix, with no special case for small n: count 1
     # in slot 0
     width = math.factorial(n).bit_length() + 1
-    shifts = (width, 0) if kind == "any" else (0, width)
+    shifts = transfer._flag_shifts(width, kind)
     assert transfer._flag_pass(n, *shifts) == 1
 
 
